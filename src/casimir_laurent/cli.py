@@ -25,9 +25,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .integrands import SpectrumKind
-from .laurent import (LaurentParams, PruneAverage, RegularizationError,
+from .laurent import (FitMatrix, LaurentParams, RegularizationError,
                       RegularizationResult, make_grid, regularize)
-from .physics import DielectricSpec, PlateGeometry, force_report
+from .physics import DielectricSpec, PlateGeometry, _unit_geometry, force_report
 from .quadrature import (DIELECTRIC_REL_TOL, VACUUM_REL_TOL, QuadratureConfig,
                          QuadratureError, sample_curve)
 
@@ -36,8 +36,6 @@ from .quadrature import (DIELECTRIC_REL_TOL, VACUUM_REL_TOL, QuadratureConfig,
 C0_EXACT = math.pi**4 / 360.0
 C0_REFERENCE = 0.27281
 
-SENSITIVITY_KEYS = ("eps_s", "s_R", "J", "eps_c", "N2", "rel_tol")
-
 
 class ConfigError(ValueError):
     pass
@@ -45,7 +43,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    mode: str = "vacuum"
     sigma: Fraction | float | None = None
     eps_s: float = 0.05
     s_max: float = 1.0
@@ -54,7 +51,6 @@ class RunConfig:
     n1: int = -6
     n2: int = 9
     eps_c: float = 1e-3
-    prune_average: str = "window"
     rel_tol: float | None = None
     abs_tol: float = 1e-14
     tail_tol: float = 1e-13
@@ -64,8 +60,7 @@ class RunConfig:
     lz: float = 1.0
 
     def laurent_params(self) -> LaurentParams:
-        return LaurentParams(N1=self.n1, N2=self.n2, eps_c=self.eps_c,
-                             prune_average=PruneAverage(self.prune_average))
+        return LaurentParams(N1=self.n1, N2=self.n2, eps_c=self.eps_c)
 
     def quad_config(self, kind: SpectrumKind) -> QuadratureConfig:
         rel = self.rel_tol
@@ -75,21 +70,28 @@ class RunConfig:
                                 tail_tol=self.tail_tol)
 
     def geometry(self) -> PlateGeometry:
-        import warnings
         if (self.lx, self.ly, self.lz) == (1.0, 1.0, 1.0):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return PlateGeometry(1.0, 1.0, 1.0)
+            return _unit_geometry()
         return PlateGeometry(self.lx, self.ly, self.lz)
 
 
 _FIELD_PARSERS = {
-    "mode": str,
     "eps_s": float, "s_max": float, "grid_points": int, "spacing": str,
-    "n1": int, "n2": int, "eps_c": float, "prune_average": str,
+    "n1": int, "n2": int, "eps_c": float,
     "rel_tol": float, "abs_tol": float, "tail_tol": float,
     "out_dir": str, "lx": float, "ly": float, "lz": float,
 }
+
+# RunConfig fields that have a command-line flag of the same name.
+_FLAG_FIELDS = ("eps_s", "s_max", "grid_points", "spacing", "eps_c", "n1", "n2",
+                "rel_tol", "out_dir")
+
+# Sensitivity sweep key -> (RunConfig field, parser of one swept value).
+_SWEEPS = {
+    "eps_s": ("eps_s", float), "s_R": ("s_max", float), "J": ("grid_points", int),
+    "eps_c": ("eps_c", float), "N2": ("n2", int), "rel_tol": ("rel_tol", float),
+}
+SENSITIVITY_KEYS = tuple(_SWEEPS)
 
 
 def parse_sigma(text: str) -> Fraction | float:
@@ -134,21 +136,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
         cfg = replace(cfg, **updates)
-    flag_map = {
-        "eps_s": "eps_s", "s_max": "s_max", "grid_points": "grid_points",
-        "spacing": "spacing", "eps_c": "eps_c", "n1": "n1", "n2": "n2",
-        "rel_tol": "rel_tol", "out_dir": "out_dir",
-    }
     updates = {}
-    for flag, field_name in flag_map.items():
-        value = getattr(args, flag, None)
+    for name in _FLAG_FIELDS:
+        value = getattr(args, name, None)
         if value is not None:
-            updates[field_name] = value
+            updates[name] = value
     if getattr(args, "sigma", None) is not None:
         updates["sigma"] = parse_sigma(args.sigma)
     if updates:
         cfg = replace(cfg, **updates)
-    cfg = replace(cfg, mode=args.command if args.command != "sensitivity" else cfg.mode)
     _validate(cfg)
     return cfg
 
@@ -162,8 +158,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"spacing must be linear or log, got {cfg.spacing!r}")
     if not (cfg.n1 <= -2 and cfg.n2 >= 2):
         raise ConfigError(f"need n1 <= -2 and n2 >= 2, got {cfg.n1}, {cfg.n2}")
-    if cfg.prune_average not in tuple(m.value for m in PruneAverage):
-        raise ConfigError(f"unknown prune_average {cfg.prune_average!r}")
     for name in ("eps_c", "abs_tol", "tail_tol"):
         v = getattr(cfg, name)
         if not 0.0 <= v < 1.0:
@@ -205,9 +199,7 @@ def _write_curves(path: Path, result: RegularizationResult) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _write_matrix(path: Path, samples, cfg: RunConfig) -> None:
-    from .laurent import build_matrix
-    matrix = build_matrix(samples, cfg.n1, cfg.n2)
+def _write_matrix(path: Path, matrix: FitMatrix) -> None:
     windows = []
     for (n1, n2) in sorted(matrix.entries):
         fit = matrix.entries[(n1, n2)]
@@ -224,8 +216,7 @@ def _config_echo(cfg: RunConfig) -> dict[str, object]:
     return {
         "grid": {"eps_s": cfg.eps_s, "s_R": cfg.s_max, "J": cfg.grid_points,
                  "spacing": cfg.spacing},
-        "laurent": {"N1": cfg.n1, "N2": cfg.n2, "eps_c": cfg.eps_c,
-                    "prune_average": cfg.prune_average},
+        "laurent": {"N1": cfg.n1, "N2": cfg.n2, "eps_c": cfg.eps_c},
         "quadrature": {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
                        "tail_tol": cfg.tail_tol},
     }
@@ -255,7 +246,7 @@ def run_vacuum(cfg: RunConfig) -> int:
                            cfg.quad_config(SpectrumKind.VACUUM))
     result = regularize(samples, cfg.laurent_params())
     _write_samples(out / "samples.csv", samples)
-    _write_matrix(out / "matrix.json", samples, cfg)
+    _write_matrix(out / "matrix.json", result.matrix)
     _write_curves(out / "curves.csv", result)
     report = {
         "mode": "vacuum",
@@ -288,7 +279,7 @@ def run_dielectric(cfg: RunConfig) -> int:
         result = regularize(samples, cfg.laurent_params())
         results[tag] = result
         _write_samples(out / f"samples_{tag}.csv", samples)
-        _write_matrix(out / f"matrix_{tag}.json", samples, cfg)
+        _write_matrix(out / f"matrix_{tag}.json", result.matrix)
         _write_curves(out / f"curves_{tag}.csv", result)
         print(f"{tag}: pole_order={result.pole_order} c0={result.c0:.9f} "
               f"spread={result.diagnostics['spread']:.3e}")
@@ -319,28 +310,12 @@ def run_dielectric(cfg: RunConfig) -> int:
     return 0
 
 
-def _apply_sweep(cfg: RunConfig, vary: str, value: float) -> RunConfig:
-    if vary == "eps_s":
-        return replace(cfg, eps_s=float(value))
-    if vary == "s_R":
-        return replace(cfg, s_max=float(value))
-    if vary == "J":
-        return replace(cfg, grid_points=int(value))
-    if vary == "eps_c":
-        return replace(cfg, eps_c=float(value))
-    if vary == "N2":
-        return replace(cfg, n2=int(value))
-    if vary == "rel_tol":
-        return replace(cfg, rel_tol=float(value))
-    raise ConfigError(f"unknown sweep parameter {vary!r}; "
-                      f"choose from {', '.join(SENSITIVITY_KEYS)}")
-
-
 def dump_sensitivity(cfg: RunConfig, vary: str, values: list[float]) -> int:
     """Sweep one parameter over the vacuum pipeline and tabulate c0."""
-    if vary not in SENSITIVITY_KEYS:
+    if vary not in _SWEEPS:
         raise ConfigError(f"unknown sweep parameter {vary!r}; "
                           f"choose from {', '.join(SENSITIVITY_KEYS)}")
+    field_name, parse = _SWEEPS[vary]
     if not values:
         raise ConfigError("sensitivity sweep needs a non-empty values list")
     out = Path(cfg.out_dir)
@@ -354,7 +329,7 @@ def dump_sensitivity(cfg: RunConfig, vary: str, values: list[float]) -> int:
                                       cfg.quad_config(SpectrumKind.VACUUM))
     rows = []
     for value in values:
-        swept = _apply_sweep(cfg, vary, value)
+        swept = replace(cfg, **{field_name: parse(value)})
         _validate(swept)
         if shared_samples is not None:
             samples = shared_samples
@@ -419,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_values(vary: str, text: str) -> list[float]:
+def _parse_values(text: str) -> list[float]:
     items = [t for t in (piece.strip() for piece in text.split(",")) if t]
     if not items:
         raise ConfigError("sensitivity sweep needs a non-empty values list")
@@ -438,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
             return run_vacuum(cfg)
         if args.command == "dielectric":
             return run_dielectric(cfg)
-        values = _parse_values(args.vary, args.values)
+        values = _parse_values(args.values)
         return dump_sensitivity(cfg, args.vary, values)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -9,15 +9,14 @@ up to a constant phase, to combinations of modified Bessel functions:
 
 with mu = sqrt(nu^2 + 1) and the radial transform f -> y f' + f applied
 to each factor at its own argument (It, Kt above).  P is positive and Q
-is negative throughout sigma in (0,1); both are handled in log form with
-the growing exponent (1 - sigma) y extracted.
+is negative throughout sigma in (0,1); the mode integrals need only their
+log-derivatives d/dy ln|P| and d/dy ln|Q|, assembled from log-form factors.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .specfun import BesselOrder, log_bessel_ik
 
@@ -34,29 +33,6 @@ class SpectrumKind(enum.Enum):
 
 class CrossProductError(ArithmeticError):
     """The cross product lost its fixed sign (unexpected imaginary-axis root)."""
-
-
-@dataclass(frozen=True)
-class SpectrumGenerator:
-    """A mode-condition family: vacuum, or TE/TM at dielectric contrast sigma."""
-
-    kind: SpectrumKind
-    sigma: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.kind is not SpectrumKind.VACUUM and self.sigma == 1.0:
-            raise ValueError("sigma = 1 makes the TE/TM cross product vanish identically")
-
-
-@dataclass(frozen=True)
-class CrossProductValue:
-    """Cross product in log form: value = sign * exp(log_value + exp_factor)."""
-
-    log_value: float
-    exp_factor: float
-    dlog: float
 
 
 def vacuum_integrand(r: float, s: float) -> float:
@@ -110,29 +86,6 @@ def _dlog_te_limit(nu: float, y: float, sigma: float) -> float:
         num2 = (s2n - sigma * sigma) / (1.0 - nu)
     den = 2.0 * (1.0 - s2n)
     return y * (num1 - num2) / den
-
-
-def cross_te(nu: BesselOrder, y: float, sigma: float) -> CrossProductValue:
-    """TE cross product P_nu(y, sigma), log/exponent-extracted, with its dlog.
-
-    sigma > 1 reduces through P_nu(y, sigma) = -P_nu(sigma y, 1/sigma); the
-    returned log_value then describes |P| and dlog is d/dy ln|P|.
-    """
-    if y <= 0.0:
-        raise ValueError(f"cross_te requires y > 0, got {y}")
-    if sigma <= 0.0 or sigma == 1.0:
-        raise ValueError(f"cross_te requires sigma in (0,1) or (1,inf), got {sigma}")
-    if sigma > 1.0:
-        inner = cross_te(nu, sigma * y, 1.0 / sigma)
-        return CrossProductValue(inner.log_value, inner.exp_factor, sigma * inner.dlog)
-    ln_a, delta, _, _ = _te_parts(nu, y, sigma)
-    one_m = -math.expm1(delta)
-    if not one_m > 0.0:
-        raise CrossProductError(
-            f"TE cross product non-positive at nu={nu}, y={y}, sigma={sigma}")
-    exp_factor = (1.0 - sigma) * y
-    log_value = ln_a + math.log(one_m) - exp_factor
-    return CrossProductValue(log_value, exp_factor, dlog_cross_te(nu, y, sigma))
 
 
 def dlog_cross_te(nu: BesselOrder, y: float, sigma: float) -> float:
@@ -201,26 +154,6 @@ def _dlog_tm_limit(nu: float, y: float, sigma: float) -> float:
     return 2.0 * y * num / den
 
 
-def cross_tm(nu: BesselOrder, y: float, sigma: float) -> CrossProductValue:
-    """TM cross product Q_mu(y, sigma) in log form; Q < 0 throughout, so the
-    logs describe |Q| and dlog is d/dy ln|Q|."""
-    if y <= 0.0:
-        raise ValueError(f"cross_tm requires y > 0, got {y}")
-    if sigma <= 0.0 or sigma == 1.0:
-        raise ValueError(f"cross_tm requires sigma in (0,1) or (1,inf), got {sigma}")
-    if sigma > 1.0:
-        inner = cross_tm(nu, sigma * y, 1.0 / sigma)
-        return CrossProductValue(inner.log_value, inner.exp_factor, sigma * inner.dlog)
-    ln_a, delta, _, _ = _tm_parts(nu, y, sigma)
-    one_m = -math.expm1(delta)
-    if not one_m > 0.0:
-        raise CrossProductError(
-            f"TM cross product changed sign at nu={nu}, y={y}, sigma={sigma}")
-    exp_factor = (1.0 - sigma) * y
-    log_value = ln_a + math.log(one_m) - exp_factor
-    return CrossProductValue(log_value, exp_factor, dlog_cross_tm(nu, y, sigma))
-
-
 def dlog_cross_tm(nu: BesselOrder, y: float, sigma: float) -> float:
     """d/dy ln |Q_mu(y, sigma)|."""
     if y <= 0.0:
@@ -238,14 +171,6 @@ def dlog_cross_tm(nu: BesselOrder, y: float, sigma: float) -> float:
         raise CrossProductError(
             f"TM cross product changed sign at nu={nu}, y={y}, sigma={sigma}")
     return (d1 - rho * d2) / one_m
-
-
-def cross_value(kind: SpectrumKind, nu: BesselOrder, y: float, sigma: float) -> CrossProductValue:
-    if kind is SpectrumKind.TE:
-        return cross_te(nu, y, sigma)
-    if kind is SpectrumKind.TM:
-        return cross_tm(nu, y, sigma)
-    raise ValueError(f"no cross product for kind {kind}")
 
 
 def dlog_cross(kind: SpectrumKind, nu: BesselOrder, y: float, sigma: float) -> float:

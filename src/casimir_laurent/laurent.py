@@ -47,25 +47,6 @@ class RegularizationError(RuntimeError):
         self.stage = stage
 
 
-class PruneAverage(enum.Enum):
-    """How the reference magnitude M_n(n1, n2) of the ratio test is formed.
-
-    WINDOW (default): |sum of the window's own principal coefficients| / |n|.
-    CROSS_COUNT: mean of c_n over the windows (j, n2), j in [n1, n], where
-        the coefficient exists.
-    CROSS_LITERAL: the same cross-window sum divided by |n| instead of the
-        count.
-    Both cross modes make the ratio |c_n|/M_n equal to 1 at n = n1 (the
-    peer set is the coefficient itself), so every window keeps its own
-    most singular term and pole detection cannot find a stable rectangle;
-    they are retained for sensitivity studies only.
-    """
-
-    WINDOW = "window"
-    CROSS_COUNT = "cross-count"
-    CROSS_LITERAL = "cross-literal"
-
-
 @dataclass(frozen=True)
 class SGrid:
     eps_s: float
@@ -128,7 +109,6 @@ class PruneReport:
     averages: Mapping[tuple[int, int, int], float]
     N1: int
     N2: int
-    average_mode: PruneAverage
 
 
 @dataclass(frozen=True)
@@ -140,6 +120,7 @@ class RegularizationResult:
     turning_values: Mapping[int, float]
     c0: float
     diagnostics: Mapping[str, object]
+    matrix: FitMatrix = field(repr=False)        # the window fits the pole was read from
 
 
 @dataclass(frozen=True)
@@ -147,7 +128,6 @@ class LaurentParams:
     N1: int = -6
     N2: int = 9
     eps_c: float = 1e-3
-    prune_average: PruneAverage = PruneAverage.WINDOW
 
     def __post_init__(self) -> None:
         if self.N1 >= -1:
@@ -177,8 +157,7 @@ def _extract(samples) -> tuple[np.ndarray, np.ndarray]:
     return s, I
 
 
-def fit_window(samples, n1: int, n2: int,
-               weights: Sequence[float] | None = None) -> TruncatedLaurentFit:
+def fit_window(samples, n1: int, n2: int) -> TruncatedLaurentFit:
     """Least-squares fit of sum_{n=n1}^{n2} c_n s^n to the samples.
 
     Basis columns are norm-equilibrated before solving; the condition
@@ -193,10 +172,6 @@ def fit_window(samples, n1: int, n2: int,
     powers = np.arange(n1, n2 + 1)
     design = s[:, None] ** powers[None, :]
     rhs = I.astype(float)
-    if weights is not None:
-        w = np.sqrt(np.asarray(weights, dtype=float))
-        design = design * w[:, None]
-        rhs = rhs * w
     norms = np.linalg.norm(design, axis=0)
     if np.any(norms == 0.0):
         raise FitError("degenerate basis column")
@@ -223,30 +198,18 @@ def build_matrix(samples, N1: int = -6, N2: int = 9) -> FitMatrix:
     return FitMatrix(entries=entries, N1=int(N1), N2=int(N2), s=s, I=I)
 
 
-def _peer_average(matrix: FitMatrix, n: int, n1: int, n2: int,
-                  mode: PruneAverage) -> float:
-    fit = matrix.entries[(n1, n2)]
-    if mode is PruneAverage.WINDOW:
-        own = [fit.coeffs[j] for j in range(n1, 0)]
-        signed = abs(sum(own)) / abs(n)
-        mean_abs = float(np.mean([abs(c) for c in own]))
-    else:
-        peers = [matrix.entries[(j, n2)].coeffs[n] for j in range(n1, n + 1)]
-        if mode is PruneAverage.CROSS_COUNT:
-            signed = abs(float(np.mean(peers)))
-        else:
-            signed = abs(sum(peers)) / abs(n)
-        mean_abs = float(np.mean([abs(p) for p in peers]))
+def _peer_average(fit: TruncatedLaurentFit, n1: int, n: int) -> float:
+    """M_n: |sum of the window's own principal coefficients| / |n|."""
+    own = [fit.coeffs[j] for j in range(n1, 0)]
+    signed = abs(sum(own)) / abs(n)
+    mean_abs = float(np.mean([abs(c) for c in own]))
     if signed < AVERAGE_CANCEL_GUARD * mean_abs:
         return mean_abs
     return signed
 
 
-def prune(matrix: FitMatrix, eps_c: float = 1e-3,
-          average: PruneAverage | str = PruneAverage.WINDOW) -> PruneReport:
+def prune(matrix: FitMatrix, eps_c: float = 1e-3) -> PruneReport:
     """Classify every principal-part coefficient by the ratio test |c_n|/M_n > eps_c."""
-    if isinstance(average, str):
-        average = PruneAverage(average.lower())
     if eps_c < 0.0:
         raise ValueError(f"eps_c must be non-negative, got {eps_c}")
     kept: set[tuple[int, int, int]] = set()
@@ -254,7 +217,7 @@ def prune(matrix: FitMatrix, eps_c: float = 1e-3,
     averages: dict[tuple[int, int, int], float] = {}
     for (n1, n2), fit in matrix.entries.items():
         for n in range(n1, 0):
-            m = _peer_average(matrix, n, n1, n2, average)
+            m = _peer_average(fit, n1, n)
             averages[(n, n1, n2)] = m
             if m == 0.0:
                 dropped.add((n, n1, n2))
@@ -263,8 +226,7 @@ def prune(matrix: FitMatrix, eps_c: float = 1e-3,
             else:
                 dropped.add((n, n1, n2))
     return PruneReport(eps_c=eps_c, kept=frozenset(kept), dropped=frozenset(dropped),
-                       averages=averages, N1=matrix.N1, N2=matrix.N2,
-                       average_mode=average)
+                       averages=averages, N1=matrix.N1, N2=matrix.N2)
 
 
 def _most_singular_kept(report: PruneReport) -> dict[tuple[int, int], int | None]:
@@ -354,7 +316,7 @@ def regularize(samples, params: LaurentParams | None = None) -> RegularizationRe
     except (FitError, ValueError) as exc:
         raise RegularizationError("fit", str(exc)) from exc
     try:
-        report = prune(matrix, params.eps_c, params.prune_average)
+        report = prune(matrix, params.eps_c)
     except ValueError as exc:
         raise RegularizationError("prune", str(exc)) from exc
     try:
@@ -377,7 +339,6 @@ def regularize(samples, params: LaurentParams | None = None) -> RegularizationRe
         "rectangle": sorted(rectangle),
         "flagged_windows": flagged,
         "eps_c": params.eps_c,
-        "prune_average": params.prune_average.value,
     }
     return RegularizationResult(
         pole_order=int(pole),
@@ -386,4 +347,5 @@ def regularize(samples, params: LaurentParams | None = None) -> RegularizationRe
         curves=curves,
         turning_values=turning,
         c0=c0,
-        diagnostics=diagnostics)
+        diagnostics=diagnostics,
+        matrix=matrix)

@@ -29,6 +29,9 @@ from .specfun import polygamma3
 VACUUM_REL_TOL = 1e-9
 DIELECTRIC_REL_TOL = 1e-7
 
+# Subinterval limit of every adaptive quad call.
+MAX_PANELS = 200
+
 
 class QuadratureError(ArithmeticError):
     """Quadrature failed to converge or the integrand returned non-finite values."""
@@ -39,15 +42,12 @@ class QuadratureConfig:
     rel_tol: float = VACUUM_REL_TOL
     abs_tol: float = 1e-14
     tail_tol: float = 1e-13
-    max_panels: int = 200
 
     def __post_init__(self) -> None:
         for name in ("rel_tol", "abs_tol", "tail_tol"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0,1), got {v}")
-        if self.max_panels < 8:
-            raise ValueError(f"max_panels must be >= 8, got {self.max_panels}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def integrate_decaying(
 
     out = quad(integrand, 0.0, x_max,
                epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-               limit=cfg.max_panels, full_output=1)
+               limit=MAX_PANELS, full_output=1)
     value, err = out[0], out[1]
     if len(out) > 3:
         raise QuadratureError(f"quadrature did not converge: {out[3]}")
@@ -151,14 +151,14 @@ def eval_I_dielectric(
         v, _ = quad(
             lambda y: y * dlog_cross(kind, nu, y, sigma) * math.exp(-s * math.hypot(g, y)),
             0.0, y_max,
-            epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_panels)
+            epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=MAX_PANELS)
         if not math.isfinite(v):
             raise QuadratureError(f"inner integral non-finite at nu={nu}")
         return v
 
     out = quad(lambda nu: nu * inner(nu), 0.0, r_max,
                epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-               limit=cfg.max_panels, full_output=1)
+               limit=MAX_PANELS, full_output=1)
     value, err = out[0], out[1]
     if len(out) > 3:
         raise QuadratureError(f"outer quadrature did not converge: {out[3]}")

@@ -1,96 +1,21 @@
 """Scalar special functions of arbitrary real order and argument.
 
-Ordinary Bessel functions J, Y; exponentially scaled modified Bessel
-functions e^{-y} I_nu(y) and e^{+y} K_nu(y); their derivatives via
-recurrences; the tilde transform f -> y f' + f; and polygamma of order 3.
-
-The scaled pair still underflows or overflows in IEEE doubles once the
-order greatly exceeds the argument (e.g. nu = 1000, y = 1, where
-I_nu ~ (y/2)^nu / nu!).  For that regime use :func:`log_bessel_ik`, which
-returns logarithms and adjacent-order ratios and is the form every
-integrand in this package consumes.
+Logarithms and adjacent-order ratios of the modified Bessel functions
+I_nu(t) and K_nu(t), the form every integrand in this package consumes,
+and polygamma of order 3.  The exponentially scaled pair e^{-t} I_nu(t),
+e^{+t} K_nu(t) still underflows or overflows in IEEE doubles once the
+order greatly exceeds the argument (e.g. nu = 1000, t = 1, where
+I_nu ~ (t/2)^nu / nu!); :func:`log_bessel_ik` stays finite there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from scipy.special import ive, jv, jvp, kve, polygamma as _scipy_polygamma, yv, yvp
+from scipy.special import ive, kve, polygamma as _scipy_polygamma
 
 # Order parameter nu >= 0; TM integrands use the effective order sqrt(nu^2+1).
 BesselOrder = float
-
-
-@dataclass(frozen=True)
-class ScaledBesselPair:
-    """e^{-y} I_nu(y) and e^{+y} K_nu(y) at a common argument."""
-
-    i_scaled: float
-    k_scaled: float
-    y: float
-
-
-def bessel_j(nu: BesselOrder, x: float) -> float:
-    """Ordinary Bessel function of the first kind, J_nu(x), x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"bessel_j requires x > 0, got {x}")
-    return float(jv(nu, x))
-
-
-def bessel_y(nu: BesselOrder, x: float) -> float:
-    """Ordinary Bessel function of the second kind, Y_nu(x), x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"bessel_y requires x > 0, got {x}")
-    return float(yv(nu, x))
-
-
-def bessel_j_deriv(nu: BesselOrder, x: float) -> float:
-    if x <= 0.0:
-        raise ValueError(f"bessel_j_deriv requires x > 0, got {x}")
-    return float(jvp(nu, x))
-
-
-def bessel_y_deriv(nu: BesselOrder, x: float) -> float:
-    if x <= 0.0:
-        raise ValueError(f"bessel_y_deriv requires x > 0, got {x}")
-    return float(yvp(nu, x))
-
-
-def bessel_i_scaled(nu: BesselOrder, y: float) -> float:
-    """e^{-y} I_nu(y) for y > 0."""
-    if y <= 0.0:
-        raise ValueError(f"bessel_i_scaled requires y > 0, got {y}")
-    return float(ive(nu, y))
-
-
-def bessel_k_scaled(nu: BesselOrder, y: float) -> float:
-    """e^{+y} K_nu(y) for y > 0.  Even in the order: K_{-nu} = K_nu."""
-    if y <= 0.0:
-        raise ValueError(f"bessel_k_scaled requires y > 0, got {y}")
-    return float(kve(abs(nu), y))
-
-
-def scaled_pair(nu: BesselOrder, y: float) -> ScaledBesselPair:
-    return ScaledBesselPair(bessel_i_scaled(nu, y), bessel_k_scaled(nu, y), y)
-
-
-def bessel_derivatives(nu: BesselOrder, y: float) -> tuple[float, float]:
-    """(e^{-y} I_nu'(y), e^{+y} K_nu'(y)) via the adjacent-order recurrences.
-
-    I' = (I_{nu-1} + I_{nu+1})/2 and K' = -(K_{nu-1} + K_{nu+1})/2; the
-    scaling factors commute with the averages.
-    """
-    if y <= 0.0:
-        raise ValueError(f"bessel_derivatives requires y > 0, got {y}")
-    ip = 0.5 * (float(ive(nu - 1.0, y)) + float(ive(nu + 1.0, y)))
-    kp = -0.5 * (float(kve(abs(nu - 1.0), y)) + float(kve(nu + 1.0, y)))
-    return ip, kp
-
-
-def tilde(f_value: float, f_deriv: float, y: float) -> float:
-    """The radial-mode transform f -> y f'(y) + f(y)."""
-    return y * f_deriv + f_value
 
 
 def polygamma3(x: float) -> float:

@@ -13,10 +13,12 @@ from fractions import Fraction
 import pytest
 
 import casimir_laurent.cli as cli
+import casimir_laurent.laurent as laurent
 from casimir_laurent.cli import (C0_EXACT, C0_REFERENCE, ConfigError, main,
                                  parse_sigma)
 from casimir_laurent.integrands import SpectrumKind
-from casimir_laurent.quadrature import IntegralSample
+from casimir_laurent.laurent import RegularizationError
+from casimir_laurent.quadrature import IntegralSample, QuadratureError
 
 FLOAT_16E = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -116,7 +118,7 @@ def test_vacuum_report_contents(vacuum_run):
     assert report["abs_dev_reference"] < 5e-3
     assert len(report["turning_values"]) == 8
     assert report["grid"] == {"eps_s": 0.05, "s_R": 1.0, "J": 200, "spacing": "linear"}
-    assert report["laurent"]["N1"] == -6 and report["laurent"]["N2"] == 9
+    assert report["laurent"] == {"N1": -6, "N2": 9, "eps_c": 0.001}
 
 
 def test_vacuum_rerun_is_byte_identical(vacuum_run, tmp_path):
@@ -124,6 +126,20 @@ def test_vacuum_rerun_is_byte_identical(vacuum_run, tmp_path):
     assert code == 0
     for name in ("samples.csv", "curves.csv", "matrix.json", "report.json"):
         assert (tmp_path / name).read_bytes() == (vacuum_run / name).read_bytes(), name
+
+
+def test_vacuum_builds_the_window_matrix_once(tmp_path, monkeypatch):
+    # matrix.json serializes the matrix regularize fitted; no second fit
+    calls = []
+    real = laurent.build_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(laurent, "build_matrix", counting)
+    assert main(["vacuum", "--grid-points", "64", "--out-dir", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_vacuum_creates_nested_out_dir(tmp_path):
@@ -158,6 +174,14 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("eps_q = 0.1\n")
     assert main(["vacuum", "--config", str(cfg)]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["mode = dielectric", "prune_average = window"])
+def test_config_file_rejects_removed_keys(tmp_path, capsys, line):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["vacuum", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert "unknown key" in capsys.readouterr().err
 
 
@@ -325,6 +349,31 @@ def test_dielectric_requires_sigma():
     with pytest.raises(SystemExit) as exc:
         main(["dielectric"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# staged failures
+# ---------------------------------------------------------------------------
+
+
+def test_quadrature_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def failing_sampler(kind, sigma, grid, cfg=None):
+        raise QuadratureError("sample 0 (s=0.05) failed: did not converge")
+
+    monkeypatch.setattr(cli, "sample_curve", failing_sampler)
+    assert main(["vacuum", "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "quadrature failure: sample 0 (s=0.05) failed: did not converge\n")
+
+
+def test_regularization_failure_exits_4(tmp_path, monkeypatch, capsys):
+    def failing_regularize(samples, params=None):
+        raise RegularizationError("detect", "no stable pole order")
+
+    monkeypatch.setattr(cli, "regularize", failing_regularize)
+    assert main(["vacuum", "--grid-points", "64", "--out-dir", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == (
+        "regularization failure (detect): [detect] no stable pole order\n")
 
 
 def test_missing_subcommand():

@@ -11,11 +11,11 @@ import math
 import numpy as np
 import pytest
 
+import casimir_laurent.laurent as laurent
 from casimir_laurent.integrands import SpectrumKind
 from casimir_laurent.laurent import (AVERAGE_CANCEL_GUARD, DetectionError,
                                      FitError, FitMatrix, LaurentParams,
-                                     PruneAverage, PruneReport,
-                                     RegularizationError, Spacing,
+                                     PruneReport, RegularizationError, Spacing,
                                      TruncatedLaurentFit, build_matrix,
                                      detect_pole_order, fit_window, make_grid,
                                      prune, regularize, subtract_and_refit,
@@ -106,14 +106,6 @@ def test_fit_window_with_noise():
     assert fit.rms_residual < 5e-6
 
 
-def test_fit_window_unit_weights_are_identity():
-    s = make_grid(0.05, 1.0, 25).points
-    I = 3.0 / s + 1.0
-    plain = fit_window((s, I), -3, 2)
-    weighted = fit_window((s, I), -3, 2, weights=np.ones_like(s))
-    assert plain.coeffs == weighted.coeffs
-
-
 def test_fit_window_input_forms_agree():
     s = make_grid(0.1, 1.0, 20).points
     I = 1.0 / s + 2.0
@@ -170,11 +162,6 @@ def test_prune_zero_threshold_keeps_everything(vacuum_samples):
     assert not report.dropped
 
 
-def test_prune_string_mode(vacuum_samples):
-    matrix = build_matrix(vacuum_samples)
-    assert prune(matrix, average="window").kept == prune(matrix).kept
-
-
 def test_prune_rejects_negative_threshold(vacuum_samples):
     with pytest.raises(ValueError):
         prune(build_matrix(vacuum_samples), eps_c=-0.1)
@@ -210,19 +197,6 @@ def test_prune_cancellation_guard():
     assert (-2, -2, 1) in report.kept
 
 
-@pytest.mark.parametrize("mode", [PruneAverage.CROSS_COUNT, PruneAverage.CROSS_LITERAL])
-def test_cross_modes_keep_every_window_head(vacuum_samples, mode):
-    # Self-ratio is 1 at n = n1, so every window keeps its own most singular
-    # exponent and no 2 x 2 rectangle can agree: detection must fail.
-    matrix = build_matrix(vacuum_samples)
-    report = prune(matrix, average=mode)
-    for n1 in range(matrix.N1 + 1, 0):
-        for n2 in range(1, matrix.N2):
-            assert (n1, n1, n2) in report.kept
-    with pytest.raises(DetectionError):
-        detect_pole_order(report)
-
-
 # ---------------------------------------------------------------------------
 # pole detection
 # ---------------------------------------------------------------------------
@@ -247,7 +221,7 @@ def test_detect_second_order_pole():
 def _hand_report(msk, N1, N2):
     kept = frozenset((lab, n1, n2) for (n1, n2), lab in msk.items() if lab is not None)
     return PruneReport(eps_c=1e-3, kept=kept, dropped=frozenset(), averages={},
-                       N1=N1, N2=N2, average_mode=PruneAverage.WINDOW)
+                       N1=N1, N2=N2)
 
 
 def test_detect_requires_two_by_two():
@@ -345,6 +319,17 @@ def test_regularize_vacuum_closed_form(vacuum_samples):
         assert c == pytest.approx(2.0, rel=1e-2), n2
 
 
+def test_regularize_returns_its_matrix(vacuum_samples):
+    params = LaurentParams(N2=8)
+    res = regularize(vacuum_samples, params)
+    rebuilt = build_matrix(vacuum_samples, params.N1, params.N2)
+    assert (res.matrix.N1, res.matrix.N2) == (-6, 8)
+    assert res.matrix.entries == rebuilt.entries
+    assert res.c_minus_by_window == {
+        n2: res.matrix.entries[(res.pole_order, n2)].coeffs[res.pole_order]
+        for n2 in range(1, 8)}
+
+
 def test_regularize_scale_covariance(vacuum_samples):
     s, I = vacuum_samples
     base = regularize((s, I))
@@ -385,17 +370,22 @@ def test_regularize_synthetic_poles(pole, c_lead, c0):
     assert res.c_minus == pytest.approx(c_lead, rel=1e-10)
 
 
-def test_regularize_stage_tagging():
+def test_regularize_stage_tagging(monkeypatch):
     s = np.linspace(0.1, 1.0, 8)  # too few samples for the default windows
     with pytest.raises(RegularizationError) as exc:
         regularize((s, 1.0 / s))
     assert exc.value.stage == "fit"
 
+    # The window rule keeps the vacuum pole detectable on every grid tried,
+    # so the detection failure is injected.
+    def no_stable_order(report):
+        raise DetectionError("no pole order is stable across any 2 x 2 window rectangle")
+
+    monkeypatch.setattr(laurent, "detect_pole_order", no_stable_order)
     grid = make_grid(0.05, 1.0, 60)
     I = np.array([vacuum_closed_form(x) for x in grid.points])
     with pytest.raises(RegularizationError) as exc:
-        regularize((grid.points, I),
-                   LaurentParams(prune_average=PruneAverage.CROSS_COUNT))
+        regularize((grid.points, I))
     assert exc.value.stage == "detect"
 
 

@@ -99,8 +99,6 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(tail_tol=1.5)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_panels=4)
 
 
 def test_default_budgets():
