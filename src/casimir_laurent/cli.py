@@ -7,8 +7,9 @@ Commands:
     sensitivity --vary <k> --values <list>
                                     vacuum pipeline swept over one parameter
 
-Common flags mirror the config-file keys one to one; flags override file
-values.  Config files are flat `key = value` lines with `#` comments.
+Common flags mirror the config-file keys of the same name; flags override
+file values.  Config files are flat `key = value` lines with `#` comments.
+Every value is checked before the first sample and the first file write.
 Exit codes: 0 success, 2 configuration error, 3 quadrature failure,
 4 regularization failure.
 """
@@ -20,16 +21,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
 from .integrands import SpectrumKind
-from .laurent import (FitMatrix, LaurentParams, RegularizationError,
-                      RegularizationResult, make_grid, regularize)
+from .laurent import (LaurentParams, RegularizationError, RegularizationResult,
+                      SGrid, make_grid, regularize)
 from .physics import DielectricSpec, PlateGeometry, _unit_geometry, force_report
-from .quadrature import (DIELECTRIC_REL_TOL, VACUUM_REL_TOL, QuadratureConfig,
-                         QuadratureError, sample_curve)
+from .quadrature import (IntegralSample, QuadratureConfig, QuadratureError,
+                         default_config, sample_curve)
 
 # Vacuum comparison constants: the exact zeta-regularized coefficient and
 # the pipeline regression baseline used by the acceptance tests.
@@ -59,28 +60,53 @@ class RunConfig:
     ly: float = 1.0
     lz: float = 1.0
 
-    def laurent_params(self) -> LaurentParams:
-        return LaurentParams(N1=self.n1, N2=self.n2, eps_c=self.eps_c)
 
-    def quad_config(self, kind: SpectrumKind) -> QuadratureConfig:
-        rel = self.rel_tol
-        if rel is None:
-            rel = VACUUM_REL_TOL if kind is SpectrumKind.VACUUM else DIELECTRIC_REL_TOL
-        return QuadratureConfig(rel_tol=rel, abs_tol=self.abs_tol,
-                                tail_tol=self.tail_tol)
-
-    def geometry(self) -> PlateGeometry:
-        if (self.lx, self.ly, self.lz) == (1.0, 1.0, 1.0):
-            return _unit_geometry()
-        return PlateGeometry(self.lx, self.ly, self.lz)
+@dataclass(frozen=True)
+class RunPlan:
+    """A RunConfig resolved into the library objects that check its values."""
+    grid: SGrid
+    params: LaurentParams
+    quad: dict[SpectrumKind, QuadratureConfig]   # one per curve, in run order
+    sigma: float = 1.0
+    spec: DielectricSpec | None = None
+    geom: PlateGeometry | None = None
 
 
-_FIELD_PARSERS = {
-    "eps_s": float, "s_max": float, "grid_points": int, "spacing": str,
-    "n1": int, "n2": int, "eps_c": float,
-    "rel_tol": float, "abs_tol": float, "tail_tol": float,
-    "out_dir": str, "lx": float, "ly": float, "lz": float,
-}
+def plan_run(cfg: RunConfig, *kinds: SpectrumKind) -> RunPlan:
+    """Check every value of cfg for the curves `kinds`, before any sampling
+    or file write.
+
+    The range rules live in make_grid, LaurentParams, QuadratureConfig,
+    DielectricSpec and PlateGeometry; their ValueError becomes a ConfigError.
+    Only the rules no constructor holds are written here.
+    """
+    if cfg.grid_points < 16:
+        raise ConfigError(f"grid_points must be >= 16, got {cfg.grid_points}")
+    if cfg.spacing not in ("linear", "log"):
+        raise ConfigError(f"spacing must be linear or log, got {cfg.spacing!r}")
+    dielectric = SpectrumKind.VACUUM not in kinds
+    sigma = float(cfg.sigma) if dielectric else 1.0
+    if dielectric and sigma == 1.0:
+        raise ConfigError(f"sigma must lie in (0,1) or (1,inf), got {cfg.sigma}")
+    tols = {"abs_tol": cfg.abs_tol, "tail_tol": cfg.tail_tol}
+    if cfg.rel_tol is not None:
+        tols["rel_tol"] = cfg.rel_tol
+    try:
+        plan = RunPlan(
+            grid=make_grid(cfg.eps_s, cfg.s_max, cfg.grid_points, cfg.spacing),
+            params=LaurentParams(N1=cfg.n1, N2=cfg.n2, eps_c=cfg.eps_c),
+            quad={kind: replace(default_config(kind), **tols) for kind in kinds},
+            sigma=sigma)
+        if dielectric:
+            # the scaled force block uses a unit box, exempt from the aspect warning
+            unit = (cfg.lx, cfg.ly, cfg.lz) == (1.0, 1.0, 1.0)
+            plan = replace(plan, spec=DielectricSpec.from_sigma(sigma),
+                           geom=_unit_geometry() if unit
+                           else PlateGeometry(cfg.lx, cfg.ly, cfg.lz))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return plan
+
 
 # RunConfig fields that have a command-line flag of the same name.
 _FLAG_FIELDS = ("eps_s", "s_max", "grid_points", "spacing", "eps_c", "n1", "n2",
@@ -105,6 +131,15 @@ def parse_sigma(text: str) -> Fraction | float:
         raise ConfigError(f"cannot parse sigma value {text!r}: {exc}") from exc
 
 
+# Config-file key -> parser of its value; every key is a RunConfig field.
+_FIELD_PARSERS = {
+    "sigma": parse_sigma, "eps_s": float, "s_max": float, "grid_points": int,
+    "spacing": str, "n1": int, "n2": int, "eps_c": float,
+    "rel_tol": float, "abs_tol": float, "tail_tol": float,
+    "out_dir": str, "lx": float, "ly": float, "lz": float,
+}
+
+
 def parse_config_file(path: Path) -> dict[str, str]:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -116,54 +151,27 @@ def parse_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key != "sigma" and key not in _FIELD_PARSERS:
+        if key not in _FIELD_PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         data[key] = value
     return data
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        file_values = parse_config_file(Path(args.config))
-        updates: dict[str, object] = {}
-        for key, text in file_values.items():
-            if key == "sigma":
-                updates["sigma"] = parse_sigma(text)
-            else:
-                try:
-                    updates[key] = _FIELD_PARSERS[key](text)
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
-        cfg = replace(cfg, **updates)
-    updates = {}
+    """Config-file values, then flags over them; plan_run checks the result."""
+    updates: dict[str, object] = {}
+    if args.config:
+        for key, text in parse_config_file(Path(args.config)).items():
+            try:
+                updates[key] = _FIELD_PARSERS[key](text)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
     for name in _FLAG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            updates[name] = value
+        if getattr(args, name) is not None:
+            updates[name] = getattr(args, name)
     if getattr(args, "sigma", None) is not None:
         updates["sigma"] = parse_sigma(args.sigma)
-    if updates:
-        cfg = replace(cfg, **updates)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.eps_s <= 0.0 or cfg.s_max <= cfg.eps_s:
-        raise ConfigError(f"need 0 < eps_s < s_max, got {cfg.eps_s}, {cfg.s_max}")
-    if cfg.grid_points < 16:
-        raise ConfigError(f"grid_points must be >= 16, got {cfg.grid_points}")
-    if cfg.spacing not in ("linear", "log"):
-        raise ConfigError(f"spacing must be linear or log, got {cfg.spacing!r}")
-    if not (cfg.n1 <= -2 and cfg.n2 >= 2):
-        raise ConfigError(f"need n1 <= -2 and n2 >= 2, got {cfg.n1}, {cfg.n2}")
-    for name in ("eps_c", "abs_tol", "tail_tol"):
-        v = getattr(cfg, name)
-        if not 0.0 <= v < 1.0:
-            raise ConfigError(f"{name} must lie in [0,1), got {v}")
-    if cfg.rel_tol is not None and not 0.0 < cfg.rel_tol < 1.0:
-        raise ConfigError(f"rel_tol must lie in (0,1), got {cfg.rel_tol}")
+    return RunConfig(**updates)
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +193,19 @@ def _write_json(path: Path, obj: object) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_samples(path: Path, samples) -> None:
+def _summary(result: RegularizationResult) -> str:
+    return (f"pole_order={result.pole_order} c0={result.c0:.9f} "
+            f"spread={result.diagnostics['spread']:.3e}")
+
+
+def _write_curve(out: Path, kind: SpectrumKind, samples: list[IntegralSample],
+                 result: RegularizationResult) -> None:
+    """Write one curve's samples, window matrix and refit curves; print its line."""
+    suffix = "" if kind is SpectrumKind.VACUUM else f"_{kind.value}"
     lines = ["s,I,err"]
     lines += [f"{_fmt(p.s)},{_fmt(p.value)},{_fmt(p.est_error)}" for p in samples]
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _write_curves(path: Path, result: RegularizationResult) -> None:
-    lines = ["n2,nhat2,c0hat"]
-    for n2 in sorted(result.curves):
-        for nhat2, c0hat in result.curves[n2]:
-            lines.append(f"{n2},{nhat2},{_fmt(c0hat)}")
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _write_matrix(path: Path, matrix: FitMatrix) -> None:
+    _write_text(out / f"samples{suffix}.csv", "\n".join(lines) + "\n")
+    matrix = result.matrix
     windows = []
     for (n1, n2) in sorted(matrix.entries):
         fit = matrix.entries[(n1, n2)]
@@ -209,7 +215,14 @@ def _write_matrix(path: Path, matrix: FitMatrix) -> None:
             "rms_residual": fit.rms_residual,
             "cond": fit.cond,
         })
-    _write_json(path, {"N1": matrix.N1, "N2": matrix.N2, "windows": windows})
+    _write_json(out / f"matrix{suffix}.json",
+                {"N1": matrix.N1, "N2": matrix.N2, "windows": windows})
+    lines = ["n2,nhat2,c0hat"]
+    for n2 in sorted(result.curves):
+        for nhat2, c0hat in result.curves[n2]:
+            lines.append(f"{n2},{nhat2},{_fmt(c0hat)}")
+    _write_text(out / f"curves{suffix}.csv", "\n".join(lines) + "\n")
+    print(f"{kind.value}: {_summary(result)}")
 
 
 def _config_echo(cfg: RunConfig) -> dict[str, object]:
@@ -238,16 +251,25 @@ def _result_block(result: RegularizationResult) -> dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
+def _curve(kind: SpectrumKind, plan: RunPlan, taken: dict
+           ) -> tuple[list[IntegralSample], RegularizationResult]:
+    """Sample one curve and regularize it.
+
+    `taken` holds the command's samples by (kind, sigma, grid, quadrature
+    config); a curve whose key is already there is not sampled again.
+    """
+    key = (kind, plan.sigma, plan.grid, plan.quad[kind])
+    if key not in taken:
+        taken[key] = sample_curve(kind, plan.sigma, plan.grid, plan.quad[kind])
+    return taken[key], regularize(taken[key], plan.params)
+
+
 def run_vacuum(cfg: RunConfig) -> int:
+    plan = plan_run(cfg, SpectrumKind.VACUUM)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = make_grid(cfg.eps_s, cfg.s_max, cfg.grid_points, cfg.spacing)
-    samples = sample_curve(SpectrumKind.VACUUM, 1.0, grid,
-                           cfg.quad_config(SpectrumKind.VACUUM))
-    result = regularize(samples, cfg.laurent_params())
-    _write_samples(out / "samples.csv", samples)
-    _write_matrix(out / "matrix.json", result.matrix)
-    _write_curves(out / "curves.csv", result)
+    samples, result = _curve(SpectrumKind.VACUUM, plan, {})
+    _write_curve(out, SpectrumKind.VACUUM, samples, result)
     report = {
         "mode": "vacuum",
         **_config_echo(cfg),
@@ -258,91 +280,56 @@ def run_vacuum(cfg: RunConfig) -> int:
         "abs_dev_reference": abs(result.c0 - C0_REFERENCE),
     }
     _write_json(out / "report.json", report)
-    print(f"vacuum: pole_order={result.pole_order} c0={result.c0:.9f} "
-          f"spread={result.diagnostics['spread']:.3e}")
     return 0
 
 
 def run_dielectric(cfg: RunConfig) -> int:
-    if cfg.sigma is None:
-        raise ConfigError("dielectric mode requires --sigma")
-    sigma_value = float(cfg.sigma)
-    if sigma_value <= 0.0 or sigma_value == 1.0:
-        raise ConfigError(f"sigma must lie in (0,1) or (1,inf), got {cfg.sigma}")
+    plan = plan_run(cfg, SpectrumKind.TE, SpectrumKind.TM)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = make_grid(cfg.eps_s, cfg.s_max, cfg.grid_points, cfg.spacing)
     results: dict[str, RegularizationResult] = {}
-    for kind in (SpectrumKind.TE, SpectrumKind.TM):
-        tag = kind.value
-        samples = sample_curve(kind, sigma_value, grid, cfg.quad_config(kind))
-        result = regularize(samples, cfg.laurent_params())
-        results[tag] = result
-        _write_samples(out / f"samples_{tag}.csv", samples)
-        _write_matrix(out / f"matrix_{tag}.json", result.matrix)
-        _write_curves(out / f"curves_{tag}.csv", result)
-        print(f"{tag}: pole_order={result.pole_order} c0={result.c0:.9f} "
-              f"spread={result.diagnostics['spread']:.3e}")
-    spec = DielectricSpec.from_sigma(sigma_value)
-    geom = cfg.geometry()
+    taken: dict = {}
+    for kind in plan.quad:
+        samples, results[kind.value] = _curve(kind, plan, taken)
+        _write_curve(out, kind, samples, results[kind.value])
+    spec, geom = plan.spec, plan.geom
     forces = force_report(results["te"].c0, results["tm"].c0, spec, geom)
     report = {
         "mode": "dielectric",
-        "sigma": sigma_value,
+        "sigma": plan.sigma,
         "sigma_exact": str(cfg.sigma) if isinstance(cfg.sigma, Fraction) else None,
         "alpha": spec.alpha,
         **_config_echo(cfg),
         "te": _result_block(results["te"]),
         "tm": _result_block(results["tm"]),
         "geometry": {"Lx": geom.Lx, "Ly": geom.Ly, "Lz": geom.Lz},
-        "force": {
-            "F0": forces.F0,
-            "delta_force": forces.delta_force,
-            "vacuum_force": forces.vacuum_force,
-            "ratio_te": forces.ratio_te,
-            "ratio_tm": forces.ratio_tm,
-            "scaled_te": forces.scaled_te,
-            "scaled_tm": forces.scaled_tm,
-            "scaled_total": forces.scaled_total,
-        },
+        "force": {k: v for k, v in asdict(forces).items() if not k.startswith("c0_")},
     }
     _write_json(out / "report.json", report)
     return 0
 
 
 def dump_sensitivity(cfg: RunConfig, vary: str, values: list[float]) -> int:
-    """Sweep one parameter over the vacuum pipeline and tabulate c0."""
+    """Sweep one parameter over the vacuum pipeline and tabulate c0.
+
+    Every value is checked before the first sample; values that resolve to
+    the same grid and quadrature config share one sampling pass.
+    """
     if vary not in _SWEEPS:
         raise ConfigError(f"unknown sweep parameter {vary!r}; "
                           f"choose from {', '.join(SENSITIVITY_KEYS)}")
     field_name, parse = _SWEEPS[vary]
-    if not values:
-        raise ConfigError("sensitivity sweep needs a non-empty values list")
+    plan_run(cfg, SpectrumKind.VACUUM)   # the unswept config must hold on its own
+    plans = [plan_run(replace(cfg, **{field_name: parse(v)}), SpectrumKind.VACUUM)
+             for v in values]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # eps_c and N2 only change the fitting stage, so one sampling pass serves
-    # the whole sweep; the other parameters alter the samples themselves.
-    shared_samples = None
-    if vary in ("eps_c", "N2"):
-        grid = make_grid(cfg.eps_s, cfg.s_max, cfg.grid_points, cfg.spacing)
-        shared_samples = sample_curve(SpectrumKind.VACUUM, 1.0, grid,
-                                      cfg.quad_config(SpectrumKind.VACUUM))
-    rows = []
-    for value in values:
-        swept = replace(cfg, **{field_name: parse(value)})
-        _validate(swept)
-        if shared_samples is not None:
-            samples = shared_samples
-        else:
-            grid = make_grid(swept.eps_s, swept.s_max, swept.grid_points, swept.spacing)
-            samples = sample_curve(SpectrumKind.VACUUM, 1.0, grid,
-                                   swept.quad_config(SpectrumKind.VACUUM))
-        result = regularize(samples, swept.laurent_params())
+    rows, lines = [], ["param,value,pole_order,c0,spread"]
+    taken: dict = {}
+    for value, plan in zip(values, plans):
+        _, result = _curve(SpectrumKind.VACUUM, plan, taken)
         rows.append((value, result))
-        print(f"{vary}={value:g}: pole_order={result.pole_order} "
-              f"c0={result.c0:.9f} spread={result.diagnostics['spread']:.3e}")
-    lines = ["param,value,pole_order,c0,spread"]
-    for value, result in rows:
+        print(f"{vary}={value:g}: {_summary(result)}")
         lines.append(f"{vary},{value:g},{result.pole_order},"
                      f"{_fmt(result.c0)},{_fmt(result.diagnostics['spread'])}")
     _write_text(out / "sensitivity.csv", "\n".join(lines) + "\n")

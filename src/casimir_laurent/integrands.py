@@ -35,16 +35,15 @@ class CrossProductError(ArithmeticError):
     """The cross product lost its fixed sign (unexpected imaginary-axis root)."""
 
 
-def vacuum_integrand(r: float, s: float) -> float:
-    """(1/3) r^3 e^{-s r} coth(r); series below r = 1e-2 for a clean r -> 0 limit."""
+def vacuum_integrand(r: float) -> float:
+    """(1/3) r^3 coth(r); series below r = 1e-2 for a clean r -> 0 limit."""
     if r < 0.0:
         raise ValueError(f"vacuum_integrand requires r >= 0, got {r}")
     if r < 1e-2:
         r2 = r * r
         # (1/3) r^3 coth r = r^2/3 + r^4/9 - r^6/135 + 2 r^8/2835 + O(r^10)
-        poly = r2 / 3.0 + r2 * r2 / 9.0 - r2 * r2 * r2 / 135.0 + 2.0 * r2**4 / 2835.0
-        return poly * math.exp(-s * r)
-    return (r**3 / 3.0) * math.exp(-s * r) / math.tanh(r)
+        return r2 / 3.0 + r2 * r2 / 9.0 - r2 * r2 * r2 / 135.0 + 2.0 * r2**4 / 2835.0
+    return (r**3 / 3.0) / math.tanh(r)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,9 @@ class PlateGeometry:
 
     def __post_init__(self) -> None:
         for name in ("Lx", "Ly", "Lz"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.Lx / self.Lz < 100.0 or self.Ly / self.Lz < 100.0:
             warnings.warn(
                 "parallel-plate formulas assume Lx, Ly >> Lz; "
@@ -64,8 +65,8 @@ class DielectricSpec:
 
     @classmethod
     def from_sigma(cls, sigma: float, eps0_relative: float = 1.0) -> "DielectricSpec":
-        if sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
         return cls(alpha=2.0 * math.log(sigma), eps0_relative=eps0_relative)
 
 

@@ -70,6 +70,20 @@ def truncation_point(s: float, cfg: QuadratureConfig) -> float:
     return (-math.log(cfg.tail_tol) + 20.0) / s
 
 
+def _checked_quad(f: Callable[[float], float], upper: float,
+                  cfg: QuadratureConfig, what: str) -> tuple[float, float]:
+    """Adaptive quad of f over (0, upper); raises QuadratureError naming `what`
+    on non-convergence or a non-finite result."""
+    out = quad(f, 0.0, upper, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
+               limit=MAX_PANELS, full_output=1)
+    value, err = out[0], out[1]
+    if len(out) > 3:
+        raise QuadratureError(f"{what} did not converge: {out[3]}")
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise QuadratureError(f"{what} returned non-finite result")
+    return float(value), float(err)
+
+
 def integrate_decaying(
     f: Callable[[float], float],
     s: float,
@@ -92,15 +106,7 @@ def integrate_decaying(
             raise QuadratureError(f"non-finite integrand at x={x}")
         return v
 
-    out = quad(integrand, 0.0, x_max,
-               epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-               limit=MAX_PANELS, full_output=1)
-    value, err = out[0], out[1]
-    if len(out) > 3:
-        raise QuadratureError(f"quadrature did not converge: {out[3]}")
-    if not (math.isfinite(value) and math.isfinite(err)):
-        raise QuadratureError("quadrature returned non-finite result")
-    return float(value), float(err)
+    return _checked_quad(integrand, x_max, cfg, "quadrature")
 
 
 def vacuum_closed_form(s: float) -> float:
@@ -113,7 +119,7 @@ def vacuum_closed_form(s: float) -> float:
 def eval_I_vacuum(s: float, cfg: QuadratureConfig | None = None) -> IntegralSample:
     """(1/3) Int_0^inf r^3 coth(r) e^{-s r} dr by adaptive quadrature."""
     cfg = cfg or default_config(SpectrumKind.VACUUM)
-    value, err = integrate_decaying(lambda r: vacuum_integrand(r, 0.0), s, cfg)
+    value, err = integrate_decaying(vacuum_integrand, s, cfg)
     return IntegralSample(s=s, value=value, est_error=err,
                           kind=SpectrumKind.VACUUM, sigma=1.0)
 
@@ -148,24 +154,12 @@ def eval_I_dielectric(
         if g >= r_max:
             return 0.0
         y_max = math.sqrt(r_max * r_max - g * g)
-        v, _ = quad(
+        return _checked_quad(
             lambda y: y * dlog_cross(kind, nu, y, sigma) * math.exp(-s * math.hypot(g, y)),
-            0.0, y_max,
-            epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=MAX_PANELS)
-        if not math.isfinite(v):
-            raise QuadratureError(f"inner integral non-finite at nu={nu}")
-        return v
+            y_max, cfg, f"inner quadrature at nu={nu}")[0]
 
-    out = quad(lambda nu: nu * inner(nu), 0.0, r_max,
-               epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-               limit=MAX_PANELS, full_output=1)
-    value, err = out[0], out[1]
-    if len(out) > 3:
-        raise QuadratureError(f"outer quadrature did not converge: {out[3]}")
-    if not (math.isfinite(value) and math.isfinite(err)):
-        raise QuadratureError("outer quadrature returned non-finite result")
-    return IntegralSample(s=s, value=float(value), est_error=float(err),
-                          kind=kind, sigma=sigma)
+    value, err = _checked_quad(lambda nu: nu * inner(nu), r_max, cfg, "outer quadrature")
+    return IntegralSample(s=s, value=value, est_error=err, kind=kind, sigma=sigma)
 
 
 def sample_curve(
@@ -184,6 +178,6 @@ def sample_curve(
                 samples.append(eval_I_vacuum(float(s), cfg))
             else:
                 samples.append(eval_I_dielectric(kind, float(s), sigma, cfg))
-        except (QuadratureError, ArithmeticError) as exc:
+        except ArithmeticError as exc:
             raise QuadratureError(f"sample {j} (s={s}) failed: {exc}") from exc
     return samples

@@ -376,6 +376,56 @@ def test_regularization_failure_exits_4(tmp_path, monkeypatch, capsys):
         "regularization failure (detect): [detect] no stable pole order\n")
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["vacuum"], "abs_tol = 0"),
+    (["vacuum"], "tail_tol = 0"),
+    (["vacuum"], "spacing = LINEAR"),
+    (["dielectric", "--sigma", "8/27", "--grid-points", "16"], "lx = -1"),
+    (["dielectric", "--sigma", "8/27", "--grid-points", "16"], "lz = nan"),
+    (["dielectric", "--sigma", "nan", "--grid-points", "16"], "lx = 1"),
+])
+def test_config_rejected_before_sampling(tmp_path, monkeypatch, capsys, argv, line):
+    calls = []
+    monkeypatch.setattr(cli, "sample_curve", lambda *args: calls.append(args))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# one sampling pass per distinct curve
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,counts", [
+    (["vacuum", "--grid-points", "64"], (1, 1)),
+    (["dielectric", "--sigma", "8/27", "--grid-points", "64"], (2, 2)),
+    (["sensitivity", "--vary", "eps_c", "--values", "0.0005,0.001,0.002",
+      "--grid-points", "64"], (1, 3)),
+    (["sensitivity", "--vary", "N2", "--values", "7,8,9", "--grid-points", "64"], (1, 3)),
+    (["sensitivity", "--vary", "J", "--values", "64,96"], (2, 2)),
+])
+def test_curve_runner_call_counts(tmp_path, monkeypatch, argv, counts):
+    # sweep values that leave the grid and quadrature config alone share samples
+    calls = {"sample_curve": 0, "regularize": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    sampler = synthetic_sampler if argv[0] == "dielectric" else cli.sample_curve
+    monkeypatch.setattr(cli, "sample_curve", counting("sample_curve", sampler))
+    monkeypatch.setattr(cli, "regularize", counting("regularize", cli.regularize))
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert (calls["sample_curve"], calls["regularize"]) == counts
+
+
 def test_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -41,6 +41,9 @@ def test_geometry_area_and_validation():
         PlateGeometry(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         PlateGeometry(1.0, 1.0, -1e-6)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="Lx must be positive and finite"):
+            PlateGeometry(bad, 1e-3, 1e-6)
 
 
 def test_geometry_aspect_warning():
@@ -62,6 +65,9 @@ def test_dielectric_spec_sigma_derivation():
 def test_dielectric_spec_validation():
     with pytest.raises(ValueError):
         DielectricSpec.from_sigma(-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            DielectricSpec.from_sigma(bad)
     with pytest.raises(ValueError):
         DielectricSpec(alpha=1.0, eps0_relative=0.0)
     with pytest.warns(UserWarning, match="alpha = 0"):

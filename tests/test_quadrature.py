@@ -169,6 +169,16 @@ def test_dielectric_sigma_above_one_against_brute():
     assert sample.value == pytest.approx(ref, rel=1e-8)
 
 
+@pytest.mark.parametrize("kind", [SpectrumKind.TE, SpectrumKind.TM])
+def test_dielectric_inner_nonconvergence_raises(kind, monkeypatch):
+    # one panel cannot meet the budget; the inner integral must say so
+    import casimir_laurent.quadrature as quadrature
+
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 1)
+    with pytest.raises(QuadratureError, match=r"^inner quadrature at nu=\S+ did not converge"):
+        eval_I_dielectric(kind, 0.5, SIGMA)
+
+
 def test_dielectric_domain():
     with pytest.raises(ValueError):
         eval_I_dielectric(SpectrumKind.VACUUM, 1.0, SIGMA)
