@@ -14,12 +14,12 @@ from .physics import (C_LIGHT, HBAR, HBAR_C, DielectricSpec, ForceReport,
 from .quadrature import (IntegralSample, QuadratureConfig, QuadratureError,
                          eval_I_dielectric, eval_I_vacuum, integrate_decaying,
                          sample_curve, vacuum_closed_form)
-from .specfun import BesselOrder, log_bessel_ik, polygamma3
+from .specfun import log_bessel_ik, polygamma3
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BesselOrder", "C_LIGHT", "CrossProductError", "DetectionError",
+    "C_LIGHT", "CrossProductError", "DetectionError",
     "DielectricSpec", "FitError", "FitMatrix", "ForceReport", "HBAR", "HBAR_C",
     "IntegralSample", "LaurentParams", "PlateGeometry", "PruneReport",
     "QuadratureConfig", "QuadratureError", "RegularizationError",

@@ -112,10 +112,18 @@ def plan_run(cfg: RunConfig, *kinds: SpectrumKind) -> RunPlan:
 _FLAG_FIELDS = ("eps_s", "s_max", "grid_points", "spacing", "eps_c", "n1", "n2",
                 "rel_tol", "out_dir")
 
+def _whole(value: float) -> int:
+    """A sweep value for an integer field; int() would truncate 200.7 and
+    raise on nan or inf."""
+    if not (math.isfinite(value) and value == int(value)):
+        raise ConfigError(f"sweep value {value:g} is not a whole number")
+    return int(value)
+
+
 # Sensitivity sweep key -> (RunConfig field, parser of one swept value).
 _SWEEPS = {
-    "eps_s": ("eps_s", float), "s_R": ("s_max", float), "J": ("grid_points", int),
-    "eps_c": ("eps_c", float), "N2": ("n2", int), "rel_tol": ("rel_tol", float),
+    "eps_s": ("eps_s", float), "s_R": ("s_max", float), "J": ("grid_points", _whole),
+    "eps_c": ("eps_c", float), "N2": ("n2", _whole), "rel_tol": ("rel_tol", float),
 }
 SENSITIVITY_KEYS = tuple(_SWEEPS)
 

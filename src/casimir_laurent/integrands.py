@@ -11,6 +11,7 @@ with mu = sqrt(nu^2 + 1) and the radial transform f -> y f' + f applied
 to each factor at its own argument (It, Kt above).  P is positive and Q
 is negative throughout sigma in (0,1); the mode integrals need only their
 log-derivatives d/dy ln|P| and d/dy ln|Q|, assembled from log-form factors.
+Both are evaluated elementwise over numpy arrays of nu and y.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ from __future__ import annotations
 import enum
 import math
 
-from .specfun import BesselOrder, log_bessel_ik
+import numpy as np
+from numpy.typing import ArrayLike
+
+from .specfun import log_bessel_ik
 
 # Below this argument the closed small-y limits replace the log-domain
 # formulas (K diverges while I vanishes; the direct difference cancels).
@@ -51,7 +55,7 @@ def vacuum_integrand(r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _te_parts(nu: float, y: float, sigma: float) -> tuple[float, float, float, float]:
+def _te_parts(nu, y, sigma: float):
     """(ln A, delta, d1, d2) for P = A - B, rho = B/A = e^{delta}.
 
     A = I(y) K(sigma y), B = I(sigma y) K(y).  The order/argument terms of
@@ -69,41 +73,28 @@ def _te_parts(nu: float, y: float, sigma: float) -> tuple[float, float, float, f
     return ln_a, delta, d1, d2
 
 
-def _dlog_te_limit(nu: float, y: float, sigma: float) -> float:
+def _dlog_te_limit(nu, y, sigma: float):
     # Leading linear-in-y behaviour of d/dy ln P near y = 0, overflow-safe.
     ls = math.log(sigma)
-    if nu < 1e-3:
-        return y * (0.5 * (1.0 + sigma * sigma) + (1.0 - sigma * sigma) / (2.0 * ls))
-    s2n = math.exp(2.0 * nu * ls)
+    out = y * (0.5 * (1.0 + sigma * sigma) + (1.0 - sigma * sigma) / (2.0 * ls))  # nu < 1e-3
+    m = nu >= 1e-3
+    nu, y = nu[m], y[m]
+    s2n = np.exp(2.0 * nu * ls)
     num1 = (1.0 - s2n * sigma * sigma) / (1.0 + nu)
-    if abs(1.0 - nu) < 0.5:
-        # (sigma^{2 nu} - sigma^2)/(1 - nu) via expm1 to survive nu -> 1
-        x = (2.0 * nu - 2.0) * ls
-        phi = math.expm1(x) / x if x != 0.0 else 1.0
-        num2 = sigma * sigma * (-2.0 * ls) * phi
-    else:
-        num2 = (s2n - sigma * sigma) / (1.0 - nu)
+    # near nu = 1, (sigma^{2 nu} - sigma^2)/(1 - nu) via expm1
+    x = (2.0 * nu - 2.0) * ls
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(x != 0.0, np.expm1(x) / x, 1.0)
+        num2 = np.where(np.abs(1.0 - nu) < 0.5, sigma * sigma * (-2.0 * ls) * phi,
+                        (s2n - sigma * sigma) / (1.0 - nu))
     den = 2.0 * (1.0 - s2n)
-    return y * (num1 - num2) / den
+    out[m] = y * (num1 - num2) / den
+    return out
 
 
-def dlog_cross_te(nu: BesselOrder, y: float, sigma: float) -> float:
+def dlog_cross_te(nu: ArrayLike, y: ArrayLike, sigma: float):
     """d/dy ln P_nu(y, sigma).  Tends to (1 - sigma) - 1/y as y -> infinity."""
-    if y <= 0.0:
-        raise ValueError(f"dlog_cross_te requires y > 0, got {y}")
-    if sigma <= 0.0 or sigma == 1.0:
-        raise ValueError(f"dlog_cross_te requires sigma in (0,1) or (1,inf), got {sigma}")
-    if sigma > 1.0:
-        return sigma * dlog_cross_te(nu, sigma * y, 1.0 / sigma)
-    if y < Y_SMALL:
-        return _dlog_te_limit(nu, y, sigma)
-    _, delta, d1, d2 = _te_parts(nu, y, sigma)
-    rho = math.exp(delta)
-    one_m = -math.expm1(delta)
-    if not one_m > 0.0:
-        raise CrossProductError(
-            f"TE cross product non-positive at nu={nu}, y={y}, sigma={sigma}")
-    return (d1 - rho * d2) / one_m
+    return _dlog_cross("TE", nu, y, sigma, _te_parts, _dlog_te_limit, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +102,7 @@ def dlog_cross_te(nu: BesselOrder, y: float, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _tm_factor(mu: float, mum1: float, t: float) -> tuple[float, float, float, float]:
+def _tm_factor(mu, mum1, t):
     """ln It_mu(t), ln |Kt_mu(t)|, and their (shifted) log-derivatives.
 
     It(t) = t I' + I = I (t q + 1 + mu) > 0,
@@ -122,15 +113,15 @@ def _tm_factor(mu: float, mum1: float, t: float) -> tuple[float, float, float, f
     li, q, lk, r = log_bessel_ik(mu, t)
     wi = t * q + 1.0 + mu
     wk = t * r + mum1
-    ln_it = li + math.log(wi)
-    ln_kt = lk + math.log(wk)
+    ln_it = li + np.log(wi)
+    ln_kt = lk + np.log(wk)
     g_i = (t - mum1 * q) / wi
     g_k = ((mu + 1.0) * r - t) / wk
     return ln_it, ln_kt, g_i, g_k
 
 
-def _tm_parts(nu: float, y: float, sigma: float) -> tuple[float, float, float, float]:
-    mu = math.hypot(nu, 1.0)
+def _tm_parts(nu, y, sigma: float):
+    mu = np.hypot(nu, 1.0)
     mum1 = nu * nu / (mu + 1.0)  # mu - 1 without cancellation
     t = sigma * y
     li_y, lk_y, gi_y, gk_y = _tm_factor(mu, mum1, y)
@@ -142,37 +133,58 @@ def _tm_parts(nu: float, y: float, sigma: float) -> tuple[float, float, float, f
     return ln_a, delta, d1, d2
 
 
-def _dlog_tm_limit(nu: float, y: float, sigma: float) -> float:
-    mu = math.hypot(nu, 1.0)
+def _dlog_tm_limit(nu, y, sigma: float):
+    mu = np.hypot(nu, 1.0)
     ls = math.log(sigma)
     a1 = (mu + 3.0) / (4.0 * (mu + 1.0) ** 2)
     a2 = (3.0 - mu) / (4.0 * (1.0 - mu) ** 2)
-    s2m = math.exp(2.0 * mu * ls)
+    s2m = np.exp(2.0 * mu * ls)
     num = a1 * (1.0 - s2m * sigma * sigma) + a2 * (sigma * sigma - s2m)
     den = 1.0 - s2m
     return 2.0 * y * num / den
 
 
-def dlog_cross_tm(nu: BesselOrder, y: float, sigma: float) -> float:
+def dlog_cross_tm(nu: ArrayLike, y: ArrayLike, sigma: float):
     """d/dy ln |Q_mu(y, sigma)|."""
-    if y <= 0.0:
-        raise ValueError(f"dlog_cross_tm requires y > 0, got {y}")
+    # the small-y limit needs mu - 1 clear of 0
+    return _dlog_cross("TM", nu, y, sigma, _tm_parts, _dlog_tm_limit, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# shared assembly
+# ---------------------------------------------------------------------------
+
+
+def _dlog_cross(tag: str, nu, y, sigma: float, parts, limit, limit_min_nu: float):
+    """(d1 - rho d2) / (1 - rho) from the log-form parts, elementwise over the
+    broadcast shape of nu and y; the closed small-y limit below Y_SMALL for
+    nu >= limit_min_nu."""
+    nu, y = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(y, dtype=float))
+    if np.any(y <= 0.0):
+        raise ValueError(f"dlog_cross_{tag.lower()} requires y > 0, got {y[y <= 0.0][0]}")
     if sigma <= 0.0 or sigma == 1.0:
-        raise ValueError(f"dlog_cross_tm requires sigma in (0,1) or (1,inf), got {sigma}")
+        raise ValueError(
+            f"dlog_cross_{tag.lower()} requires sigma in (0,1) or (1,inf), got {sigma}")
     if sigma > 1.0:
-        return sigma * dlog_cross_tm(nu, sigma * y, 1.0 / sigma)
-    if y < Y_SMALL and nu >= 0.5:
-        return _dlog_tm_limit(nu, y, sigma)
-    _, delta, d1, d2 = _tm_parts(nu, y, sigma)
-    rho = math.exp(delta)
-    one_m = -math.expm1(delta)
-    if not one_m > 0.0:
-        raise CrossProductError(
-            f"TM cross product changed sign at nu={nu}, y={y}, sigma={sigma}")
-    return (d1 - rho * d2) / one_m
+        # |P(y, sigma)| = |P(sigma y, 1/sigma)|, and likewise for Q
+        return sigma * _dlog_cross(tag, nu, sigma * y, 1.0 / sigma, parts, limit, limit_min_nu)
+    out = np.empty(y.shape)
+    small = (y < Y_SMALL) & (nu >= limit_min_nu)
+    if small.any():
+        out[small] = limit(nu[small], y[small], sigma)
+    full = ~small
+    _, delta, d1, d2 = parts(nu[full], y[full], sigma)
+    one_m = -np.expm1(delta)
+    bad = np.flatnonzero(~(one_m > 0.0))
+    if bad.size:
+        i = np.flatnonzero(full)[bad[0]]
+        raise CrossProductError(f"{tag} cross product lost its fixed sign at "
+                                f"nu={nu.flat[i]}, y={y.flat[i]}, sigma={sigma}")
+    out[full] = (d1 - np.exp(delta) * d2) / one_m
+    return out if out.ndim else float(out)
 
 
-def dlog_cross(kind: SpectrumKind, nu: BesselOrder, y: float, sigma: float) -> float:
+def dlog_cross(kind: SpectrumKind, nu: ArrayLike, y: ArrayLike, sigma: float):
     if kind is SpectrumKind.TE:
         return dlog_cross_te(nu, y, sigma)
     if kind is SpectrumKind.TM:

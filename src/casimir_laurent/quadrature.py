@@ -4,6 +4,14 @@ Produces I(s) samples for the regularization pipeline: the single vacuum
 integral (which has the closed form Psi(3, s/2)/24 - 2/s^4) and the nested
 dielectric double integral over mode order nu and radial argument y.
 
+The vacuum integral is one adaptive `scipy.integrate.quad` call.  The
+dielectric double integral runs on :func:`_adaptive_gk21`, a batched copy
+of QUADPACK's `qag` driver with the 21-point Gauss-Kronrod rule `qk21`
+(Piessens et al., 1983): many integrals advance in lockstep, each
+bisecting its own largest-error panel, with one integrand call per step for
+all of them.  The outer nu integral is a batch of one; every nu node its
+step asks for starts an inner y integral, and those advance together.
+
 The dielectric integrand is y * dlog_cross weighted by the damping
 exp(-s * sqrt(g^2 + y^2)) with g = nu (TE) or g = sqrt(nu^2 + 1) (TM):
 the damping attaches to the mode radius.  That convention is fixed by the
@@ -18,6 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
 from scipy.integrate import quad
 
 from .integrands import SpectrumKind, dlog_cross, vacuum_integrand
@@ -29,8 +38,32 @@ from .specfun import polygamma3
 VACUUM_REL_TOL = 1e-9
 DIELECTRIC_REL_TOL = 1e-7
 
-# Subinterval limit of every adaptive quad call.
+# Subinterval limit of every adaptive integral.
 MAX_PANELS = 200
+
+# QUADPACK qk21: the 21-point Kronrod abscissae on [0, 1] (descending, the
+# centre last; the odd positions 1, 3, ..., 9 are the 10-point Gauss
+# abscissae), their weights, and the weights of the embedded Gauss rule.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208067052903, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_EPMACH = float(np.finfo(float).eps)
+_UFLOW = float(np.finfo(float).tiny)
 
 
 class QuadratureError(ArithmeticError):
@@ -124,8 +157,96 @@ def eval_I_vacuum(s: float, cfg: QuadratureConfig | None = None) -> IntegralSamp
                           kind=SpectrumKind.VACUUM, sigma=1.0)
 
 
-def _dielectric_order(kind: SpectrumKind, nu: float) -> float:
-    return nu if kind is SpectrumKind.TE else math.hypot(nu, 1.0)
+def _qk21(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
+          name: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """QUADPACK qk21 on the panels [a_i, b_i] of the integrals owner_i, with
+    one call f(x, owner) on the (panels, 21) node array: (result, abserr,
+    resasc) per panel, in QUADPACK's order of operations.  Raises
+    QuadratureError naming the integral of the first non-finite value."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    absc = hlgth[:, None] * _XGK[:10]
+    x = np.concatenate([centr[:, None] - absc, centr[:, None] + absc, centr[:, None]], axis=1)
+    fx = f(x, owner)
+    bad = np.flatnonzero(~np.isfinite(fx))
+    if bad.size:
+        i, j = divmod(int(bad[0]), x.shape[1])
+        raise QuadratureError(f"{name(owner[i])}: non-finite integrand at x={x[i, j]}")
+    fv1, fv2, fc = fx[:, :10], fx[:, 10:20], fx[:, 20]
+    resg = np.zeros_like(fc)
+    resk = _WGK[10] * fc
+    resabs = np.abs(resk)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):   # Gauss nodes first, as qk21
+        fsum = fv1[:, j] + fv2[:, j]
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * np.abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh) + np.abs(fv2[:, j] - reskh))
+    dhlgth = np.abs(hlgth)
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    m = (resasc != 0.0) & (abserr != 0.0)
+    abserr[m] = resasc[m] * np.minimum(1.0, (200.0 * abserr[m] / resasc[m]) ** 1.5)
+    m = resabs > _UFLOW / (50.0 * _EPMACH)
+    abserr[m] = np.maximum((_EPMACH * 50.0) * resabs[m], abserr[m])
+    return result, abserr, resasc
+
+
+def _adaptive_gk21(f: Callable, upper: np.ndarray, cfg: QuadratureConfig,
+                   name: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals i of f over (0, upper[i]), advanced in lockstep by QUADPACK's
+    qag rule: each step bisects every unconverged integral's largest-error
+    panel, and one f call evaluates the new panels of all of them.
+
+    f(x, owner) maps a (panels, 21) node array and the integral index of each
+    panel to integrand values.  Integral i stops once its error sum is at most
+    max(abs_tol, rel_tol * |value|) (after one panel, also unless qk21's error
+    estimate is saturated); the value is the sum of its panel list in
+    QUADPACK's order.  Returns (values, est_errors).  Raises QuadratureError
+    naming `name(i)` for the first integral still short of its budget at
+    MAX_PANELS panels.
+    """
+    limit = MAX_PANELS
+    n = upper.size
+    rows = np.arange(n)
+    a, b, res = np.zeros((n, limit)), np.zeros((n, limit)), np.zeros((n, limit))
+    err = np.full((n, limit), -np.inf)          # empty slots are never bisected
+    b[:, 0] = upper
+    res[:, 0], err[:, 0], resasc = _qk21(f, a[:, 0], upper, rows, name)
+    area, errsum = res[:, 0].copy(), err[:, 0].copy()
+    last = np.ones(n, dtype=int)
+    done = (((errsum <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(area)))
+             & (errsum != resasc)) | (errsum == 0.0))
+    while not done.all():
+        act = np.flatnonzero(~done)
+        full = act[last[act] >= limit]
+        if full.size:
+            raise QuadratureError(f"{name(full[0])} did not converge: "
+                                  f"the maximum number of subdivisions ({limit}) was reached")
+        m = np.argmax(err[act], axis=1)
+        lo, hi = a[act, m], b[act, m]
+        mid = 0.5 * (lo + hi)
+        r, e, _ = _qk21(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
+                        np.concatenate([act, act]), name)
+        r1, r2, e1, e2 = r[:act.size], r[act.size:], e[:act.size], e[act.size:]
+        errsum[act] = errsum[act] + (e1 + e2) - err[act, m]
+        area[act] = area[act] + (r1 + r2) - res[act, m]
+        # the half with the larger error takes the bisected panel's slot
+        swap = e2 > e1
+        new = last[act]
+        a[act, m], b[act, m] = np.where(swap, mid, lo), np.where(swap, hi, mid)
+        res[act, m], err[act, m] = np.where(swap, r2, r1), np.where(swap, e2, e1)
+        a[act, new], b[act, new] = np.where(swap, lo, mid), np.where(swap, mid, hi)
+        res[act, new], err[act, new] = np.where(swap, r1, r2), np.where(swap, e1, e2)
+        last[act] += 1
+        done[act] = errsum[act] <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(area[act]))
+    return np.cumsum(res, axis=1)[rows, last - 1], errsum
 
 
 def eval_I_dielectric(
@@ -139,6 +260,8 @@ def eval_I_dielectric(
     Outer variable nu in [0, R], inner y in [0, sqrt(R^2 - g^2)] where
     R = truncation_point(s) and g is the kind's effective order; the inner
     integrand is y * dlog_cross(nu, y, sigma) * exp(-s * hypot(g, y)).
+    Each outer step integrates the inner y integrals of all its nu nodes
+    together (see :func:`_adaptive_gk21`).
     """
     if kind is SpectrumKind.VACUUM:
         raise ValueError("use eval_I_vacuum for the vacuum integral")
@@ -149,17 +272,24 @@ def eval_I_dielectric(
     cfg = cfg or default_config(kind)
     r_max = truncation_point(s, cfg)
 
-    def inner(nu: float) -> float:
-        g = _dielectric_order(kind, nu)
-        if g >= r_max:
-            return 0.0
-        y_max = math.sqrt(r_max * r_max - g * g)
-        return _checked_quad(
-            lambda y: y * dlog_cross(kind, nu, y, sigma) * math.exp(-s * math.hypot(g, y)),
-            y_max, cfg, f"inner quadrature at nu={nu}")[0]
+    def inner(nu: np.ndarray) -> np.ndarray:
+        g = nu if kind is SpectrumKind.TE else np.hypot(nu, 1.0)
+        out = np.zeros(nu.shape)
+        live = g < r_max
+        nu_l, g_l = nu[live], g[live]
 
-    value, err = _checked_quad(lambda nu: nu * inner(nu), r_max, cfg, "outer quadrature")
-    return IntegralSample(s=s, value=value, est_error=err, kind=kind, sigma=sigma)
+        def integrand(y, owner):
+            n, gg = nu_l[owner, None], g_l[owner, None]
+            return y * dlog_cross(kind, n, y, sigma) * np.exp(-s * np.hypot(gg, y))
+
+        out[live] = _adaptive_gk21(integrand, np.sqrt(r_max * r_max - g_l * g_l), cfg,
+                                   lambda i: f"inner quadrature at nu={nu_l[i]}")[0]
+        return out
+
+    value, err = _adaptive_gk21(lambda nu, _: nu * inner(nu), np.array([r_max]), cfg,
+                                lambda _: "outer quadrature")
+    return IntegralSample(s=s, value=float(value[0]), est_error=float(err[0]),
+                          kind=kind, sigma=sigma)
 
 
 def sample_curve(

@@ -276,6 +276,24 @@ def test_sensitivity_invalid_swept_config(tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("vary,values,bad", [
+    ("J", "200,nan", "nan"), ("J", "200,inf", "inf"), ("J", "200,200.7", "200.7"),
+    ("N2", "8,8.5", "8.5"),
+])
+def test_sensitivity_integer_keys_reject_non_integers(tmp_path, monkeypatch, capsys,
+                                                      vary, values, bad):
+    # J and N2 are integers: nan and inf must not escape as a traceback, and
+    # 200.7 must not run J = 200 under the label 200.7
+    calls = []
+    monkeypatch.setattr(cli, "sample_curve", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    assert main(["sensitivity", "--vary", vary, "--values", values,
+                 "--out-dir", str(out)]) == 2
+    assert f"sweep value {bad} is not a whole number" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # dielectric command
 # ---------------------------------------------------------------------------

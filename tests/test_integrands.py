@@ -10,11 +10,14 @@ here from the same log-form parts the log-derivatives are built from.
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from casimir_laurent.integrands import (SpectrumKind, _te_parts, _tm_parts,
-                                        dlog_cross, dlog_cross_te,
-                                        dlog_cross_tm, vacuum_integrand)
+from casimir_laurent import integrands
+from casimir_laurent.integrands import (Y_SMALL, CrossProductError, SpectrumKind,
+                                        _te_parts, _tm_parts, dlog_cross,
+                                        dlog_cross_te, dlog_cross_tm,
+                                        vacuum_integrand)
 from casimir_laurent.quadrature import sample_curve
 
 mp.mp.dps = 40
@@ -297,3 +300,41 @@ def test_no_sign_loss_over_working_range():
             for fn in (dlog_cross_te, dlog_cross_tm):
                 val = fn(nu, y, SIGMA)
                 assert math.isfinite(val), (fn.__name__, nu, y)
+
+
+# ---------------------------------------------------------------------------
+# array evaluation
+# ---------------------------------------------------------------------------
+
+ARRAY_NU = np.array([0.0, 0.3, 0.6, 1.0, 2.5, 40.0, 250.0])
+# on both sides of Y_SMALL before and after the sigma > 1 reflection y -> sigma y
+ARRAY_Y = np.array([1e-6, 2e-5, 5e-5, 9.9e-5, 1e-4, 2e-4, 0.3, 5.0, 60.0])
+
+
+@pytest.mark.parametrize("func", [dlog_cross_te, dlog_cross_tm])
+@pytest.mark.parametrize("sigma", [SIGMA, 27.0 / 8.0])
+def test_dlog_array_equals_scalar(func, sigma):
+    reflected = max(sigma, 1.0) * ARRAY_Y
+    assert (reflected < Y_SMALL).any() and (reflected >= Y_SMALL).any()
+    nu, y = np.meshgrid(ARRAY_NU, ARRAY_Y, indexing="ij")
+    got = func(nu, y, sigma)
+    assert got.shape == nu.shape
+    ref = np.array([[func(float(n), float(v), sigma) for v in ARRAY_Y] for n in ARRAY_NU])
+    assert np.isfinite(ref).all()
+    np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("func,parts", [(dlog_cross_te, "_te_parts"),
+                                        (dlog_cross_tm, "_tm_parts")])
+def test_dlog_array_names_first_sign_loss(func, parts, monkeypatch):
+    # rho = e^delta = 1 makes the cross product vanish: force it at the last
+    # two of four points; the error must name the first of them
+    original = getattr(integrands, parts)
+
+    def forced(nu, y, sigma):
+        ln_a, delta, d1, d2 = original(nu, y, sigma)
+        return ln_a, np.where(y >= 2.0, 0.0, delta), d1, d2
+
+    monkeypatch.setattr(integrands, parts, forced)
+    with pytest.raises(CrossProductError, match=r"at nu=3\.0, y=2\.0, sigma="):
+        func(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.5, 1.0, 2.0, 3.0]), SIGMA)

@@ -12,8 +12,11 @@ import pytest
 
 from casimir_laurent.integrands import SpectrumKind, dlog_cross
 from casimir_laurent.laurent import Spacing, make_grid
-from casimir_laurent.quadrature import (DIELECTRIC_REL_TOL, VACUUM_REL_TOL,
-                                        QuadratureConfig, QuadratureError,
+from scipy.integrate import quad
+
+from casimir_laurent.quadrature import (DIELECTRIC_REL_TOL, MAX_PANELS,
+                                        VACUUM_REL_TOL, QuadratureConfig,
+                                        QuadratureError, _adaptive_gk21,
                                         default_config, eval_I_dielectric,
                                         eval_I_vacuum, integrate_decaying,
                                         sample_curve, truncation_point,
@@ -112,6 +115,83 @@ def test_truncation_point_value():
     expect = (13.0 * math.log(10.0) + 20.0)
     assert truncation_point(1.0, cfg) == pytest.approx(expect, rel=1e-12)
     assert truncation_point(2.0, cfg) == pytest.approx(0.5 * expect, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched Gauss-Kronrod rule
+# ---------------------------------------------------------------------------
+
+BATCH_CFG = QuadratureConfig(rel_tol=1e-10)
+BATCH_UPPER = np.array([1.0, 5.0, 20.0, 80.0])
+
+
+def damped_cubic(b, s):
+    """int_0^b x^3 e^{-s x} dx in closed form."""
+    u = s * b
+    return 6.0 / s**4 * (1.0 - math.exp(-u) * (1.0 + u + u * u / 2.0 + u**3 / 6.0))
+
+
+def member_name(i):
+    return f"member {i}"
+
+
+def test_batched_rule_matches_closed_forms():
+    values, errors = _adaptive_gk21(lambda x, owner: x**3 * np.exp(-0.5 * x),
+                                    BATCH_UPPER, BATCH_CFG, member_name)
+    for b, value, err in zip(BATCH_UPPER, values, errors):
+        assert value == pytest.approx(damped_cubic(b, 0.5), rel=1e-12)
+        assert 0.0 < err <= BATCH_CFG.rel_tol * value
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: 1.0 / (1.0 + 100.0 * x * x),
+    lambda x: x**3 / (1.0 + x) ** 6,
+    lambda x: 1.0 / (1.0 + 50.0 * (x - 3.0) ** 2),
+], ids=["peak_at_0", "rational_tail", "peak_at_3"])
+def test_batched_rule_matches_scipy_quad(f):
+    # The same qk21 rule and stopping test: equal values to rounding.  The
+    # error estimate is a running sum from which the bisected panels' errors
+    # are subtracted, so it matches to rounding of the first estimate.
+    values, errors = _adaptive_gk21(lambda x, owner: f(x), BATCH_UPPER, BATCH_CFG,
+                                    member_name)
+    for b, value, err in zip(BATCH_UPPER, values, errors):
+        ref, ref_err = quad(f, 0.0, b, epsabs=BATCH_CFG.abs_tol, epsrel=BATCH_CFG.rel_tol,
+                            limit=MAX_PANELS)
+        assert value == pytest.approx(ref, rel=1e-15)
+        assert err == pytest.approx(ref_err, rel=1e-12, abs=1e-15 * ref)
+
+
+def test_batched_rule_names_the_member_that_cannot_converge():
+    # an x^-0.9 singularity needs ~330 bisections for a 1e-10 budget
+    def f(x, owner):
+        return np.where(owner[:, None] == 1, x**-0.9, x * x)
+
+    with pytest.raises(QuadratureError, match=r"^member 1 did not converge"):
+        _adaptive_gk21(f, np.ones(3), BATCH_CFG, member_name)
+
+
+def test_batched_rule_rejects_non_finite_values():
+    def f(x, owner):
+        return np.where((owner[:, None] == 2) & (x > 0.5), math.nan, x)
+
+    with pytest.raises(QuadratureError, match=r"^member 2: non-finite integrand at x=0\.99"):
+        _adaptive_gk21(f, np.ones(3), BATCH_CFG, member_name)
+
+
+@pytest.mark.parametrize("kind,s,sigma", [(SpectrumKind.TE, 0.3, SIGMA),
+                                          (SpectrumKind.TM, 0.3, SIGMA),
+                                          (SpectrumKind.TE, 0.7, 27.0 / 8.0),
+                                          (SpectrumKind.TM, 0.7, 27.0 / 8.0)])
+def test_dielectric_error_within_budget_without_quad(kind, s, sigma, monkeypatch):
+    import casimir_laurent.quadrature as quadrature
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("the dielectric sample called scipy quad")
+
+    monkeypatch.setattr(quadrature, "quad", no_quad)
+    cfg = default_config(kind)
+    sample = eval_I_dielectric(kind, s, sigma, cfg)
+    assert 0.0 < sample.est_error <= max(cfg.abs_tol, cfg.rel_tol * abs(sample.value))
 
 
 # ---------------------------------------------------------------------------

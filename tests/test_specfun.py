@@ -16,7 +16,7 @@ import pytest
 from scipy.special import jv, jvp, kv, yv, yvp
 
 from casimir_laurent.integrands import _tm_factor
-from casimir_laurent.specfun import log_bessel_ik, polygamma3
+from casimir_laurent.specfun import _GAP_LIMIT, _gap, log_bessel_ik, polygamma3
 
 mp.mp.dps = 40
 
@@ -61,6 +61,8 @@ def test_log_bessel_ik_domain():
         log_bessel_ik(1.0, 0.0)
     with pytest.raises(ValueError):
         log_bessel_ik(1.0, -2.0)
+    with pytest.raises(ValueError, match=r"got -2\.0$"):
+        log_bessel_ik(np.array([1.0, 2.0, 3.0]), np.array([1.0, -2.0, 0.0]))
 
 
 def test_i_derivative_recurrence_symmetry():
@@ -172,3 +174,53 @@ def test_log_bessel_ik_survives_extreme_order():
     assert math.isfinite(li) and li < -5000.0
     assert math.isfinite(lk) and lk > 5000.0
     assert q > 0.0 and r > 0.0
+
+
+# ---------------------------------------------------------------------------
+# array evaluation
+# ---------------------------------------------------------------------------
+
+# (nu, t) on every branch of log_bessel_ik: the scaled scipy pair (at nu = 0,
+# nu in (0, 1) and moderate orders), and past the exponent-gap limit the
+# Debye expansion (nu >= 200) and the ascending series (nu < 200).
+BRANCH_NU = np.array([0.0, 0.0, 0.4, 0.7, 1.0, 2.5, 40.0, 30.0,
+                      150.0, 150.0, 199.0, 200.0, 250.0, 350.0, 1000.0])
+BRANCH_T = np.array([1e-3, 700.0, 1e-5, 3.0, 0.5, 600.0, 2.0, 1e-4,
+                     0.5, 1.0, 1e-3, 0.8, 2.0, 0.3, 1.0])
+
+
+def test_log_bessel_ik_array_equals_scalar():
+    beyond = _gap(BRANCH_NU, BRANCH_T) >= _GAP_LIMIT
+    assert (~beyond & (BRANCH_NU == 0.0)).any()
+    assert (~beyond & (BRANCH_NU > 0.0) & (BRANCH_NU < 1.0)).any()
+    assert (beyond & (BRANCH_NU >= 200.0)).any()
+    assert (beyond & (BRANCH_NU > 0.0) & (BRANCH_NU < 200.0)).any()
+    got = log_bessel_ik(BRANCH_NU, BRANCH_T)
+    ref = np.array([log_bessel_ik(float(nu), float(t))
+                    for nu, t in zip(BRANCH_NU, BRANCH_T)]).T
+    for g, r in zip(got, ref):
+        assert g.shape == BRANCH_NU.shape
+        np.testing.assert_array_equal(g, r)
+
+
+def test_log_bessel_ik_broadcasts():
+    grid = log_bessel_ik(BRANCH_NU.reshape(3, 5), BRANCH_T.reshape(3, 5))
+    flat = log_bessel_ik(BRANCH_NU, BRANCH_T)
+    for g, f in zip(grid, flat):
+        np.testing.assert_array_equal(g, f.reshape(3, 5))
+    row = log_bessel_ik(250.0, BRANCH_T)
+    for k, t in enumerate(BRANCH_T):
+        assert tuple(part[k] for part in row) == log_bessel_ik(250.0, float(t))
+
+
+def test_log_bessel_ik_array_against_mpmath():
+    li, q, lk, r = log_bessel_ik(BRANCH_NU, BRANCH_T)
+    for k, (nu, t) in enumerate(zip(BRANCH_NU.tolist(), BRANCH_T.tolist())):
+        li_ref = float(mp.log(mp.besseli(nu, t)))
+        lk_ref = float(mp.log(mp.besselk(nu, t)))
+        q_ref = float(mp.besseli(nu + 1, t) / mp.besseli(nu, t))
+        r_ref = float(mp.besselk(abs(nu - 1), t) / mp.besselk(nu, t))
+        assert li[k] == pytest.approx(li_ref, rel=1e-10, abs=1e-10), (nu, t)
+        assert lk[k] == pytest.approx(lk_ref, rel=1e-10, abs=1e-10), (nu, t)
+        assert q[k] == pytest.approx(q_ref, rel=1e-10), (nu, t)
+        assert r[k] == pytest.approx(r_ref, rel=1e-10), (nu, t)
