@@ -12,8 +12,8 @@ from .physics import (C_LIGHT, HBAR, HBAR_C, DielectricSpec, ForceReport,
                       PlateGeometry, casimir_energy_te, f0_prefactor,
                       force_report, vacuum_force_per_area)
 from .quadrature import (IntegralSample, QuadratureConfig, QuadratureError,
-                         eval_I_dielectric, eval_I_vacuum, integrate_decaying,
-                         sample_curve, vacuum_closed_form)
+                         eval_I_dielectric, eval_I_vacuum, sample_curve,
+                         vacuum_closed_form)
 from .specfun import log_bessel_ik, polygamma3
 
 __version__ = "0.1.0"
@@ -27,7 +27,7 @@ __all__ = [
     "TruncatedLaurentFit", "build_matrix", "casimir_energy_te",
     "detect_pole_order", "dlog_cross_te", "dlog_cross_tm", "eval_I_dielectric",
     "eval_I_vacuum", "f0_prefactor", "fit_window", "force_report",
-    "integrate_decaying", "log_bessel_ik", "make_grid", "polygamma3", "prune",
+    "log_bessel_ik", "make_grid", "polygamma3", "prune",
     "regularize", "sample_curve", "subtract_and_refit", "turning_point",
     "vacuum_closed_form", "vacuum_force_per_area", "vacuum_integrand",
 ]

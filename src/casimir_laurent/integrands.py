@@ -11,7 +11,7 @@ with mu = sqrt(nu^2 + 1) and the radial transform f -> y f' + f applied
 to each factor at its own argument (It, Kt above).  P is positive and Q
 is negative throughout sigma in (0,1); the mode integrals need only their
 log-derivatives d/dy ln|P| and d/dy ln|Q|, assembled from log-form factors.
-Both are evaluated elementwise over numpy arrays of nu and y.
+These and the vacuum kernel are evaluated elementwise over numpy arrays.
 """
 
 from __future__ import annotations
@@ -39,15 +39,17 @@ class CrossProductError(ArithmeticError):
     """The cross product lost its fixed sign (unexpected imaginary-axis root)."""
 
 
-def vacuum_integrand(r: float) -> float:
-    """(1/3) r^3 coth(r); series below r = 1e-2 for a clean r -> 0 limit."""
-    if r < 0.0:
-        raise ValueError(f"vacuum_integrand requires r >= 0, got {r}")
-    if r < 1e-2:
-        r2 = r * r
-        # (1/3) r^3 coth r = r^2/3 + r^4/9 - r^6/135 + 2 r^8/2835 + O(r^10)
-        return r2 / 3.0 + r2 * r2 / 9.0 - r2 * r2 * r2 / 135.0 + 2.0 * r2**4 / 2835.0
-    return (r**3 / 3.0) / math.tanh(r)
+def vacuum_integrand(r: ArrayLike):
+    """(1/3) r^3 coth(r), elementwise; series below r = 1e-2 for a clean r -> 0 limit."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0.0):
+        raise ValueError(f"vacuum_integrand requires r >= 0, got {r[r < 0.0][0]}")
+    r2 = r * r
+    # (1/3) r^3 coth r = r^2/3 + r^4/9 - r^6/135 + 2 r^8/2835 + O(r^10)
+    series = r2 / 3.0 + r2 * r2 / 9.0 - r2 * r2 * r2 / 135.0 + 2.0 * r2**4 / 2835.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(r < 1e-2, series, (r**3 / 3.0) / np.tanh(r))
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ Produces I(s) samples for the regularization pipeline: the single vacuum
 integral (which has the closed form Psi(3, s/2)/24 - 2/s^4) and the nested
 dielectric double integral over mode order nu and radial argument y.
 
-The vacuum integral is one adaptive `scipy.integrate.quad` call.  The
-dielectric double integral runs on :func:`_adaptive_gk21`, a batched copy
-of QUADPACK's `qag` driver with the 21-point Gauss-Kronrod rule `qk21`
-(Piessens et al., 1983): many integrals advance in lockstep, each
-bisecting its own largest-error panel, with one integrand call per step for
-all of them.  The outer nu integral is a batch of one; every nu node its
-step asks for starts an inner y integral, and those advance together.
+Both run on :func:`_adaptive_gk21`, a batched copy of QUADPACK's `qag`
+driver with the 21-point Gauss-Kronrod rule `qk21` (Piessens et al., 1983):
+many integrals advance in lockstep, each bisecting its own largest-error
+panel, with one integrand call per step for all of them.  A vacuum curve is
+one batch with a member per damping s.  The outer dielectric nu integral is
+a batch of one; every nu node its step asks for starts an inner y integral,
+and those advance together.
 
 The dielectric integrand is y * dlog_cross weighted by the damping
 exp(-s * sqrt(g^2 + y^2)) with g = nu (TE) or g = sqrt(nu^2 + 1) (TM):
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .integrands import SpectrumKind, dlog_cross, vacuum_integrand
 from .specfun import polygamma3
@@ -103,57 +102,36 @@ def truncation_point(s: float, cfg: QuadratureConfig) -> float:
     return (-math.log(cfg.tail_tol) + 20.0) / s
 
 
-def _checked_quad(f: Callable[[float], float], upper: float,
-                  cfg: QuadratureConfig, what: str) -> tuple[float, float]:
-    """Adaptive quad of f over (0, upper); raises QuadratureError naming `what`
-    on non-convergence or a non-finite result."""
-    out = quad(f, 0.0, upper, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-               limit=MAX_PANELS, full_output=1)
-    value, err = out[0], out[1]
-    if len(out) > 3:
-        raise QuadratureError(f"{what} did not converge: {out[3]}")
-    if not (math.isfinite(value) and math.isfinite(err)):
-        raise QuadratureError(f"{what} returned non-finite result")
-    return float(value), float(err)
-
-
-def integrate_decaying(
-    f: Callable[[float], float],
-    s: float,
-    cfg: QuadratureConfig | None = None,
-    upper: float | None = None,
-) -> tuple[float, float]:
-    """Integrate f(x) e^{-s x} over (0, infinity), truncated at X(s).
-
-    Returns (value, est_error).  Raises QuadratureError on non-convergence
-    or non-finite integrand values.
-    """
-    if s <= 0.0:
-        raise ValueError(f"integrate_decaying requires s > 0, got {s}")
-    cfg = cfg or QuadratureConfig()
-    x_max = truncation_point(s, cfg) if upper is None else upper
-
-    def integrand(x: float) -> float:
-        v = f(x) * math.exp(-s * x)
-        if not math.isfinite(v):
-            raise QuadratureError(f"non-finite integrand at x={x}")
-        return v
-
-    return _checked_quad(integrand, x_max, cfg, "quadrature")
+def _require_damping(s: float, what: str) -> None:
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"{what} requires 0 < s < inf, got {s}")
 
 
 def vacuum_closed_form(s: float) -> float:
     """Exact value of the vacuum integral: Psi(3, s/2)/24 - 2/s^4."""
-    if s <= 0.0:
-        raise ValueError(f"vacuum_closed_form requires s > 0, got {s}")
+    _require_damping(s, "vacuum_closed_form")
     return polygamma3(0.5 * s) / 24.0 - 2.0 / s**4
+
+
+def _vacuum_batch(points: Sequence[float], cfg: QuadratureConfig,
+                  name: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """(1/3) Int_0^X(s) r^3 coth(r) e^{-s r} dr for every s of points, as one
+    batch of :func:`_adaptive_gk21`; (values, est_errors)."""
+    for point in points:
+        _require_damping(point, "the vacuum integral")
+    s = np.asarray(points, dtype=float)
+
+    def integrand(x, owner):
+        return vacuum_integrand(x) * np.exp(-s[owner, None] * x)
+
+    return _adaptive_gk21(integrand, truncation_point(s, cfg), cfg, name)
 
 
 def eval_I_vacuum(s: float, cfg: QuadratureConfig | None = None) -> IntegralSample:
     """(1/3) Int_0^inf r^3 coth(r) e^{-s r} dr by adaptive quadrature."""
     cfg = cfg or default_config(SpectrumKind.VACUUM)
-    value, err = integrate_decaying(vacuum_integrand, s, cfg)
-    return IntegralSample(s=s, value=value, est_error=err,
+    value, err = _vacuum_batch([s], cfg, lambda _: "quadrature")
+    return IntegralSample(s=s, value=float(value[0]), est_error=float(err[0]),
                           kind=SpectrumKind.VACUUM, sigma=1.0)
 
 
@@ -215,8 +193,9 @@ def _adaptive_gk21(f: Callable, upper: np.ndarray, cfg: QuadratureConfig,
     limit = MAX_PANELS
     n = upper.size
     rows = np.arange(n)
-    a, b, res = np.zeros((n, limit)), np.zeros((n, limit)), np.zeros((n, limit))
-    err = np.full((n, limit), -np.inf)          # empty slots are never bisected
+    # panel tables, one row per integral, widened by doubling as they fill
+    a, b, res = np.zeros((n, 1)), np.zeros((n, 1)), np.zeros((n, 1))
+    err = np.full((n, 1), -np.inf)              # empty slots are never bisected
     b[:, 0] = upper
     res[:, 0], err[:, 0], resasc = _qk21(f, a[:, 0], upper, rows, name)
     area, errsum = res[:, 0].copy(), err[:, 0].copy()
@@ -229,6 +208,10 @@ def _adaptive_gk21(f: Callable, upper: np.ndarray, cfg: QuadratureConfig,
         if full.size:
             raise QuadratureError(f"{name(full[0])} did not converge: "
                                   f"the maximum number of subdivisions ({limit}) was reached")
+        if last[act].max() == a.shape[1]:
+            extra = min(a.shape[1], limit - a.shape[1])
+            a, b, res, err = (np.concatenate([t, np.full((n, extra), fill)], axis=1)
+                              for t, fill in ((a, 0.0), (b, 0.0), (res, 0.0), (err, -np.inf)))
         m = np.argmax(err[act], axis=1)
         lo, hi = a[act, m], b[act, m]
         mid = 0.5 * (lo + hi)
@@ -265,9 +248,8 @@ def eval_I_dielectric(
     """
     if kind is SpectrumKind.VACUUM:
         raise ValueError("use eval_I_vacuum for the vacuum integral")
-    if s <= 0.0:
-        raise ValueError(f"eval_I_dielectric requires s > 0, got {s}")
-    if sigma <= 0.0 or sigma == 1.0:
+    _require_damping(s, "eval_I_dielectric")
+    if not 0.0 < sigma < math.inf or sigma == 1.0:
         raise ValueError(f"sigma must lie in (0,1) or (1,inf), got {sigma}")
     cfg = cfg or default_config(kind)
     r_max = truncation_point(s, cfg)
@@ -298,16 +280,19 @@ def sample_curve(
     grid: Sequence[float],
     cfg: QuadratureConfig | None = None,
 ) -> list[IntegralSample]:
-    """One IntegralSample per grid point, in grid order, evaluated serially."""
-    points = getattr(grid, "points", grid)
+    """One IntegralSample per grid point, in grid order.  The vacuum samples
+    are one batch; the dielectric samples are evaluated one after another."""
+    points = [float(s) for s in getattr(grid, "points", grid)]
     cfg = cfg or default_config(kind)
+    if kind is SpectrumKind.VACUUM:
+        values, errors = _vacuum_batch(
+            points, cfg, lambda j: f"sample {j} (s={points[j]}) failed: quadrature")
+        return [IntegralSample(s=s, value=float(v), est_error=float(e), kind=kind, sigma=1.0)
+                for s, v, e in zip(points, values, errors)]
     samples: list[IntegralSample] = []
     for j, s in enumerate(points):
         try:
-            if kind is SpectrumKind.VACUUM:
-                samples.append(eval_I_vacuum(float(s), cfg))
-            else:
-                samples.append(eval_I_dielectric(kind, float(s), sigma, cfg))
+            samples.append(eval_I_dielectric(kind, s, sigma, cfg))
         except ArithmeticError as exc:
             raise QuadratureError(f"sample {j} (s={s}) failed: {exc}") from exc
     return samples

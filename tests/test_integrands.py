@@ -91,6 +91,18 @@ def test_vacuum_series_seam():
 def test_vacuum_domain():
     with pytest.raises(ValueError):
         vacuum_integrand(-0.1)
+    with pytest.raises(ValueError):
+        vacuum_integrand(np.array([0.5, -0.1]))
+
+
+def test_vacuum_array_equals_scalar():
+    # both sides of the r = 1e-2 series seam, and r = 0 (series only)
+    r = np.array([[0.0, 1e-4, 5e-3, 0.0099999], [1e-2, 0.0100001, 1.0, 40.0]])
+    out = vacuum_integrand(r)
+    assert out.shape == r.shape
+    for x, v in zip(r.ravel(), out.ravel()):
+        scalar = vacuum_integrand(float(x))
+        assert type(scalar) is float and v == scalar
 
 
 # ---------------------------------------------------------------------------

@@ -10,91 +10,136 @@ import math
 import numpy as np
 import pytest
 
-from casimir_laurent.integrands import SpectrumKind, dlog_cross
+from casimir_laurent.integrands import SpectrumKind, dlog_cross, vacuum_integrand
 from casimir_laurent.laurent import Spacing, make_grid
-from scipy.integrate import quad
+from scipy.integrate import _quadpack_py, quad
 
 from casimir_laurent.quadrature import (DIELECTRIC_REL_TOL, MAX_PANELS,
                                         VACUUM_REL_TOL, QuadratureConfig,
                                         QuadratureError, _adaptive_gk21,
                                         default_config, eval_I_dielectric,
-                                        eval_I_vacuum, integrate_decaying,
-                                        sample_curve, truncation_point,
-                                        vacuum_closed_form)
+                                        eval_I_vacuum, sample_curve,
+                                        truncation_point, vacuum_closed_form)
 
 SIGMA = 8.0 / 27.0
 
 
+def gauss_panels(edges, limit, xg, wg):
+    """Nodes and weights of the Gauss-Legendre rule (xg, wg) on each panel of
+    edges below limit, the last panel cut at limit."""
+    a = edges[:-1][edges[:-1] < limit]
+    b = np.minimum(edges[1:a.size + 1], limit)
+    half = 0.5 * (b - a)
+    return ((a + half)[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
+
+
 def brute_dielectric(kind, s, sigma, n_panels=16, nodes=10):
-    """Tensor Gauss-Legendre on geometric panels; converges to ~1e-12 here."""
+    """Tensor Gauss-Legendre on geometric panels; converges to ~1e-12 here.
+    All (nu, y) nodes go to the cross-product kernel as one array."""
     x_max = (-math.log(1e-13) + 25.0) / s
     edges = np.geomspace(1e-4, x_max, n_panels + 1)
     edges[0] = 0.0
     xg, wg = np.polynomial.legendre.leggauss(nodes)
 
-    def panels(limit):
-        for a, b in zip(edges[:-1], edges[1:]):
-            if a >= limit:
-                break
-            half = 0.5 * (min(b, limit) - a)
-            mid = a + half
-            yield mid + half * xg, half * wg
+    nu, w_nu = gauss_panels(edges, x_max, xg, wg)
+    g = nu if kind is SpectrumKind.TE else np.hypot(nu, 1.0)
+    live = g < x_max
+    nu, w_nu, g = nu[live], w_nu[live], g[live]
+    inner = [gauss_panels(edges, math.sqrt(x_max * x_max - gi * gi), xg, wg) for gi in g]
+    counts = [y.size for y, _ in inner]
+    y = np.concatenate([y for y, _ in inner])
+    w_y = np.concatenate([w for _, w in inner])
+    nu_y, g_y = np.repeat(nu, counts), np.repeat(g, counts)
+    terms = w_y * y * dlog_cross(kind, nu_y, y, sigma) * np.exp(-s * np.hypot(g_y, y))
+    inner_sums = np.add.reduceat(terms, np.cumsum([0] + counts[:-1]))
+    return float(np.sum(w_nu * nu * inner_sums))
 
-    total = 0.0
-    for nu_vals, nu_ws in panels(x_max):
-        for nu, wn in zip(nu_vals, nu_ws):
-            g = nu if kind is SpectrumKind.TE else math.hypot(nu, 1.0)
-            if g >= x_max:
-                continue
-            y_lim = math.sqrt(x_max * x_max - g * g)
-            inner = 0.0
-            for y_vals, y_ws in panels(y_lim):
-                for y, wy in zip(y_vals, y_ws):
-                    inner += (wy * y * dlog_cross(kind, nu, y, sigma)
-                              * math.exp(-s * math.hypot(g, y)))
-            total += wn * nu * inner
-    return total
+
+def member_name(i):
+    return f"member {i}"
+
+
+def decaying(f, s, cfg=None, upper=None):
+    """Int_0^upper f(x) e^{-s x} dx on the batched rule; upper defaults to X(s)."""
+    cfg = cfg or QuadratureConfig()
+    x_max = truncation_point(s, cfg) if upper is None else upper
+    values, errors = _adaptive_gk21(lambda x, owner: f(x) * np.exp(-s * x),
+                                    np.array([x_max]), cfg, member_name)
+    return values[0], errors[0]
+
+
+@pytest.fixture
+def no_scipy_quad(monkeypatch):
+    """Every scipy.integrate.quad call fails, however `quad` was imported."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sample called scipy.integrate.quad")
+
+    for routine in ("_qagse", "_qagie", "_qagpe"):
+        monkeypatch.setattr(_quadpack_py._quadpack, routine, refuse)
+    with pytest.raises(AssertionError):
+        quad(lambda x: x, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# integrate_decaying
+# damped integrals over (0, X(s))
 # ---------------------------------------------------------------------------
 
 
 def test_gamma_integral():
-    value, err = integrate_decaying(lambda x: x**3, 1.0)
+    value, err = decaying(lambda x: x**3, 1.0)
     assert value == pytest.approx(6.0, rel=1e-9)
     assert err < 1e-6
 
 
 def test_gamma_integral_scaled():
-    value, _ = integrate_decaying(lambda x: x**3, 2.0)
+    value, _ = decaying(lambda x: x**3, 2.0)
     assert value == pytest.approx(0.375, rel=1e-9)
 
 
 def test_unit_integral():
-    value, _ = integrate_decaying(lambda x: 1.0, 1.0)
+    value, _ = decaying(lambda x: 1.0, 1.0)
     assert value == pytest.approx(1.0, rel=1e-10)
 
 
 def test_tail_truncation_is_converged():
     cfg = QuadratureConfig()
-    base, base_err = integrate_decaying(lambda x: x**3, 0.5, cfg)
+    base, base_err = decaying(lambda x: x**3, 0.5, cfg)
     x_max = truncation_point(0.5, cfg)
-    doubled, doubled_err = integrate_decaying(lambda x: x**3, 0.5, cfg, upper=2.0 * x_max)
+    doubled, doubled_err = decaying(lambda x: x**3, 0.5, cfg, upper=2.0 * x_max)
     assert abs(doubled - base) <= base_err + doubled_err + 1e-12 * abs(base)
 
 
-def test_nonfinite_integrand_raises():
-    with pytest.raises(QuadratureError):
-        integrate_decaying(lambda x: math.nan, 1.0)
+def test_nonfinite_integrand_raises(monkeypatch):
+    import casimir_laurent.quadrature as quadrature
+
+    monkeypatch.setattr(quadrature, "vacuum_integrand", lambda x: np.full(x.shape, math.nan))
+    with pytest.raises(QuadratureError, match=r"^quadrature: non-finite integrand at x="):
+        eval_I_vacuum(1.0)
 
 
 def test_integrate_domain():
     with pytest.raises(ValueError):
-        integrate_decaying(lambda x: 1.0, 0.0)
+        eval_I_vacuum(0.0)
     with pytest.raises(ValueError):
-        integrate_decaying(lambda x: 1.0, -1.0)
+        eval_I_vacuum(-1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_I_vacuum(math.nan),
+    lambda: eval_I_vacuum(math.inf),
+    lambda: sample_curve(SpectrumKind.VACUUM, 1.0, [0.5, math.nan]),
+    lambda: eval_I_dielectric(SpectrumKind.TE, math.inf, SIGMA),
+    lambda: eval_I_dielectric(SpectrumKind.TE, math.nan, SIGMA),
+    lambda: eval_I_dielectric(SpectrumKind.TE, 1.0, math.nan),
+    lambda: eval_I_dielectric(SpectrumKind.TM, 1.0, math.inf),
+    lambda: vacuum_closed_form(math.nan),
+    lambda: vacuum_closed_form(math.inf),
+], ids=["vacuum-s-nan", "vacuum-s-inf", "vacuum-curve-nan", "dielectric-s-inf",
+        "dielectric-s-nan", "dielectric-sigma-nan", "dielectric-sigma-inf",
+        "closed-form-nan", "closed-form-inf"])
+def test_entry_points_reject_non_finite_input(call):
+    with pytest.raises(ValueError, match=r"requires 0 < s < inf|sigma must lie in"):
+        call()
 
 
 def test_config_validation():
@@ -131,10 +176,6 @@ def damped_cubic(b, s):
     return 6.0 / s**4 * (1.0 - math.exp(-u) * (1.0 + u + u * u / 2.0 + u**3 / 6.0))
 
 
-def member_name(i):
-    return f"member {i}"
-
-
 def test_batched_rule_matches_closed_forms():
     values, errors = _adaptive_gk21(lambda x, owner: x**3 * np.exp(-0.5 * x),
                                     BATCH_UPPER, BATCH_CFG, member_name)
@@ -161,6 +202,28 @@ def test_batched_rule_matches_scipy_quad(f):
         assert err == pytest.approx(ref_err, rel=1e-12, abs=1e-15 * ref)
 
 
+def test_batched_rule_grows_its_tables():
+    # member 0 converges on its first panel; member 1 (an x^-0.5 endpoint
+    # singularity) needs more panels than four doublings of the tables hold
+    def f(x, owner):
+        return np.where(owner[:, None] == 1, x**-0.5, x * x)
+
+    def alone(i):
+        calls = []
+
+        def member_i(x, owner):
+            calls.append(x.shape)
+            return f(x, np.full(owner.shape, i))
+
+        value, err = _adaptive_gk21(member_i, np.ones(1), BATCH_CFG, member_name)
+        return value[0], err[0], len(calls)   # a lone integral: one call per panel
+
+    (v0, e0, panels0), (v1, e1, panels1) = alone(0), alone(1)
+    assert panels0 == 1 and panels1 > 16
+    values, errors = _adaptive_gk21(f, np.ones(2), BATCH_CFG, member_name)
+    assert (values[0], errors[0], values[1], errors[1]) == (v0, e0, v1, e1)
+
+
 def test_batched_rule_names_the_member_that_cannot_converge():
     # an x^-0.9 singularity needs ~330 bisections for a 1e-10 budget
     def f(x, owner):
@@ -182,13 +245,7 @@ def test_batched_rule_rejects_non_finite_values():
                                           (SpectrumKind.TM, 0.3, SIGMA),
                                           (SpectrumKind.TE, 0.7, 27.0 / 8.0),
                                           (SpectrumKind.TM, 0.7, 27.0 / 8.0)])
-def test_dielectric_error_within_budget_without_quad(kind, s, sigma, monkeypatch):
-    import casimir_laurent.quadrature as quadrature
-
-    def no_quad(*args, **kwargs):
-        raise AssertionError("the dielectric sample called scipy quad")
-
-    monkeypatch.setattr(quadrature, "quad", no_quad)
+def test_dielectric_error_within_budget_without_quad(kind, s, sigma, no_scipy_quad):
     cfg = default_config(kind)
     sample = eval_I_dielectric(kind, s, sigma, cfg)
     assert 0.0 < sample.est_error <= max(cfg.abs_tol, cfg.rel_tol * abs(sample.value))
@@ -216,6 +273,13 @@ def test_vacuum_quadrature_matches_closed_form(s):
     assert sample.kind is SpectrumKind.VACUUM
     assert sample.sigma == 1.0
     assert sample.s == s
+
+
+def test_vacuum_error_within_budget_without_quad(no_scipy_quad):
+    cfg = default_config(SpectrumKind.VACUUM)
+    grid = make_grid(0.05, 1.0, 200)
+    for sample in sample_curve(SpectrumKind.VACUUM, 1.0, grid, cfg) + [eval_I_vacuum(0.3, cfg)]:
+        assert 0.0 < sample.est_error <= max(cfg.abs_tol, cfg.rel_tol * abs(sample.value))
 
 
 def test_vacuum_small_s_pole_strength():
@@ -290,16 +354,32 @@ def test_sample_curve_accepts_grid_object():
 
 
 def test_sample_curve_tags_failing_index(monkeypatch):
+    # X(s) = 49.93/s is 62.4, 71.3 and 83.2 here: the first integral's nodes
+    # stay below 62.4 (its first panel's reach 62.28), while the first panels
+    # of the second and third both have nodes in (63, 71)
     import casimir_laurent.quadrature as quadrature
 
-    calls = []
+    def poisoned(x):
+        return np.where((x > 63.0) & (x < 71.0), math.nan, vacuum_integrand(x))
 
-    def boom(s, cfg=None):
-        calls.append(s)
-        if len(calls) == 2:
-            raise QuadratureError("synthetic failure")
-        return eval_I_vacuum(s, cfg)
-
-    monkeypatch.setattr(quadrature, "eval_I_vacuum", boom)
+    monkeypatch.setattr(quadrature, "vacuum_integrand", poisoned)
     with pytest.raises(QuadratureError, match=r"sample 1 \(s=0\.7\)"):
-        sample_curve(SpectrumKind.VACUUM, 1.0, [0.6, 0.7, 0.8])
+        sample_curve(SpectrumKind.VACUUM, 1.0, [0.8, 0.7, 0.6])
+
+
+@pytest.mark.parametrize("grid", [make_grid(0.05, 1.0, 200),
+                                  make_grid(0.01, 1.0, 200, Spacing.LOG)],
+                         ids=["linear", "log"])
+def test_vacuum_curve_equals_single_points(grid):
+    for sample in sample_curve(SpectrumKind.VACUUM, 1.0, grid):
+        alone = eval_I_vacuum(sample.s)
+        assert sample.value == alone.value and sample.est_error == alone.est_error
+
+
+def test_vacuum_curve_nonconvergence_names_the_sample(monkeypatch):
+    import casimir_laurent.quadrature as quadrature
+
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 1)
+    with pytest.raises(QuadratureError, match=r"^sample 0 \(s=0\.5\) failed: "
+                                              r"quadrature did not converge"):
+        sample_curve(SpectrumKind.VACUUM, 1.0, [0.5, 0.6])
