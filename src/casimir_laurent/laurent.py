@@ -68,6 +68,8 @@ def make_grid(eps_s: float, s_R: float, J: int = 200,
         raise ValueError(f"eps_s must be positive, got {eps_s}")
     if not s_R > eps_s:
         raise ValueError(f"s_R must exceed eps_s, got s_R={s_R}, eps_s={eps_s}")
+    if not math.isfinite(s_R):     # eps_s < s_R, so eps_s is finite too
+        raise ValueError(f"s_R must be finite, got {s_R}")
     # Pipeline runs want J >= 16; the windows enforce their own feasibility
     # (J > coefficient count) at fit time, so small grids are permitted here.
     if J < 3:
@@ -93,12 +95,51 @@ class TruncatedLaurentFit:
 
 
 @dataclass(frozen=True)
+class _PowerTable:
+    """Basis columns s**n for n = n_lo, n_lo+1, ..., their norms, and the
+    norm-equilibrated columns; every window fit slices these."""
+    n_lo: int
+    table: np.ndarray
+    norms: np.ndarray
+    scaled: np.ndarray
+
+    @classmethod
+    def of(cls, s: np.ndarray, n_lo: int, n_hi: int) -> "_PowerTable":
+        table = s[:, None] ** np.arange(n_lo, n_hi + 1)[None, :]
+        norms = np.linalg.norm(table, axis=0)
+        return cls(n_lo=int(n_lo), table=table, norms=norms, scaled=table / norms)
+
+    def fit(self, rhs: np.ndarray, n1: int, n2: int) -> TruncatedLaurentFit:
+        """Least-squares fit of sum_{n=n1}^{n2} c_n s^n to rhs, one solve."""
+        ncoef = n2 - n1 + 1
+        if len(rhs) <= ncoef:
+            raise FitError(f"{len(rhs)} samples cannot determine {ncoef} coefficients")
+        lo, hi = n1 - self.n_lo, n2 - self.n_lo + 1
+        norms = self.norms[lo:hi]
+        if np.any(norms == 0.0):
+            raise FitError("degenerate basis column")
+        coef_scaled, _, rank, sv = np.linalg.lstsq(self.scaled[:, lo:hi], rhs, rcond=None)
+        if rank < ncoef:
+            raise FitError(f"rank-deficient window ({n1}, {n2}): rank {rank} < {ncoef}")
+        coef = coef_scaled / norms
+        resid = np.ascontiguousarray(self.table[:, lo:hi]) @ coef - rhs
+        rms = float(np.sqrt(np.mean(resid**2)))
+        cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
+        return TruncatedLaurentFit(
+            n1=int(n1), n2=int(n2),
+            coeffs={n: float(c) for n, c in zip(range(int(n1), int(n2) + 1), coef)},
+            rms_residual=rms, cond=cond)
+
+
+@dataclass(frozen=True)
 class FitMatrix:
     entries: Mapping[tuple[int, int], TruncatedLaurentFit]
     N1: int
     N2: int
     s: np.ndarray = field(repr=False, compare=False)
     I: np.ndarray = field(repr=False, compare=False)
+    # the powers of s the windows were fitted on; the refits slice them too
+    _powers: _PowerTable | None = field(repr=False, compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -166,58 +207,36 @@ def fit_window(samples, n1: int, n2: int) -> TruncatedLaurentFit:
     if n1 >= n2:
         raise FitError(f"window requires n1 < n2, got ({n1}, {n2})")
     s, I = _extract(samples)
-    ncoef = n2 - n1 + 1
-    if len(s) <= ncoef:
-        raise FitError(f"{len(s)} samples cannot determine {ncoef} coefficients")
-    powers = np.arange(n1, n2 + 1)
-    design = s[:, None] ** powers[None, :]
-    rhs = I.astype(float)
-    norms = np.linalg.norm(design, axis=0)
-    if np.any(norms == 0.0):
-        raise FitError("degenerate basis column")
-    coef_scaled, _, rank, sv = np.linalg.lstsq(design / norms, rhs, rcond=None)
-    if rank < ncoef:
-        raise FitError(f"rank-deficient window ({n1}, {n2}): rank {rank} < {ncoef}")
-    coef = coef_scaled / norms
-    resid = design @ coef - rhs
-    rms = float(np.sqrt(np.mean(resid**2)))
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
-    return TruncatedLaurentFit(
-        n1=int(n1), n2=int(n2),
-        coeffs={int(n): float(c) for n, c in zip(powers, coef)},
-        rms_residual=rms, cond=cond)
+    return _PowerTable.of(s, n1, n2).fit(I, n1, n2)
 
 
 def build_matrix(samples, N1: int = -6, N2: int = 9) -> FitMatrix:
     """Complete rectangle of window fits: N1 < n1 <= -1, 1 <= n2 < N2."""
     s, I = _extract(samples)
-    entries: dict[tuple[int, int], TruncatedLaurentFit] = {}
-    for n1 in range(N1 + 1, 0):
-        for n2 in range(1, N2):
-            entries[(n1, n2)] = fit_window((s, I), n1, n2)
-    return FitMatrix(entries=entries, N1=int(N1), N2=int(N2), s=s, I=I)
-
-
-def _peer_average(fit: TruncatedLaurentFit, n1: int, n: int) -> float:
-    """M_n: |sum of the window's own principal coefficients| / |n|."""
-    own = [fit.coeffs[j] for j in range(n1, 0)]
-    signed = abs(sum(own)) / abs(n)
-    mean_abs = float(np.mean([abs(c) for c in own]))
-    if signed < AVERAGE_CANCEL_GUARD * mean_abs:
-        return mean_abs
-    return signed
+    powers = _PowerTable.of(s, N1 + 1, N2 - 1)
+    entries = {(n1, n2): powers.fit(I, n1, n2)
+               for n1 in range(N1 + 1, 0) for n2 in range(1, N2)}
+    return FitMatrix(entries=entries, N1=int(N1), N2=int(N2), s=s, I=I, _powers=powers)
 
 
 def prune(matrix: FitMatrix, eps_c: float = 1e-3) -> PruneReport:
-    """Classify every principal-part coefficient by the ratio test |c_n|/M_n > eps_c."""
+    """Classify every principal-part coefficient by the ratio test |c_n|/M_n > eps_c.
+
+    M_n is |sum of the window's own principal coefficients| / |n|, or their
+    mean magnitude where the signed sum cancels below AVERAGE_CANCEL_GUARD.
+    """
     if eps_c < 0.0:
         raise ValueError(f"eps_c must be non-negative, got {eps_c}")
     kept: set[tuple[int, int, int]] = set()
     dropped: set[tuple[int, int, int]] = set()
     averages: dict[tuple[int, int, int], float] = {}
     for (n1, n2), fit in matrix.entries.items():
+        own = [fit.coeffs[j] for j in range(n1, 0)]
+        total = abs(sum(own))
+        mean_abs = float(np.mean([abs(c) for c in own]))
         for n in range(n1, 0):
-            m = _peer_average(fit, n1, n)
+            signed = total / abs(n)
+            m = mean_abs if signed < AVERAGE_CANCEL_GUARD * mean_abs else signed
             averages[(n, n1, n2)] = m
             if m == 0.0:
                 dropped.add((n, n1, n2))
@@ -229,12 +248,12 @@ def prune(matrix: FitMatrix, eps_c: float = 1e-3) -> PruneReport:
                        averages=averages, N1=matrix.N1, N2=matrix.N2)
 
 
-def _most_singular_kept(report: PruneReport) -> dict[tuple[int, int], int | None]:
-    msk: dict[tuple[int, int], int | None] = {}
-    for n1 in range(report.N1 + 1, 0):
-        for n2 in range(1, report.N2):
-            ks = [n for (n, w1, w2) in report.kept if (w1, w2) == (n1, n2)]
-            msk[(n1, n2)] = min(ks) if ks else None
+def _most_singular_kept(report: PruneReport) -> dict[tuple[int, int], int]:
+    """Window -> its most singular kept exponent; windows keeping none are absent."""
+    msk: dict[tuple[int, int], int] = {}
+    for n, n1, n2 in report.kept:
+        if (n1, n2) not in msk or n < msk[(n1, n2)]:
+            msk[(n1, n2)] = n
     return msk
 
 
@@ -242,52 +261,63 @@ def detect_pole_order(report: PruneReport) -> tuple[int, frozenset[tuple[int, in
     """Pole order N and the largest window rectangle agreeing on it.
 
     The rectangle must span at least 2 x 2 windows; area ties break toward
-    the more singular exponent.
+    the more singular exponent, then toward the first rectangle in the scan
+    order (row start, row end, column start, column end).
     """
     msk = _most_singular_kept(report)
-    rows = list(range(report.N1 + 1, 0))
-    cols = list(range(1, report.N2))
-    labels = sorted({v for v in msk.values() if v is not None})
-    best_key: tuple[int, int] | None = None
-    best: tuple[int, frozenset[tuple[int, int]]] | None = None
-    for lab in labels:
-        for i0 in range(len(rows)):
-            for i1 in range(i0, len(rows)):
-                for j0 in range(len(cols)):
-                    for j1 in range(j0, len(cols)):
-                        nr, nc = i1 - i0 + 1, j1 - j0 + 1
-                        if nr < 2 or nc < 2:
-                            continue
-                        cells = [(rows[i], cols[j])
-                                 for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
-                        if all(msk[cell] == lab for cell in cells):
-                            key = (nr * nc, -lab)
-                            if best_key is None or key > best_key:
-                                best_key = key
-                                best = (lab, frozenset(cells))
-    if best is None:
+    rows = range(report.N1 + 1, 0)
+    cols = range(1, report.N2)
+    labels = sorted(set(msk.values()))
+    if not labels:
         raise DetectionError("no pole order is stable across any 2 x 2 window rectangle")
-    return best
+    # prefix[l, i, j]: windows labelled labels[l] among the first i rows and j columns
+    prefix = np.zeros((len(labels), len(rows) + 1, len(cols) + 1), dtype=int)
+    prefix[:, 1:, 1:] = np.array([[[msk.get((r, c)) == lab for c in cols] for r in rows]
+                                  for lab in labels]).cumsum(1).cumsum(2)
+    # count[l, i0, i1, j0, j1]: windows labelled labels[l] in rows i0..i1, columns j0..j1
+    ri, ci = np.arange(len(rows)), np.arange(len(cols))
+    band = prefix[:, ri[None, :] + 1] - prefix[:, ri[:, None]]
+    count = band[..., ci[None, :] + 1] - band[..., ci[:, None]]
+    nr, nc = (ri[None, :] - ri[:, None] + 1)[:, :, None, None], ci[None, :] - ci[:, None] + 1
+    area = nr * nc
+    uniform = (count == area) & (nr >= 2) & (nc >= 2)
+    # argmax takes the first maximum in C order: the largest area, then the
+    # smallest label, then the first rectangle in scan order
+    best = np.unravel_index(np.argmax(np.where(uniform, area, 0)), uniform.shape)
+    if not uniform[best]:
+        raise DetectionError("no pole order is stable across any 2 x 2 window rectangle")
+    lab, b_i0, b_i1, b_j0, b_j1 = (int(k) for k in best)
+    cells = frozenset((rows[i], cols[j])
+                      for i in range(b_i0, b_i1 + 1) for j in range(b_j0, b_j1 + 1))
+    return labels[lab], cells
 
 
 def subtract_and_refit(samples, N: int, matrix: FitMatrix, N2: int | None = None
                        ) -> dict[int, list[tuple[int, float]]]:
     """For each n2: subtract C(N, n2) s^N from the data and refit [N, nhat2].
 
-    Returns curves: n2 -> [(nhat2, c0hat)] for nhat2 in [1, N2-1].
+    Returns curves: n2 -> [(nhat2, c0hat)] for nhat2 in [1, N2-1]. The
+    refits slice the matrix's power table, so the samples must lie on the
+    matrix's grid.
+
+    The subtracted term lies in every refit window, so by linearity of
+    least squares the refit of [N, nhat2] is the same for every n2 in exact
+    arithmetic: only its s^N coefficient shifts by C(N, n2). The curves for
+    different n2 therefore differ by floating-point roundoff alone (2e-10 to
+    1e-7 relative on the default vacuum curve), and their turning spread
+    measures that roundoff, not the consistency of the windows.
     """
     s, I = _extract(samples)
+    if not np.array_equal(s, matrix.s):
+        raise ValueError("samples must lie on the grid the matrix was fitted on")
     if N2 is None:
         N2 = matrix.N2
     curves: dict[int, list[tuple[int, float]]] = {}
     for n2 in range(1, N2):
         c_lead = matrix.entries[(N, n2)].coeffs[N]
         reduced = I - c_lead * s**float(N)
-        pts: list[tuple[int, float]] = []
-        for nhat2 in range(1, N2):
-            refit = fit_window((s, reduced), N, nhat2)
-            pts.append((nhat2, refit.coeffs[0]))
-        curves[n2] = pts
+        curves[n2] = [(nhat2, matrix._powers.fit(reduced, N, nhat2).coeffs[0])
+                      for nhat2 in range(1, N2)]
     return curves
 
 

@@ -414,6 +414,23 @@ def test_config_rejected_before_sampling(tmp_path, monkeypatch, capsys, argv, li
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["vacuum", "--s-max", "inf"],
+    ["sensitivity", "--vary", "s_R", "--values", "1.0,inf"],
+    ["dielectric", "--sigma", "8/27", "--s-max", "inf", "--grid-points", "16"],
+])
+def test_infinite_s_max_is_a_configuration_error(tmp_path, monkeypatch, capsys, argv):
+    # an infinite s_R used to reach the sampler as NaN grid points and exit 1
+    # with a traceback, leaving an empty output directory
+    calls = []
+    monkeypatch.setattr(cli, "sample_curve", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert "configuration error: s_R must be finite, got inf" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # one sampling pass per distinct curve
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from casimir_laurent.laurent import (AVERAGE_CANCEL_GUARD, DetectionError,
                                      detect_pole_order, fit_window, make_grid,
                                      prune, regularize, subtract_and_refit,
                                      turning_point)
-from casimir_laurent.quadrature import IntegralSample, vacuum_closed_form
+from casimir_laurent.quadrature import (IntegralSample, sample_curve,
+                                       vacuum_closed_form)
 
 C0_VACUUM_EXACT = math.pi**4 / 360.0
 
@@ -65,6 +66,15 @@ def test_make_grid_rejects_bad_bounds():
         make_grid(0.5, 0.5, 10)
     with pytest.raises(ValueError):
         make_grid(0.05, 1.0, 2)
+
+
+@pytest.mark.parametrize("eps_s,s_R", [(0.05, math.inf), (math.inf, 1.0),
+                                       (math.inf, math.inf), (0.05, math.nan),
+                                       (math.nan, 1.0)])
+def test_make_grid_rejects_non_finite_bounds(eps_s, s_R):
+    # an infinite s_R used to pass, and linspace then made NaN grid points
+    with pytest.raises(ValueError):
+        make_grid(eps_s, s_R, 10)
 
 
 def test_make_grid_spacing_string_case():
@@ -245,6 +255,97 @@ def test_detect_area_tie_prefers_more_singular():
     assert rectangle == frozenset({(-5, 1), (-5, 2), (-4, 1), (-4, 2)})
 
 
+def _label_grid(rows, cols, labelled, default):
+    return {(r, c): labelled.get((r, c), default) for r in rows for c in cols}
+
+
+def test_detect_equal_label_tie_takes_first_in_scan_order():
+    # two disjoint 2 x 2 rectangles, both labelled -3, in a checkerboard of
+    # -1/-2 that admits no other rectangle: rows scan before columns
+    rows, cols = range(-5, 0), range(1, 6)
+    checker = {(r, c): -1 - (r + c) % 2 for r in rows for c in cols}
+    later = {(-2, 1): -3, (-2, 2): -3, (-1, 1): -3, (-1, 2): -3}
+    first = {(-5, 4): -3, (-5, 5): -3, (-4, 4): -3, (-4, 5): -3}
+    msk = {**checker, **later, **first}
+    pole, rectangle = detect_pole_order(_hand_report(msk, -6, 6))
+    assert pole == -3
+    assert rectangle == frozenset(first)
+
+
+def test_detect_l_shaped_region_takes_its_largest_rectangle():
+    # label -2 covers rows -4..-1 at columns 1-2 and row -1..-2 out to
+    # column 5: the 2 x 5 foot (10 windows) beats the 4 x 2 leg (8), and the
+    # 4 x 5 bounding box is not uniform
+    rows, cols = range(-4, 0), range(1, 6)
+    region = {(r, c) for r in rows for c in (1, 2)} | {(r, c) for r in (-2, -1)
+                                                         for c in cols}
+    msk = _label_grid(rows, cols, {cell: -2 for cell in region}, -1)
+    for r in (-4, -3):
+        for c in (3, 4, 5):
+            msk[(r, c)] = -3 - (c % 2)      # no rectangle of its own
+    pole, rectangle = detect_pole_order(_hand_report(msk, -5, 6))
+    assert pole == -2
+    assert rectangle == frozenset((r, c) for r in (-2, -1) for c in cols)
+
+
+def test_detect_rejects_box_with_one_foreign_window():
+    # a 4 x 4 block of -2 with one interior window relabelled: the box is not
+    # uniform, and of the two largest uniform rectangles (4 x 2 and 2 x 4)
+    # the 4 x 2 comes first in scan order
+    rows, cols = range(-4, 0), range(1, 5)
+    msk = _label_grid(rows, cols, {(-3, 3): -1}, -2)
+    pole, rectangle = detect_pole_order(_hand_report(msk, -5, 5))
+    assert pole == -2
+    assert rectangle == frozenset((r, c) for r in rows for c in (1, 2))
+
+
+def _detect_by_scan(report):
+    """Reference: test every cell of every rectangle, in scan order."""
+    msk = {(n1, n2): min((n for (n, w1, w2) in report.kept if (w1, w2) == (n1, n2)),
+                         default=None)
+           for n1 in range(report.N1 + 1, 0) for n2 in range(1, report.N2)}
+    rows, cols = list(range(report.N1 + 1, 0)), list(range(1, report.N2))
+    best_key, best = None, None
+    for lab in sorted({v for v in msk.values() if v is not None}):
+        for i0 in range(len(rows)):
+            for i1 in range(i0 + 1, len(rows)):
+                for j0 in range(len(cols)):
+                    for j1 in range(j0 + 1, len(cols)):
+                        cells = [(rows[i], cols[j])
+                                 for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
+                        key = (len(cells), -lab)
+                        if all(msk[c] == lab for c in cells) and (
+                                best_key is None or key > best_key):
+                            best_key, best = key, (lab, frozenset(cells))
+    return best
+
+
+def test_detect_matches_the_cell_by_cell_scan():
+    rng = np.random.default_rng(27)
+    found = 0
+    for _ in range(300):
+        N1, N2 = -int(rng.integers(2, 8)), int(rng.integers(2, 10))
+        labels = [-int(x) for x in rng.integers(1, 6, int(rng.integers(1, 4)))]
+        kept = set()
+        for n1 in range(N1 + 1, 0):
+            for n2 in range(1, N2):
+                # a dominant label makes large rectangles; the rest break them
+                lab = labels[0] if rng.uniform() < 0.6 else rng.choice(labels + [0])
+                if lab:
+                    kept |= {(n, n1, n2) for n in range(int(lab), 0)
+                             if n == lab or rng.uniform() < 0.3}
+        report = PruneReport(eps_c=1e-3, kept=frozenset(kept), dropped=frozenset(),
+                             averages={}, N1=N1, N2=N2)
+        expected = _detect_by_scan(report)
+        if expected is None:
+            with pytest.raises(DetectionError):
+                detect_pole_order(report)
+        else:
+            found += 1
+            assert detect_pole_order(report) == expected
+    assert 100 < found < 300
+
+
 def test_detect_prefers_larger_area():
     msk = {
         (-3, 1): -3, (-3, 2): -3, (-3, 3): -3,
@@ -259,6 +360,66 @@ def test_detect_prefers_larger_area():
 # ---------------------------------------------------------------------------
 # subtraction, refit, turning points
 # ---------------------------------------------------------------------------
+
+
+def _fit_tuple(fit):
+    return fit.n1, fit.n2, dict(fit.coeffs), fit.rms_residual, fit.cond
+
+
+@pytest.fixture(scope="module", params=["vacuum", "noisy"])
+def curve_J200(request):
+    grid = make_grid(0.05, 1.0, 200)
+    if request.param == "vacuum":
+        vac = sample_curve(SpectrumKind.VACUUM, 1.0, grid)
+        return grid.points, np.array([p.value for p in vac])
+    rng = np.random.default_rng(2012)
+    s = grid.points
+    return s, 1.3 / s**3 - 0.4 + 0.7 * s + 1e-6 * rng.standard_normal(len(s))
+
+
+def test_matrix_windows_equal_single_window_fits(curve_J200):
+    # the matrix slices one power table; every window must still be the
+    # exact fit a lone fit_window call makes
+    s, I = curve_J200
+    matrix = build_matrix((s, I))
+    assert len(matrix.entries) == 40
+    for (n1, n2), fit in matrix.entries.items():
+        assert _fit_tuple(fit) == _fit_tuple(fit_window((s, I), n1, n2)), (n1, n2)
+
+
+def test_refit_points_equal_single_window_fits(curve_J200):
+    s, I = curve_J200
+    matrix = build_matrix((s, I))
+    N = detect_pole_order(prune(matrix))[0]
+    curves = subtract_and_refit((s, I), N, matrix)
+    for n2, curve in curves.items():
+        c_lead = matrix.entries[(N, n2)].coeffs[N]
+        reduced = I - c_lead * s**float(N)
+        assert curve == [(nhat2, fit_window((s, reduced), N, nhat2).coeffs[0])
+                         for nhat2 in range(1, 9)], n2
+
+
+def test_regularize_solves_each_window_once(curve_J200, monkeypatch):
+    # 40 window fits plus 8 x 8 refits, one least-squares solve each
+    calls = []
+    real = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    regularize(curve_J200)
+    assert len(calls) == 104
+
+
+def test_subtract_and_refit_needs_the_matrix_grid(vacuum_samples):
+    s, I = vacuum_samples
+    matrix = build_matrix((s, I))
+    with pytest.raises(ValueError):
+        subtract_and_refit((s[:-1], I[:-1]), -4, matrix)
+    with pytest.raises(ValueError):
+        subtract_and_refit((1.01 * s, I), -4, matrix)
 
 
 def test_subtract_and_refit_shape_and_values():
