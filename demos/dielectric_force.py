@@ -22,7 +22,7 @@ for kind in (SpectrumKind.TE, SpectrumKind.TM):
     results[kind] = regularize(samples)
     res = results[kind]
     print(f"{kind.value}: pole {res.pole_order}, c0 = {res.c0:.6f} "
-          f"(spread {res.diagnostics['spread']:.1e}), "
+          f"(read at nhat2 = {res.diagnostics['turning_nhat2']}), "
           f"{time.perf_counter() - t0:.0f}s")
 
 spec = DielectricSpec.from_sigma(SIGMA)

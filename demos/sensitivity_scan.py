@@ -3,7 +3,7 @@
 Sweeps the grid size and the pruning threshold. The pruning threshold only
 gates pole detection, so c0 is bit-identical across it; refining the grid
 relocates the turning point on a near-flat plateau and moves c0 at the
-1e-4 level while the per-run turning spread stays near 1e-8.
+1e-4 level.
 """
 
 from casimir_laurent import (LaurentParams, SpectrumKind, make_grid,
@@ -16,7 +16,7 @@ for J in (100, 200, 400):
     samples_by_j[J] = sample_curve(SpectrumKind.VACUUM, 1.0, grid)
     res = regularize(samples_by_j[J])
     print(f"  J = {J:>3}: pole {res.pole_order}, c0 = {res.c0:.9f}, "
-          f"spread = {res.diagnostics['spread']:.2e}")
+          f"read at nhat2 = {res.diagnostics['turning_nhat2']}")
 
 print("\npruning threshold sweep (J = 200):")
 for eps_c in (1e-2, 1e-3, 1e-4):

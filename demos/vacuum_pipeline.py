@@ -19,11 +19,13 @@ print(f"\ndetected pole order : {result.pole_order}")
 print(f"pole strength       : {result.c_minus:.6f}  (expect 2)")
 print(f"stable rectangle    : {len(result.diagnostics['rectangle'])} windows")
 
-print("\nturning values by curve:")
-for n2, value in sorted(result.turning_values.items()):
-    print(f"  n2 = {n2}:  c0_hat = {value:.9f}")
+print("\nrefit curve (leading singularity subtracted):")
+for nhat2, value in result.curve:
+    print(f"  nhat2 = {nhat2}:  c0_hat = {value:.9f}")
+turned = "turns" if result.diagnostics["sign_change"] else "is monotone; smallest step"
+print(f"curve {turned} at nhat2 = {result.diagnostics['turning_nhat2']}")
 
 exact = math.pi**4 / 360.0
-print(f"\nc0        = {result.c0:.9f}  (spread {result.diagnostics['spread']:.2e})")
+print(f"\nc0        = {result.c0:.9f}")
 print(f"pi^4/360  = {exact:.9f}")
 print(f"deviation = {abs(result.c0 - exact) / exact:.2%}")

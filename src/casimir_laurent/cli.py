@@ -1,5 +1,5 @@
 """Batch front-end: run the vacuum and dielectric pipelines and emit
-machine-readable samples, fit matrices, curve families, and reports.
+machine-readable samples, fit matrices, refit curves, and reports.
 
 Commands:
     vacuum                          vacuum pipeline
@@ -203,12 +203,12 @@ def _write_json(path: Path, obj: object) -> None:
 
 def _summary(result: RegularizationResult) -> str:
     return (f"pole_order={result.pole_order} c0={result.c0:.9f} "
-            f"spread={result.diagnostics['spread']:.3e}")
+            f"nhat2={result.diagnostics['turning_nhat2']}")
 
 
 def _write_curve(out: Path, kind: SpectrumKind, samples: list[IntegralSample],
                  result: RegularizationResult) -> None:
-    """Write one curve's samples, window matrix and refit curves; print its line."""
+    """Write one curve's samples, window matrix and refit curve; print its line."""
     suffix = "" if kind is SpectrumKind.VACUUM else f"_{kind.value}"
     lines = ["s,I,err"]
     lines += [f"{_fmt(p.s)},{_fmt(p.value)},{_fmt(p.est_error)}" for p in samples]
@@ -225,10 +225,7 @@ def _write_curve(out: Path, kind: SpectrumKind, samples: list[IntegralSample],
         })
     _write_json(out / f"matrix{suffix}.json",
                 {"N1": matrix.N1, "N2": matrix.N2, "windows": windows})
-    lines = ["n2,nhat2,c0hat"]
-    for n2 in sorted(result.curves):
-        for nhat2, c0hat in result.curves[n2]:
-            lines.append(f"{n2},{nhat2},{_fmt(c0hat)}")
+    lines = ["nhat2,c0hat"] + [f"{nhat2},{_fmt(c0hat)}" for nhat2, c0hat in result.curve]
     _write_text(out / f"curves{suffix}.csv", "\n".join(lines) + "\n")
     print(f"{kind.value}: {_summary(result)}")
 
@@ -248,8 +245,8 @@ def _result_block(result: RegularizationResult) -> dict[str, object]:
         "pole_order": result.pole_order,
         "c0": result.c0,
         "c_minus": result.c_minus,
-        "turning_values": {str(k): v for k, v in sorted(result.turning_values.items())},
-        "spread": result.diagnostics["spread"],
+        "turning_nhat2": result.diagnostics["turning_nhat2"],
+        "sign_change": result.diagnostics["sign_change"],
         "flagged_windows": [list(w) for w in result.diagnostics["flagged_windows"]],
     }
 
@@ -332,19 +329,21 @@ def dump_sensitivity(cfg: RunConfig, vary: str, values: list[float]) -> int:
              for v in values]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows, lines = [], ["param,value,pole_order,c0,spread"]
+    rows, lines = [], ["param,value,pole_order,c0,turning_nhat2,sign_change"]
     taken: dict = {}
     for value, plan in zip(values, plans):
         _, result = _curve(SpectrumKind.VACUUM, plan, taken)
         rows.append((value, result))
         print(f"{vary}={value:g}: {_summary(result)}")
-        lines.append(f"{vary},{value:g},{result.pole_order},"
-                     f"{_fmt(result.c0)},{_fmt(result.diagnostics['spread'])}")
+        diag = result.diagnostics
+        lines.append(f"{vary},{value:g},{result.pole_order},{_fmt(result.c0)},"
+                     f"{diag['turning_nhat2']},{json.dumps(diag['sign_change'])}")
     _write_text(out / "sensitivity.csv", "\n".join(lines) + "\n")
     _write_json(out / "sensitivity.json", {
         "vary": vary,
         "rows": [{"value": v, "pole_order": r.pole_order, "c0": r.c0,
-                  "spread": r.diagnostics["spread"]} for v, r in rows],
+                  "turning_nhat2": r.diagnostics["turning_nhat2"],
+                  "sign_change": r.diagnostics["sign_change"]} for v, r in rows],
     })
     return 0
 

@@ -5,8 +5,8 @@ Laurent series over a matrix of exponent windows [n1, n2], prunes
 principal-part coefficients that are small relative to a window average,
 detects the pole order as the most singular exponent shared by a stable
 sub-rectangle of windows, subtracts the leading singularity, refits, and
-reads the regularized constant term c0 off the turning points of the
-refit curves.
+reads the regularized constant term c0 off the turning point of the refit
+curve.
 """
 
 from __future__ import annotations
@@ -157,8 +157,7 @@ class RegularizationResult:
     pole_order: int
     c_minus: float                               # mean of the per-n2 leading coefficients
     c_minus_by_window: Mapping[int, float]       # n2 -> C(pole_order, n2)
-    curves: Mapping[int, list[tuple[int, float]]]
-    turning_values: Mapping[int, float]
+    curve: list[tuple[int, float]]               # (nhat2, c0hat) after subtracting c_minus
     c0: float
     diagnostics: Mapping[str, object]
     matrix: FitMatrix = field(repr=False)        # the window fits the pole was read from
@@ -171,10 +170,12 @@ class LaurentParams:
     eps_c: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.N1 >= -1:
-            raise ValueError(f"N1 must be <= -2, got {self.N1}")
-        if self.N2 <= 1:
-            raise ValueError(f"N2 must be >= 2, got {self.N2}")
+        # pole detection needs two window rows (N1 <= -3), and the turning
+        # point three refit windows (N2 >= 4)
+        if self.N1 >= -2:
+            raise ValueError(f"N1 must be <= -3, got {self.N1}")
+        if self.N2 <= 3:
+            raise ValueError(f"N2 must be >= 4, got {self.N2}")
         if not 0.0 <= self.eps_c < 1.0:
             raise ValueError(f"eps_c must lie in [0,1), got {self.eps_c}")
 
@@ -292,33 +293,28 @@ def detect_pole_order(report: PruneReport) -> tuple[int, frozenset[tuple[int, in
     return labels[lab], cells
 
 
-def subtract_and_refit(samples, N: int, matrix: FitMatrix, N2: int | None = None
-                       ) -> dict[int, list[tuple[int, float]]]:
-    """For each n2: subtract C(N, n2) s^N from the data and refit [N, nhat2].
+def subtract_and_refit(matrix: FitMatrix, N: int, c_lead: float) -> list[tuple[int, float]]:
+    """Subtract c_lead s^N from the matrix's samples and refit [N, nhat2].
 
-    Returns curves: n2 -> [(nhat2, c0hat)] for nhat2 in [1, N2-1]. The
-    refits slice the matrix's power table, so the samples must lie on the
-    matrix's grid.
-
-    The subtracted term lies in every refit window, so by linearity of
-    least squares the refit of [N, nhat2] is the same for every n2 in exact
-    arithmetic: only its s^N coefficient shifts by C(N, n2). The curves for
-    different n2 therefore differ by floating-point roundoff alone (2e-10 to
-    1e-7 relative on the default vacuum curve), and their turning spread
-    measures that roundoff, not the consistency of the windows.
+    Returns the refit curve [(nhat2, c0hat)] for nhat2 in [1, N2-1]. Each
+    refit has the columns of the matrix window (N, nhat2) and slices the
+    matrix's power table.
     """
-    s, I = _extract(samples)
-    if not np.array_equal(s, matrix.s):
-        raise ValueError("samples must lie on the grid the matrix was fitted on")
-    if N2 is None:
-        N2 = matrix.N2
-    curves: dict[int, list[tuple[int, float]]] = {}
-    for n2 in range(1, N2):
-        c_lead = matrix.entries[(N, n2)].coeffs[N]
-        reduced = I - c_lead * s**float(N)
-        curves[n2] = [(nhat2, matrix._powers.fit(reduced, N, nhat2).coeffs[0])
-                      for nhat2 in range(1, N2)]
-    return curves
+    reduced = matrix.I - c_lead * matrix.s**float(N)
+    return [(nhat2, matrix._powers.fit(reduced, N, nhat2).coeffs[0])
+            for nhat2 in range(1, matrix.N2)]
+
+
+def _turning(ys: np.ndarray) -> tuple[int, bool]:
+    """Index of the turning ordinate, and whether the differences changed sign
+    there (False: the fallback after the smallest absolute step)."""
+    if len(ys) < 3:
+        raise ValueError(f"turning_point needs >= 3 points, got {len(ys)}")
+    d = np.diff(ys)
+    for i in range(1, len(d)):
+        if d[i - 1] * d[i] <= 0.0:
+            return i, True
+    return int(np.argmin(np.abs(d))) + 1, False
 
 
 def turning_point(curve: Sequence) -> float:
@@ -326,14 +322,7 @@ def turning_point(curve: Sequence) -> float:
     for monotone curves, the ordinate after the smallest absolute step."""
     ys = np.array([p[1] if isinstance(p, (tuple, list)) else p for p in curve],
                   dtype=float)
-    if len(ys) < 3:
-        raise ValueError(f"turning_point needs >= 3 points, got {len(ys)}")
-    d = np.diff(ys)
-    for i in range(1, len(d)):
-        if d[i - 1] * d[i] <= 0.0:
-            return float(ys[i])
-    i = int(np.argmin(np.abs(d)))
-    return float(ys[i + 1])
+    return float(ys[_turning(ys)[0]])
 
 
 def regularize(samples, params: LaurentParams | None = None) -> RegularizationResult:
@@ -353,29 +342,27 @@ def regularize(samples, params: LaurentParams | None = None) -> RegularizationRe
         pole, rectangle = detect_pole_order(report)
     except DetectionError as exc:
         raise RegularizationError("detect", str(exc)) from exc
-    try:
-        curves = subtract_and_refit((s, I), pole, matrix, params.N2)
-    except FitError as exc:
-        raise RegularizationError("refit", str(exc)) from exc
-
-    turning = {n2: turning_point(curve) for n2, curve in curves.items()}
-    tvals = np.array(list(turning.values()), dtype=float)
-    c0 = float(np.mean(tvals))
     c_by_window = {n2: matrix.entries[(pole, n2)].coeffs[pole]
                    for n2 in range(1, params.N2)}
+    c_minus = float(np.mean(list(c_by_window.values())))
+    # each refit window has the columns of a window build_matrix solved, and
+    # its checks depend on those columns only, so the refit cannot fail
+    curve = subtract_and_refit(matrix, pole, c_minus)
+    turn, sign_change = _turning(np.array([c0hat for _, c0hat in curve]))
+
     flagged = sorted(w for w, fit in matrix.entries.items() if fit.ill_conditioned)
     diagnostics = {
-        "spread": float(tvals.max() - tvals.min()),
         "rectangle": sorted(rectangle),
         "flagged_windows": flagged,
         "eps_c": params.eps_c,
+        "turning_nhat2": curve[turn][0],
+        "sign_change": sign_change,
     }
     return RegularizationResult(
         pole_order=int(pole),
-        c_minus=float(np.mean(list(c_by_window.values()))),
+        c_minus=c_minus,
         c_minus_by_window=c_by_window,
-        curves=curves,
-        turning_values=turning,
-        c0=c0,
+        curve=curve,
+        c0=float(curve[turn][1]),
         diagnostics=diagnostics,
         matrix=matrix)

@@ -1,0 +1,28 @@
+"""Test-only reference route for the Laurent refit.
+
+The paper subtracts the leading singularity once per window column n2 and
+reads one refit curve per n2.  The subtracted term C(N, n2) s^N lies in every
+refit window [N, nhat2], so by linearity of least squares those curves are
+one fit in exact arithmetic; `regularize` fits it once.  This module keeps
+the per-n2 route, built on `fit_window`, so the tests can check that claim.
+"""
+
+from casimir_laurent.laurent import FitMatrix, fit_window, turning_point
+
+
+def per_n2_curves(matrix: FitMatrix, N: int) -> dict[int, list[tuple[int, float]]]:
+    """n2 -> [(nhat2, c0hat)]: subtract C(N, n2) s^N, the s^N coefficient of
+    window (N, n2), and refit [N, nhat2] for nhat2 in [1, N2-1]."""
+    s, I = matrix.s, matrix.I
+    curves = {}
+    for n2 in range(1, matrix.N2):
+        reduced = I - matrix.entries[(N, n2)].coeffs[N] * s**float(N)
+        curves[n2] = [(nhat2, fit_window((s, reduced), N, nhat2).coeffs[0])
+                      for nhat2 in range(1, matrix.N2)]
+    return curves
+
+
+def per_n2_turning_values(result) -> dict[int, float]:
+    """n2 -> turning value of that n2's refit curve, for a RegularizationResult."""
+    return {n2: turning_point(curve)
+            for n2, curve in per_n2_curves(result.matrix, result.pole_order).items()}

@@ -23,6 +23,7 @@ from casimir_laurent.physics import DielectricSpec, force_report
 from casimir_laurent.quadrature import (eval_I_vacuum, sample_curve,
                                         vacuum_closed_form)
 from casimir_laurent.specfun import polygamma3
+from laurent_oracles import per_n2_turning_values
 
 mp.mp.dps = 40
 
@@ -248,7 +249,10 @@ def test_criterion_7_robustness(vacuum_runs, capsys):
     runs, _ = vacuum_runs
     poles = {J: res.pole_order for J, (_, res) in runs.items()}
     c0s = {J: res.c0 for J, (_, res) in runs.items()}
-    spreads = {J: res.diagnostics["spread"] for J, (_, res) in runs.items()}
+    # the paper's route reads one turning value per n2; each must agree with
+    # the single refit's c0 (they are one fit in exact arithmetic)
+    per_n2_devs = {J: max(abs(v - res.c0) for v in per_n2_turning_values(res).values())
+                   for J, (_, res) in runs.items()}
 
     samples_200, base = runs[200]
     eps_c0s = {}
@@ -262,20 +266,20 @@ def test_criterion_7_robustness(vacuum_runs, capsys):
     eps_stable = all(c0 == base.c0 for _, c0 in eps_c0s.values())
     drift = max(abs(c0s[a] - c0s[b]) for a in c0s for b in c0s)
     # grid refinement relocates the turning index on a near-flat plateau and
-    # moves c0 by ~3e-4, far above the ~2e-8 per-run turning spread; the
-    # spread criterion is met within each grid and the cross-grid drift is
-    # bounded explicitly instead (every read stays ~25x inside the 1.2%
-    # vacuum band)
+    # moves c0 by ~3e-4, far above the ~2e-8 per-n2 deviation; the per-n2
+    # criterion is met within each grid and the cross-grid drift is bounded
+    # explicitly instead (every read stays ~25x inside the 1.2% vacuum band)
     grid_ok = drift <= 1e-3
 
     ok = pole_stable and eps_stable and grid_ok
     verdict(capsys, f"[criterion 7] {'PASS' if ok else 'FAIL'}: pole -4 across "
                     f"J in (100,200,400) and eps_c in (1e-2,1e-3,1e-4); eps_c "
-                    f"sweep leaves c0 bit-identical (within spread "
-                    f"{spreads[200]:.1e}); cross-grid drift {drift:.1e} "
-                    f"(<= 1e-3, exceeds per-run spread; see ledgered reading)")
+                    f"sweep leaves c0 bit-identical (per-n2 turning values "
+                    f"within {max(per_n2_devs.values()):.1e} of it); cross-grid "
+                    f"drift {drift:.1e} (<= 1e-3, exceeds the per-n2 deviation; "
+                    f"see ledgered reading)")
     assert pole_stable
     assert eps_stable
-    for J, spread in spreads.items():
-        assert spread < 1e-6, J
+    for J, dev in per_n2_devs.items():
+        assert dev < 1e-6, J
     assert drift <= 1e-3

@@ -85,11 +85,11 @@ def test_vacuum_samples_schema(vacuum_run):
 
 def test_vacuum_curves_schema(vacuum_run):
     lines = (vacuum_run / "curves.csv").read_text().splitlines()
-    assert lines[0] == "n2,nhat2,c0hat"
-    assert len(lines) == 65  # 8 curves x 8 points
-    n2s = [int(line.split(",")[0]) for line in lines[1:]]
-    assert n2s == sorted(n2s)
-    assert set(n2s) == set(range(1, 9))
+    assert lines[0] == "nhat2,c0hat"
+    assert len(lines) == 9  # one refit curve, nhat2 in [1, 8]
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 9))
+    for line in lines[1:]:
+        assert FLOAT_16E.match(line.split(",")[1]), line
 
 
 def test_vacuum_matrix_schema(vacuum_run):
@@ -109,14 +109,19 @@ def test_vacuum_report_contents(vacuum_run):
     assert report["mode"] == "vacuum"
     assert report["pole_order"] == -4
     assert 0.2698 < report["c0"] < 0.2712
-    assert report["spread"] < 1e-6
     assert report["c0_exact"] == C0_EXACT
     assert report["rel_dev_exact"] == pytest.approx(
         abs(report["c0"] - C0_EXACT) / C0_EXACT, rel=1e-12)
     assert report["rel_dev_exact"] < 1e-3
     assert report["reference_c0"] == C0_REFERENCE
     assert report["abs_dev_reference"] < 5e-3
-    assert len(report["turning_values"]) == 8
+    # the default vacuum refit curve rises monotonically: c0 is the
+    # fallback after its smallest step, at the last window
+    assert report["turning_nhat2"] == 8
+    assert report["sign_change"] is False
+    rows = (vacuum_run / "curves.csv").read_text().splitlines()[1:]
+    assert float(rows[-1].split(",")[1]) == report["c0"]
+    assert "spread" not in report and "turning_values" not in report
     assert report["grid"] == {"eps_s": 0.05, "s_R": 1.0, "J": 200, "spacing": "linear"}
     assert report["laurent"] == {"N1": -6, "N2": 9, "eps_c": 0.001}
 
@@ -205,6 +210,9 @@ def test_config_file_missing(tmp_path, capsys):
     ["--n2", "1"],
     ["--eps-c", "-0.5"],
     ["--rel-tol", "2.0"],
+    ["--n2", "3"],               # two refit windows: no turning point
+    ["--n2", "2"],               # one window column: no 2 x 2 rectangle
+    ["--n1", "-2"],              # one window row: no 2 x 2 rectangle
 ])
 def test_validation_failures_exit_2(tmp_path, flags, capsys):
     assert main(["vacuum", "--out-dir", str(tmp_path)] + flags) == 2
@@ -224,15 +232,19 @@ def test_sensitivity_eps_c_sweep(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("pole_order=-4") == 3
 
+    assert out.count("nhat2=") == 3 and "spread" not in out
+
     lines = (tmp_path / "sensitivity.csv").read_text().splitlines()
-    assert lines[0] == "param,value,pole_order,c0,spread"
+    assert lines[0] == "param,value,pole_order,c0,turning_nhat2,sign_change"
     assert len(lines) == 4
     c0_strings = set()
     for line in lines[1:]:
-        param, value, pole, c0, spread = line.split(",")
+        param, value, pole, c0, nhat2, sign_change = line.split(",")
         assert param == "eps_c"
         assert pole == "-4"
         assert FLOAT_16E.match(c0)
+        assert 1 <= int(nhat2) <= 8
+        assert sign_change in ("true", "false")
         c0_strings.add(c0)
     # the pruning threshold only gates detection; c0 must be bit-identical
     assert len(c0_strings) == 1
@@ -240,6 +252,8 @@ def test_sensitivity_eps_c_sweep(tmp_path, capsys):
     rows = read_json(tmp_path / "sensitivity.json")["rows"]
     assert [r["value"] for r in rows] == [0.0005, 0.001, 0.002]
     assert all(r["pole_order"] == -4 for r in rows)
+    assert [(str(r["turning_nhat2"]), json.dumps(r["sign_change"])) for r in rows] == [
+        tuple(line.split(",")[4:]) for line in lines[1:]]
 
 
 def test_sensitivity_grid_sweep(tmp_path):
@@ -274,6 +288,19 @@ def test_sensitivity_invalid_swept_config(tmp_path):
     # values that individually fail validation are configuration errors
     assert main(["sensitivity", "--vary", "J", "--values", "8",
                  "--out-dir", str(tmp_path)]) == 2
+
+
+def test_sensitivity_fence_without_c0_rejected_before_sampling(tmp_path, monkeypatch, capsys):
+    # N2 = 3 leaves two refit windows, too few for a turning point; it used
+    # to escape regularize as a ValueError traceback after the N2 = 9 run
+    calls = []
+    monkeypatch.setattr(cli, "sample_curve", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    assert main(["sensitivity", "--vary", "N2", "--values", "9,3",
+                 "--out-dir", str(out)]) == 2
+    assert "configuration error: N2 must be >= 4, got 3" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("vary,values,bad", [
@@ -324,8 +351,8 @@ def test_dielectric_artifacts(dielectric_run):
         assert (dielectric_run / f"samples_{tag}.csv").is_file()
         assert (dielectric_run / f"matrix_{tag}.json").is_file()
         lines = (dielectric_run / f"curves_{tag}.csv").read_text().splitlines()
-        assert lines[0] == "n2,nhat2,c0hat"
-        assert len(lines) == 65
+        assert lines[0] == "nhat2,c0hat"
+        assert len(lines) == 9
 
 
 def test_dielectric_report(dielectric_run):
