@@ -11,10 +11,9 @@ from .laurent import (DetectionError, FitError, FitMatrix, LaurentParams,
 from .physics import (C_LIGHT, HBAR, HBAR_C, DielectricSpec, ForceReport,
                       PlateGeometry, casimir_energy_te, f0_prefactor,
                       force_report, vacuum_force_per_area)
-from .quadrature import (IntegralSample, QuadratureConfig, QuadratureError,
-                         eval_I_dielectric, eval_I_vacuum, sample_curve,
-                         vacuum_closed_form)
-from .specfun import log_bessel_ik, polygamma3
+from .quadrature import (IntegralSample, QuadratureError, eval_I_dielectric,
+                         eval_I_vacuum, sample_curve)
+from .specfun import log_bessel_ik
 
 __version__ = "0.1.0"
 
@@ -22,12 +21,11 @@ __all__ = [
     "C_LIGHT", "CrossProductError", "DetectionError",
     "DielectricSpec", "FitError", "FitMatrix", "ForceReport", "HBAR", "HBAR_C",
     "IntegralSample", "LaurentParams", "PlateGeometry", "PruneReport",
-    "QuadratureConfig", "QuadratureError", "RegularizationError",
-    "RegularizationResult", "SGrid", "Spacing", "SpectrumKind",
-    "TruncatedLaurentFit", "build_matrix", "casimir_energy_te",
-    "detect_pole_order", "dlog_cross_te", "dlog_cross_tm", "eval_I_dielectric",
-    "eval_I_vacuum", "f0_prefactor", "fit_window", "force_report",
-    "log_bessel_ik", "make_grid", "polygamma3", "prune",
-    "regularize", "sample_curve", "subtract_and_refit", "turning_point",
-    "vacuum_closed_form", "vacuum_force_per_area", "vacuum_integrand",
+    "QuadratureError", "RegularizationError", "RegularizationResult", "SGrid",
+    "Spacing", "SpectrumKind", "TruncatedLaurentFit", "build_matrix",
+    "casimir_energy_te", "detect_pole_order", "dlog_cross_te", "dlog_cross_tm",
+    "eval_I_dielectric", "eval_I_vacuum", "f0_prefactor", "fit_window",
+    "force_report", "log_bessel_ik", "make_grid", "prune", "regularize",
+    "sample_curve", "subtract_and_refit", "turning_point",
+    "vacuum_force_per_area", "vacuum_integrand",
 ]

@@ -29,8 +29,7 @@ from .integrands import SpectrumKind
 from .laurent import (LaurentParams, RegularizationError, RegularizationResult,
                       SGrid, make_grid, regularize)
 from .physics import DielectricSpec, PlateGeometry, _unit_geometry, force_report
-from .quadrature import (IntegralSample, QuadratureConfig, QuadratureError,
-                         default_config, sample_curve)
+from .quadrature import IntegralSample, QuadratureError, resolve_rel_tol, sample_curve
 
 # Vacuum comparison constants: the exact zeta-regularized coefficient and
 # the pipeline regression baseline used by the acceptance tests.
@@ -53,8 +52,6 @@ class RunConfig:
     n2: int = 9
     eps_c: float = 1e-3
     rel_tol: float | None = None
-    abs_tol: float = 1e-14
-    tail_tol: float = 1e-13
     out_dir: str = "."
     lx: float = 1.0
     ly: float = 1.0
@@ -66,7 +63,7 @@ class RunPlan:
     """A RunConfig resolved into the library objects that check its values."""
     grid: SGrid
     params: LaurentParams
-    quad: dict[SpectrumKind, QuadratureConfig]   # one per curve, in run order
+    quad: dict[SpectrumKind, float]   # rel_tol of each curve, in run order
     sigma: float = 1.0
     spec: DielectricSpec | None = None
     geom: PlateGeometry | None = None
@@ -76,7 +73,7 @@ def plan_run(cfg: RunConfig, *kinds: SpectrumKind) -> RunPlan:
     """Check every value of cfg for the curves `kinds`, before any sampling
     or file write.
 
-    The range rules live in make_grid, LaurentParams, QuadratureConfig,
+    The range rules live in make_grid, LaurentParams, resolve_rel_tol,
     DielectricSpec and PlateGeometry; their ValueError becomes a ConfigError.
     Only the rules no constructor holds are written here.
     """
@@ -88,14 +85,11 @@ def plan_run(cfg: RunConfig, *kinds: SpectrumKind) -> RunPlan:
     sigma = float(cfg.sigma) if dielectric else 1.0
     if dielectric and sigma == 1.0:
         raise ConfigError(f"sigma must lie in (0,1) or (1,inf), got {cfg.sigma}")
-    tols = {"abs_tol": cfg.abs_tol, "tail_tol": cfg.tail_tol}
-    if cfg.rel_tol is not None:
-        tols["rel_tol"] = cfg.rel_tol
     try:
         plan = RunPlan(
             grid=make_grid(cfg.eps_s, cfg.s_max, cfg.grid_points, cfg.spacing),
             params=LaurentParams(N1=cfg.n1, N2=cfg.n2, eps_c=cfg.eps_c),
-            quad={kind: replace(default_config(kind), **tols) for kind in kinds},
+            quad={kind: resolve_rel_tol(kind, cfg.rel_tol) for kind in kinds},
             sigma=sigma)
         if dielectric:
             # the scaled force block uses a unit box, exempt from the aspect warning
@@ -143,8 +137,7 @@ def parse_sigma(text: str) -> Fraction | float:
 _FIELD_PARSERS = {
     "sigma": parse_sigma, "eps_s": float, "s_max": float, "grid_points": int,
     "spacing": str, "n1": int, "n2": int, "eps_c": float,
-    "rel_tol": float, "abs_tol": float, "tail_tol": float,
-    "out_dir": str, "lx": float, "ly": float, "lz": float,
+    "rel_tol": float, "out_dir": str, "lx": float, "ly": float, "lz": float,
 }
 
 
@@ -230,13 +223,13 @@ def _write_curve(out: Path, kind: SpectrumKind, samples: list[IntegralSample],
     print(f"{kind.value}: {_summary(result)}")
 
 
-def _config_echo(cfg: RunConfig) -> dict[str, object]:
+def _config_echo(cfg: RunConfig, plan: RunPlan) -> dict[str, object]:
+    # TE and TM always share one rel_tol
     return {
         "grid": {"eps_s": cfg.eps_s, "s_R": cfg.s_max, "J": cfg.grid_points,
                  "spacing": cfg.spacing},
         "laurent": {"N1": cfg.n1, "N2": cfg.n2, "eps_c": cfg.eps_c},
-        "quadrature": {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
-                       "tail_tol": cfg.tail_tol},
+        "quadrature": {"rel_tol": next(iter(plan.quad.values()))},
     }
 
 
@@ -260,8 +253,8 @@ def _curve(kind: SpectrumKind, plan: RunPlan, taken: dict
            ) -> tuple[list[IntegralSample], RegularizationResult]:
     """Sample one curve and regularize it.
 
-    `taken` holds the command's samples by (kind, sigma, grid, quadrature
-    config); a curve whose key is already there is not sampled again.
+    `taken` holds the command's samples by (kind, sigma, grid, rel_tol); a
+    curve whose key is already there is not sampled again.
     """
     key = (kind, plan.sigma, plan.grid, plan.quad[kind])
     if key not in taken:
@@ -277,7 +270,7 @@ def run_vacuum(cfg: RunConfig) -> int:
     _write_curve(out, SpectrumKind.VACUUM, samples, result)
     report = {
         "mode": "vacuum",
-        **_config_echo(cfg),
+        **_config_echo(cfg, plan),
         **_result_block(result),
         "c0_exact": C0_EXACT,
         "rel_dev_exact": abs(result.c0 - C0_EXACT) / C0_EXACT,
@@ -304,7 +297,7 @@ def run_dielectric(cfg: RunConfig) -> int:
         "sigma": plan.sigma,
         "sigma_exact": str(cfg.sigma) if isinstance(cfg.sigma, Fraction) else None,
         "alpha": spec.alpha,
-        **_config_echo(cfg),
+        **_config_echo(cfg, plan),
         "te": _result_block(results["te"]),
         "tm": _result_block(results["tm"]),
         "geometry": {"Lx": geom.Lx, "Ly": geom.Ly, "Lz": geom.Lz},
@@ -318,7 +311,7 @@ def dump_sensitivity(cfg: RunConfig, vary: str, values: list[float]) -> int:
     """Sweep one parameter over the vacuum pipeline and tabulate c0.
 
     Every value is checked before the first sample; values that resolve to
-    the same grid and quadrature config share one sampling pass.
+    the same grid and rel_tol share one sampling pass.
     """
     if vary not in _SWEEPS:
         raise ConfigError(f"unknown sweep parameter {vary!r}; "

@@ -53,21 +53,20 @@ class DielectricSpec:
 
     alpha: float
     sigma: float = field(init=False)
-    eps0_relative: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.eps0_relative <= 0.0:
-            raise ValueError("eps0_relative must be positive")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         object.__setattr__(self, "sigma", math.exp(0.5 * self.alpha))
         if self.alpha == 0.0:
             warnings.warn("alpha = 0 is a homogeneous medium: zero force difference",
                           stacklevel=3)
 
     @classmethod
-    def from_sigma(cls, sigma: float, eps0_relative: float = 1.0) -> "DielectricSpec":
+    def from_sigma(cls, sigma: float) -> "DielectricSpec":
         if not 0.0 < sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {sigma}")
-        return cls(alpha=2.0 * math.log(sigma), eps0_relative=eps0_relative)
+        return cls(alpha=2.0 * math.log(sigma))
 
 
 @dataclass(frozen=True)

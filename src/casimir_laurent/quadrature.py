@@ -4,6 +4,10 @@ Produces I(s) samples for the regularization pipeline: the single vacuum
 integral (which has the closed form Psi(3, s/2)/24 - 2/s^4) and the nested
 dielectric double integral over mode order nu and radial argument y.
 
+The relative budget `rel_tol` is the one sampling setting: `None` means the
+kind's default (1e-9 vacuum, 1e-7 dielectric, see :func:`resolve_rel_tol`).
+The absolute floor ABS_TOL and the tail cut TAIL_TOL are fixed.
+
 Both run on :func:`_adaptive_gk21`, a batched copy of QUADPACK's `qag`
 driver with the 21-point Gauss-Kronrod rule `qk21` (Piessens et al., 1983):
 many integrals advance in lockstep, each bisecting its own largest-error
@@ -29,7 +33,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrands import SpectrumKind, dlog_cross, vacuum_integrand
-from .specfun import polygamma3
 
 # Default relative budgets: the vacuum integral is cheap and feeds a
 # 7-significant-figure comparison; the dielectric double integral is
@@ -37,8 +40,11 @@ from .specfun import polygamma3
 VACUUM_REL_TOL = 1e-9
 DIELECTRIC_REL_TOL = 1e-7
 
-# Subinterval limit of every adaptive integral.
+# Subinterval limit of every adaptive integral, the absolute error floor of
+# each, and the size of the e^{-s x} tail cut off at X(s).
 MAX_PANELS = 200
+ABS_TOL = 1e-14
+TAIL_TOL = 1e-13
 
 # QUADPACK qk21: the 21-point Kronrod abscissae on [0, 1] (descending, the
 # centre last; the odd positions 1, 3, ..., 9 are the 10-point Gauss
@@ -70,19 +76,6 @@ class QuadratureError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = VACUUM_REL_TOL
-    abs_tol: float = 1e-14
-    tail_tol: float = 1e-13
-
-    def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "tail_tol"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0,1), got {v}")
-
-
-@dataclass(frozen=True)
 class IntegralSample:
     s: float
     value: float
@@ -91,15 +84,19 @@ class IntegralSample:
     sigma: float
 
 
-def default_config(kind: SpectrumKind) -> QuadratureConfig:
-    if kind is SpectrumKind.VACUUM:
-        return QuadratureConfig(rel_tol=VACUUM_REL_TOL)
-    return QuadratureConfig(rel_tol=DIELECTRIC_REL_TOL)
+def resolve_rel_tol(kind: SpectrumKind, rel_tol: float | None = None) -> float:
+    """The relative budget a sample of `kind` runs at: rel_tol, or the kind's
+    default for None.  Raises ValueError outside (0, 1), NaN included."""
+    if rel_tol is None:
+        return VACUUM_REL_TOL if kind is SpectrumKind.VACUUM else DIELECTRIC_REL_TOL
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie in (0,1), got {rel_tol}")
+    return float(rel_tol)
 
 
-def truncation_point(s: float, cfg: QuadratureConfig) -> float:
-    """Upper limit X(s): beyond it e^{-s x} alone is below tail_tol with margin."""
-    return (-math.log(cfg.tail_tol) + 20.0) / s
+def truncation_point(s: float) -> float:
+    """Upper limit X(s): beyond it e^{-s x} alone is below TAIL_TOL with margin."""
+    return (-math.log(TAIL_TOL) + 20.0) / s
 
 
 def _require_damping(s: float, what: str) -> None:
@@ -107,13 +104,7 @@ def _require_damping(s: float, what: str) -> None:
         raise ValueError(f"{what} requires 0 < s < inf, got {s}")
 
 
-def vacuum_closed_form(s: float) -> float:
-    """Exact value of the vacuum integral: Psi(3, s/2)/24 - 2/s^4."""
-    _require_damping(s, "vacuum_closed_form")
-    return polygamma3(0.5 * s) / 24.0 - 2.0 / s**4
-
-
-def _vacuum_batch(points: Sequence[float], cfg: QuadratureConfig,
+def _vacuum_batch(points: Sequence[float], rel_tol: float,
                   name: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
     """(1/3) Int_0^X(s) r^3 coth(r) e^{-s r} dr for every s of points, as one
     batch of :func:`_adaptive_gk21`; (values, est_errors)."""
@@ -124,13 +115,13 @@ def _vacuum_batch(points: Sequence[float], cfg: QuadratureConfig,
     def integrand(x, owner):
         return vacuum_integrand(x) * np.exp(-s[owner, None] * x)
 
-    return _adaptive_gk21(integrand, truncation_point(s, cfg), cfg, name)
+    return _adaptive_gk21(integrand, truncation_point(s), name, rel_tol)
 
 
-def eval_I_vacuum(s: float, cfg: QuadratureConfig | None = None) -> IntegralSample:
+def eval_I_vacuum(s: float, rel_tol: float | None = None) -> IntegralSample:
     """(1/3) Int_0^inf r^3 coth(r) e^{-s r} dr by adaptive quadrature."""
-    cfg = cfg or default_config(SpectrumKind.VACUUM)
-    value, err = _vacuum_batch([s], cfg, lambda _: "quadrature")
+    rel_tol = resolve_rel_tol(SpectrumKind.VACUUM, rel_tol)
+    value, err = _vacuum_batch([s], rel_tol, lambda _: "quadrature")
     return IntegralSample(s=s, value=float(value[0]), est_error=float(err[0]),
                           kind=SpectrumKind.VACUUM, sigma=1.0)
 
@@ -176,20 +167,21 @@ def _qk21(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
     return result, abserr, resasc
 
 
-def _adaptive_gk21(f: Callable, upper: np.ndarray, cfg: QuadratureConfig,
-                   name: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+def _adaptive_gk21(f: Callable, upper: np.ndarray, name: Callable[[int], str],
+                   rel_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Integrals i of f over (0, upper[i]), advanced in lockstep by QUADPACK's
     qag rule: each step bisects every unconverged integral's largest-error
     panel, and one f call evaluates the new panels of all of them.
 
     f(x, owner) maps a (panels, 21) node array and the integral index of each
     panel to integrand values.  Integral i stops once its error sum is at most
-    max(abs_tol, rel_tol * |value|) (after one panel, also unless qk21's error
-    estimate is saturated); the value is the sum of its panel list in
-    QUADPACK's order.  Returns (values, est_errors).  Raises QuadratureError
-    naming `name(i)` for the first integral still short of its budget at
-    MAX_PANELS panels.
+    max(ABS_TOL, rel_tol * |value|) (after one panel, also unless qk21's error
+    estimate is saturated); None is the vacuum default.  The value is the sum
+    of its panel list in QUADPACK's order.  Returns (values, est_errors).
+    Raises QuadratureError naming `name(i)` for the first integral still short
+    of its budget at MAX_PANELS panels.
     """
+    rel_tol = resolve_rel_tol(SpectrumKind.VACUUM, rel_tol)
     limit = MAX_PANELS
     n = upper.size
     rows = np.arange(n)
@@ -200,7 +192,7 @@ def _adaptive_gk21(f: Callable, upper: np.ndarray, cfg: QuadratureConfig,
     res[:, 0], err[:, 0], resasc = _qk21(f, a[:, 0], upper, rows, name)
     area, errsum = res[:, 0].copy(), err[:, 0].copy()
     last = np.ones(n, dtype=int)
-    done = (((errsum <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(area)))
+    done = (((errsum <= np.maximum(ABS_TOL, rel_tol * np.abs(area)))
              & (errsum != resasc)) | (errsum == 0.0))
     while not done.all():
         act = np.flatnonzero(~done)
@@ -228,7 +220,7 @@ def _adaptive_gk21(f: Callable, upper: np.ndarray, cfg: QuadratureConfig,
         a[act, new], b[act, new] = np.where(swap, lo, mid), np.where(swap, mid, hi)
         res[act, new], err[act, new] = np.where(swap, r1, r2), np.where(swap, e1, e2)
         last[act] += 1
-        done[act] = errsum[act] <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(area[act]))
+        done[act] = errsum[act] <= np.maximum(ABS_TOL, rel_tol * np.abs(area[act]))
     return np.cumsum(res, axis=1)[rows, last - 1], errsum
 
 
@@ -236,7 +228,7 @@ def eval_I_dielectric(
     kind: SpectrumKind,
     s: float,
     sigma: float,
-    cfg: QuadratureConfig | None = None,
+    rel_tol: float | None = None,
 ) -> IntegralSample:
     """Nested quadrature of the dielectric mode integral at damping s.
 
@@ -251,8 +243,8 @@ def eval_I_dielectric(
     _require_damping(s, "eval_I_dielectric")
     if not 0.0 < sigma < math.inf or sigma == 1.0:
         raise ValueError(f"sigma must lie in (0,1) or (1,inf), got {sigma}")
-    cfg = cfg or default_config(kind)
-    r_max = truncation_point(s, cfg)
+    rel_tol = resolve_rel_tol(kind, rel_tol)
+    r_max = truncation_point(s)
 
     def inner(nu: np.ndarray) -> np.ndarray:
         g = nu if kind is SpectrumKind.TE else np.hypot(nu, 1.0)
@@ -264,12 +256,12 @@ def eval_I_dielectric(
             n, gg = nu_l[owner, None], g_l[owner, None]
             return y * dlog_cross(kind, n, y, sigma) * np.exp(-s * np.hypot(gg, y))
 
-        out[live] = _adaptive_gk21(integrand, np.sqrt(r_max * r_max - g_l * g_l), cfg,
-                                   lambda i: f"inner quadrature at nu={nu_l[i]}")[0]
+        out[live] = _adaptive_gk21(integrand, np.sqrt(r_max * r_max - g_l * g_l),
+                                   lambda i: f"inner quadrature at nu={nu_l[i]}", rel_tol)[0]
         return out
 
-    value, err = _adaptive_gk21(lambda nu, _: nu * inner(nu), np.array([r_max]), cfg,
-                                lambda _: "outer quadrature")
+    value, err = _adaptive_gk21(lambda nu, _: nu * inner(nu), np.array([r_max]),
+                                lambda _: "outer quadrature", rel_tol)
     return IntegralSample(s=s, value=float(value[0]), est_error=float(err[0]),
                           kind=kind, sigma=sigma)
 
@@ -278,21 +270,21 @@ def sample_curve(
     kind: SpectrumKind,
     sigma: float,
     grid: Sequence[float],
-    cfg: QuadratureConfig | None = None,
+    rel_tol: float | None = None,
 ) -> list[IntegralSample]:
     """One IntegralSample per grid point, in grid order.  The vacuum samples
     are one batch; the dielectric samples are evaluated one after another."""
     points = [float(s) for s in getattr(grid, "points", grid)]
-    cfg = cfg or default_config(kind)
+    rel_tol = resolve_rel_tol(kind, rel_tol)
     if kind is SpectrumKind.VACUUM:
         values, errors = _vacuum_batch(
-            points, cfg, lambda j: f"sample {j} (s={points[j]}) failed: quadrature")
+            points, rel_tol, lambda j: f"sample {j} (s={points[j]}) failed: quadrature")
         return [IntegralSample(s=s, value=float(v), est_error=float(e), kind=kind, sigma=1.0)
                 for s, v, e in zip(points, values, errors)]
     samples: list[IntegralSample] = []
     for j, s in enumerate(points):
         try:
-            samples.append(eval_I_dielectric(kind, s, sigma, cfg))
+            samples.append(eval_I_dielectric(kind, s, sigma, rel_tol))
         except ArithmeticError as exc:
             raise QuadratureError(f"sample {j} (s={s}) failed: {exc}") from exc
     return samples

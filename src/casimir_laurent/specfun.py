@@ -2,11 +2,10 @@
 
 Logarithms and adjacent-order ratios of the modified Bessel functions
 I_nu(t) and K_nu(t), the form every integrand in this package consumes,
-evaluated elementwise over numpy arrays, and polygamma of order 3.  The
-exponentially scaled pair e^{-t} I_nu(t), e^{+t} K_nu(t) still underflows
-or overflows in IEEE doubles once the order greatly exceeds the argument
-(e.g. nu = 1000, t = 1, where I_nu ~ (t/2)^nu / nu!); :func:`log_bessel_ik`
-stays finite there.
+evaluated elementwise over numpy arrays.  The exponentially scaled pair
+e^{-t} I_nu(t), e^{+t} K_nu(t) still underflows or overflows in IEEE
+doubles once the order greatly exceeds the argument (e.g. nu = 1000, t = 1,
+where I_nu ~ (t/2)^nu / nu!); :func:`log_bessel_ik` stays finite there.
 """
 
 from __future__ import annotations
@@ -15,14 +14,7 @@ import math
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.special import ive, kve, polygamma as _scipy_polygamma
-
-
-def polygamma3(x: float) -> float:
-    """Psi(3, x) = sum_{k>=0} 6/(x+k)^4 for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"polygamma3 requires x > 0, got {x}")
-    return float(_scipy_polygamma(3, x))
+from scipy.special import ive, kve
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,9 @@ from scipy.special import ive, jv, jvp, yv, yvp
 from casimir_laurent.integrands import SpectrumKind, _te_parts, _tm_parts
 from casimir_laurent.laurent import (LaurentParams, make_grid, regularize)
 from casimir_laurent.physics import DielectricSpec, force_report
-from casimir_laurent.quadrature import (eval_I_vacuum, sample_curve,
-                                        vacuum_closed_form)
-from casimir_laurent.specfun import polygamma3
+from casimir_laurent.quadrature import eval_I_vacuum, sample_curve
 from laurent_oracles import per_n2_turning_values
+from vacuum_oracles import polygamma3, vacuum_closed_form
 
 mp.mp.dps = 40
 

@@ -124,6 +124,8 @@ def test_vacuum_report_contents(vacuum_run):
     assert "spread" not in report and "turning_values" not in report
     assert report["grid"] == {"eps_s": 0.05, "s_R": 1.0, "J": 200, "spacing": "linear"}
     assert report["laurent"] == {"N1": -6, "N2": 9, "eps_c": 0.001}
+    # the budget that ran, not the unset flag
+    assert report["quadrature"] == {"rel_tol": 1e-9}
 
 
 def test_vacuum_rerun_is_byte_identical(vacuum_run, tmp_path):
@@ -182,7 +184,8 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["mode = dielectric", "prune_average = window"])
+@pytest.mark.parametrize("line", ["mode = dielectric", "prune_average = window",
+                                  "abs_tol = 1e-14", "tail_tol = 1e-13"])
 def test_config_file_rejects_removed_keys(tmp_path, capsys, line):
     cfg = tmp_path / "old.cfg"
     cfg.write_text(line + "\n")
@@ -326,7 +329,7 @@ def test_sensitivity_integer_keys_reject_non_integers(tmp_path, monkeypatch, cap
 # ---------------------------------------------------------------------------
 
 
-def synthetic_sampler(kind, sigma, grid, cfg=None):
+def synthetic_sampler(kind, sigma, grid, rel_tol=None):
     c_lead = 0.5 if kind is SpectrumKind.TE else 0.8
     c0 = 0.1973 if kind is SpectrumKind.TE else 0.1961
     out = []
@@ -374,6 +377,21 @@ def test_dielectric_report(dielectric_run):
     assert force["ratio_te"] == pytest.approx(
         force["F0"] * report["te"]["c0"] / force["vacuum_force"], rel=1e-12)
     assert report["geometry"] == {"Lx": 1.0, "Ly": 1.0, "Lz": 1.0}
+    assert report["quadrature"] == {"rel_tol": 1e-7}
+
+
+def test_dielectric_report_echoes_the_rel_tol_that_ran(tmp_path, monkeypatch):
+    ran = []
+
+    def recording_sampler(kind, sigma, grid, rel_tol=None):
+        ran.append((kind, rel_tol))
+        return synthetic_sampler(kind, sigma, grid)
+
+    monkeypatch.setattr(cli, "sample_curve", recording_sampler)
+    assert main(["dielectric", "--sigma", "8/27", "--grid-points", "64",
+                 "--rel-tol", "3e-8", "--out-dir", str(tmp_path)]) == 0
+    assert ran == [(SpectrumKind.TE, 3e-8), (SpectrumKind.TM, 3e-8)]
+    assert read_json(tmp_path / "report.json")["quadrature"] == {"rel_tol": 3e-8}
 
 
 def test_dielectric_stdout(tmp_path, monkeypatch, capsys):
@@ -402,7 +420,7 @@ def test_dielectric_requires_sigma():
 
 
 def test_quadrature_failure_exits_3(tmp_path, monkeypatch, capsys):
-    def failing_sampler(kind, sigma, grid, cfg=None):
+    def failing_sampler(kind, sigma, grid, rel_tol=None):
         raise QuadratureError("sample 0 (s=0.05) failed: did not converge")
 
     monkeypatch.setattr(cli, "sample_curve", failing_sampler)
@@ -422,12 +440,14 @@ def test_regularization_failure_exits_4(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv,line", [
-    (["vacuum"], "abs_tol = 0"),
-    (["vacuum"], "tail_tol = 0"),
+    (["vacuum"], "abs_tol = 1e-14"),   # removed keys; valid values before
+    (["vacuum"], "tail_tol = 1e-13"),
     (["vacuum"], "spacing = LINEAR"),
     (["dielectric", "--sigma", "8/27", "--grid-points", "16"], "lx = -1"),
     (["dielectric", "--sigma", "8/27", "--grid-points", "16"], "lz = nan"),
     (["dielectric", "--sigma", "nan", "--grid-points", "16"], "lx = 1"),
+    (["vacuum"], "rel_tol = 0"),
+    (["dielectric", "--sigma", "8/27", "--grid-points", "16"], "rel_tol = nan"),
 ])
 def test_config_rejected_before_sampling(tmp_path, monkeypatch, capsys, argv, line):
     calls = []
@@ -437,6 +457,22 @@ def test_config_rejected_before_sampling(tmp_path, monkeypatch, capsys, argv, li
     out = tmp_path / "out"
     assert main(argv + ["--config", str(cfg), "--out-dir", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["vacuum", "--rel-tol", "0"],
+    ["vacuum", "--rel-tol", "nan"],
+    ["dielectric", "--sigma", "8/27", "--rel-tol", "1", "--grid-points", "16"],
+    ["sensitivity", "--vary", "rel_tol", "--values", "1e-9,2"],
+])
+def test_bad_rel_tol_rejected_before_sampling(tmp_path, monkeypatch, capsys, argv):
+    calls = []
+    monkeypatch.setattr(cli, "sample_curve", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert "configuration error: rel_tol must lie in (0,1)" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 

@@ -21,9 +21,9 @@ from casimir_laurent.laurent import (AVERAGE_CANCEL_GUARD, DetectionError,
                                      detect_pole_order, fit_window, make_grid,
                                      prune, regularize, subtract_and_refit,
                                      turning_point)
-from casimir_laurent.quadrature import (IntegralSample, sample_curve,
-                                       vacuum_closed_form)
+from casimir_laurent.quadrature import IntegralSample, sample_curve
 from laurent_oracles import per_n2_curves, per_n2_turning_values
+from vacuum_oracles import vacuum_closed_form
 
 C0_VACUUM_EXACT = math.pi**4 / 360.0
 

@@ -59,7 +59,6 @@ def test_dielectric_spec_sigma_derivation():
     assert spec.sigma == pytest.approx(SIGMA, rel=1e-15)
     spec2 = DielectricSpec.from_sigma(SIGMA)
     assert spec2.alpha == pytest.approx(ALPHA, rel=1e-15)
-    assert spec2.eps0_relative == 1.0
 
 
 def test_dielectric_spec_validation():
@@ -68,8 +67,9 @@ def test_dielectric_spec_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             DielectricSpec.from_sigma(bad)
-    with pytest.raises(ValueError):
-        DielectricSpec(alpha=1.0, eps0_relative=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            DielectricSpec(alpha=bad)
     with pytest.warns(UserWarning, match="alpha = 0"):
         DielectricSpec(alpha=0.0)
 

@@ -14,12 +14,12 @@ from casimir_laurent.integrands import SpectrumKind, dlog_cross, vacuum_integran
 from casimir_laurent.laurent import Spacing, make_grid
 from scipy.integrate import _quadpack_py, quad
 
-from casimir_laurent.quadrature import (DIELECTRIC_REL_TOL, MAX_PANELS,
-                                        VACUUM_REL_TOL, QuadratureConfig,
-                                        QuadratureError, _adaptive_gk21,
-                                        default_config, eval_I_dielectric,
-                                        eval_I_vacuum, sample_curve,
-                                        truncation_point, vacuum_closed_form)
+from casimir_laurent.quadrature import (ABS_TOL, DIELECTRIC_REL_TOL, MAX_PANELS,
+                                        VACUUM_REL_TOL, QuadratureError, _adaptive_gk21,
+                                        eval_I_dielectric, eval_I_vacuum,
+                                        resolve_rel_tol, sample_curve,
+                                        truncation_point)
+from vacuum_oracles import vacuum_closed_form
 
 SIGMA = 8.0 / 27.0
 
@@ -59,12 +59,12 @@ def member_name(i):
     return f"member {i}"
 
 
-def decaying(f, s, cfg=None, upper=None):
-    """Int_0^upper f(x) e^{-s x} dx on the batched rule; upper defaults to X(s)."""
-    cfg = cfg or QuadratureConfig()
-    x_max = truncation_point(s, cfg) if upper is None else upper
+def decaying(f, s, upper=None):
+    """Int_0^upper f(x) e^{-s x} dx on the batched rule at the vacuum budget;
+    upper defaults to X(s)."""
+    x_max = truncation_point(s) if upper is None else upper
     values, errors = _adaptive_gk21(lambda x, owner: f(x) * np.exp(-s * x),
-                                    np.array([x_max]), cfg, member_name)
+                                    np.array([x_max]), member_name)
     return values[0], errors[0]
 
 
@@ -102,10 +102,9 @@ def test_unit_integral():
 
 
 def test_tail_truncation_is_converged():
-    cfg = QuadratureConfig()
-    base, base_err = decaying(lambda x: x**3, 0.5, cfg)
-    x_max = truncation_point(0.5, cfg)
-    doubled, doubled_err = decaying(lambda x: x**3, 0.5, cfg, upper=2.0 * x_max)
+    base, base_err = decaying(lambda x: x**3, 0.5)
+    x_max = truncation_point(0.5)
+    doubled, doubled_err = decaying(lambda x: x**3, 0.5, upper=2.0 * x_max)
     assert abs(doubled - base) <= base_err + doubled_err + 1e-12 * abs(base)
 
 
@@ -143,30 +142,37 @@ def test_entry_points_reject_non_finite_input(call):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(tail_tol=1.5)
+    for bad in (0.0, 1.0, 1.5, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"rel_tol must lie in \(0,1\)"):
+            resolve_rel_tol(SpectrumKind.VACUUM, bad)
+    # every entry point resolves its rel_tol before the first integrand call
+    for call in (lambda: eval_I_vacuum(1.0, math.nan),
+                 lambda: sample_curve(SpectrumKind.VACUUM, 1.0, [0.5], 0.0),
+                 lambda: eval_I_dielectric(SpectrumKind.TE, 1.0, SIGMA, 2.0),
+                 lambda: _adaptive_gk21(lambda x, owner: x, np.ones(1), member_name, math.nan)):
+        with pytest.raises(ValueError, match=r"rel_tol must lie in \(0,1\)"):
+            call()
 
 
 def test_default_budgets():
-    assert default_config(SpectrumKind.VACUUM).rel_tol == VACUUM_REL_TOL
-    assert default_config(SpectrumKind.TE).rel_tol == DIELECTRIC_REL_TOL
-    assert default_config(SpectrumKind.TM).rel_tol == DIELECTRIC_REL_TOL
+    assert resolve_rel_tol(SpectrumKind.VACUUM) == VACUUM_REL_TOL
+    assert resolve_rel_tol(SpectrumKind.TE) == DIELECTRIC_REL_TOL
+    assert resolve_rel_tol(SpectrumKind.TM, None) == DIELECTRIC_REL_TOL
+    for kind in SpectrumKind:
+        assert resolve_rel_tol(kind, 3e-9) == 3e-9
 
 
 def test_truncation_point_value():
-    cfg = QuadratureConfig()
     expect = (13.0 * math.log(10.0) + 20.0)
-    assert truncation_point(1.0, cfg) == pytest.approx(expect, rel=1e-12)
-    assert truncation_point(2.0, cfg) == pytest.approx(0.5 * expect, rel=1e-12)
+    assert truncation_point(1.0) == pytest.approx(expect, rel=1e-12)
+    assert truncation_point(2.0) == pytest.approx(0.5 * expect, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # batched Gauss-Kronrod rule
 # ---------------------------------------------------------------------------
 
-BATCH_CFG = QuadratureConfig(rel_tol=1e-10)
+BATCH_REL_TOL = 1e-10
 BATCH_UPPER = np.array([1.0, 5.0, 20.0, 80.0])
 
 
@@ -178,10 +184,10 @@ def damped_cubic(b, s):
 
 def test_batched_rule_matches_closed_forms():
     values, errors = _adaptive_gk21(lambda x, owner: x**3 * np.exp(-0.5 * x),
-                                    BATCH_UPPER, BATCH_CFG, member_name)
+                                    BATCH_UPPER, member_name, BATCH_REL_TOL)
     for b, value, err in zip(BATCH_UPPER, values, errors):
         assert value == pytest.approx(damped_cubic(b, 0.5), rel=1e-12)
-        assert 0.0 < err <= BATCH_CFG.rel_tol * value
+        assert 0.0 < err <= BATCH_REL_TOL * value
 
 
 @pytest.mark.parametrize("f", [
@@ -193,10 +199,10 @@ def test_batched_rule_matches_scipy_quad(f):
     # The same qk21 rule and stopping test: equal values to rounding.  The
     # error estimate is a running sum from which the bisected panels' errors
     # are subtracted, so it matches to rounding of the first estimate.
-    values, errors = _adaptive_gk21(lambda x, owner: f(x), BATCH_UPPER, BATCH_CFG,
-                                    member_name)
+    values, errors = _adaptive_gk21(lambda x, owner: f(x), BATCH_UPPER, member_name,
+                                    BATCH_REL_TOL)
     for b, value, err in zip(BATCH_UPPER, values, errors):
-        ref, ref_err = quad(f, 0.0, b, epsabs=BATCH_CFG.abs_tol, epsrel=BATCH_CFG.rel_tol,
+        ref, ref_err = quad(f, 0.0, b, epsabs=ABS_TOL, epsrel=BATCH_REL_TOL,
                             limit=MAX_PANELS)
         assert value == pytest.approx(ref, rel=1e-15)
         assert err == pytest.approx(ref_err, rel=1e-12, abs=1e-15 * ref)
@@ -215,12 +221,12 @@ def test_batched_rule_grows_its_tables():
             calls.append(x.shape)
             return f(x, np.full(owner.shape, i))
 
-        value, err = _adaptive_gk21(member_i, np.ones(1), BATCH_CFG, member_name)
+        value, err = _adaptive_gk21(member_i, np.ones(1), member_name, BATCH_REL_TOL)
         return value[0], err[0], len(calls)   # a lone integral: one call per panel
 
     (v0, e0, panels0), (v1, e1, panels1) = alone(0), alone(1)
     assert panels0 == 1 and panels1 > 16
-    values, errors = _adaptive_gk21(f, np.ones(2), BATCH_CFG, member_name)
+    values, errors = _adaptive_gk21(f, np.ones(2), member_name, BATCH_REL_TOL)
     assert (values[0], errors[0], values[1], errors[1]) == (v0, e0, v1, e1)
 
 
@@ -230,7 +236,7 @@ def test_batched_rule_names_the_member_that_cannot_converge():
         return np.where(owner[:, None] == 1, x**-0.9, x * x)
 
     with pytest.raises(QuadratureError, match=r"^member 1 did not converge"):
-        _adaptive_gk21(f, np.ones(3), BATCH_CFG, member_name)
+        _adaptive_gk21(f, np.ones(3), member_name, BATCH_REL_TOL)
 
 
 def test_batched_rule_rejects_non_finite_values():
@@ -238,7 +244,7 @@ def test_batched_rule_rejects_non_finite_values():
         return np.where((owner[:, None] == 2) & (x > 0.5), math.nan, x)
 
     with pytest.raises(QuadratureError, match=r"^member 2: non-finite integrand at x=0\.99"):
-        _adaptive_gk21(f, np.ones(3), BATCH_CFG, member_name)
+        _adaptive_gk21(f, np.ones(3), member_name, BATCH_REL_TOL)
 
 
 @pytest.mark.parametrize("kind,s,sigma", [(SpectrumKind.TE, 0.3, SIGMA),
@@ -246,9 +252,8 @@ def test_batched_rule_rejects_non_finite_values():
                                           (SpectrumKind.TE, 0.7, 27.0 / 8.0),
                                           (SpectrumKind.TM, 0.7, 27.0 / 8.0)])
 def test_dielectric_error_within_budget_without_quad(kind, s, sigma, no_scipy_quad):
-    cfg = default_config(kind)
-    sample = eval_I_dielectric(kind, s, sigma, cfg)
-    assert 0.0 < sample.est_error <= max(cfg.abs_tol, cfg.rel_tol * abs(sample.value))
+    sample = eval_I_dielectric(kind, s, sigma)
+    assert 0.0 < sample.est_error <= max(ABS_TOL, DIELECTRIC_REL_TOL * abs(sample.value))
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +281,9 @@ def test_vacuum_quadrature_matches_closed_form(s):
 
 
 def test_vacuum_error_within_budget_without_quad(no_scipy_quad):
-    cfg = default_config(SpectrumKind.VACUUM)
     grid = make_grid(0.05, 1.0, 200)
-    for sample in sample_curve(SpectrumKind.VACUUM, 1.0, grid, cfg) + [eval_I_vacuum(0.3, cfg)]:
-        assert 0.0 < sample.est_error <= max(cfg.abs_tol, cfg.rel_tol * abs(sample.value))
+    for sample in sample_curve(SpectrumKind.VACUUM, 1.0, grid) + [eval_I_vacuum(0.3)]:
+        assert 0.0 < sample.est_error <= max(ABS_TOL, VACUUM_REL_TOL * abs(sample.value))
 
 
 def test_vacuum_small_s_pole_strength():

@@ -16,7 +16,8 @@ import pytest
 from scipy.special import jv, jvp, kv, yv, yvp
 
 from casimir_laurent.integrands import _tm_factor
-from casimir_laurent.specfun import _GAP_LIMIT, _gap, log_bessel_ik, polygamma3
+from casimir_laurent.specfun import _GAP_LIMIT, _gap, log_bessel_ik
+from vacuum_oracles import polygamma3
 
 mp.mp.dps = 40
 
@@ -104,6 +105,7 @@ def test_tilde_composes_with_derivatives():
     assert math.exp(ln_kt) == pytest.approx(float(-kt), rel=1e-14)
 
 
+# polygamma3 is the test-only oracle behind the vacuum closed form
 def test_polygamma3_at_one():
     assert polygamma3(1.0) == pytest.approx(math.pi**4 / 15.0, rel=1e-12)
 
