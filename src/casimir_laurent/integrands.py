@@ -12,6 +12,17 @@ to each factor at its own argument (It, Kt above).  P is positive and Q
 is negative throughout sigma in (0,1); the mode integrals need only their
 log-derivatives d/dy ln|P| and d/dy ln|Q|, assembled from log-form factors.
 These and the vacuum kernel are evaluated elementwise over numpy arrays.
+
+Each cross product is a difference A - B of two terms: A = I(y) K(sigma y)
+and B = I(sigma y) K(y) for TE, the same with It, Kt for TM.  With
+rho = B/A = e^delta and d1, d2 the log-derivatives of A and B,
+
+    d/dy ln|A - B| = (d1 - rho d2) / (1 - rho).
+
+For sigma < 1, rho is often far below the double-precision unit, and the
+quotient then rounds to d1 exactly.  Closed-form bounds on ln rho and |d2|
+find those points from A alone, so B (half the Bessel evaluations) is
+computed only where it can change a bit of the result.
 """
 
 from __future__ import annotations
@@ -57,22 +68,35 @@ def vacuum_integrand(r: ArrayLike):
 # ---------------------------------------------------------------------------
 
 
-def _te_parts(nu, y, sigma: float):
-    """(ln A, delta, d1, d2) for P = A - B, rho = B/A = e^{delta}.
+def _te_a(nu, y, sigma: float):
+    """(ln A, d ln A/dy) for A = I(y) K(sigma y).
 
-    A = I(y) K(sigma y), B = I(sigma y) K(y).  The order/argument terms of
-    the factor log-derivatives cancel inside each product, leaving
-    d(ln A)/dy = q(y) - sigma r(sigma y) and d(ln B)/dy = sigma q(sigma y) - r(y)
-    with q = I_{nu+1}/I_nu and r = K_{nu-1}/K_nu.
+    The order/argument terms of the factor log-derivatives cancel inside
+    each product, leaving d(ln A)/dy = q(y) - sigma r(sigma y) and, for
+    B = I(sigma y) K(y), d(ln B)/dy = sigma q(sigma y) - r(y), with
+    q = I_{nu+1}/I_nu and r = K_{nu-1}/K_nu.
     """
-    t = sigma * y
-    li_y, q_y, lk_y, r_y = log_bessel_ik(nu, y)
-    li_t, q_t, lk_t, r_t = log_bessel_ik(nu, t)
-    ln_a = li_y + lk_t
-    delta = (li_t + lk_y) - ln_a
-    d1 = q_y - sigma * r_t
-    d2 = sigma * q_t - r_y
-    return ln_a, delta, d1, d2
+    li, q, lk, r = log_bessel_ik(nu, y, sigma * y)
+    return li + lk, q - sigma * r
+
+
+def _te_b(nu, y, sigma: float):
+    """(ln B, d ln B/dy) for B = I(sigma y) K(y)."""
+    li, q, lk, r = log_bessel_ik(nu, sigma * y, y)
+    return li + lk, sigma * q - r
+
+
+def _te_bounds(nu, y, sigma: float):
+    """(L, D) with L >= ln(B/A) and D >= |d ln B/dy|, for sigma < 1.
+
+    x^{-nu} I_nu and x^nu K_nu are monotone (DLMF 10.29.4) and so is
+    e^x K_nu (DLMF 10.32.9): I(sigma y)/I(y) <= sigma^nu and
+    K(y)/K(sigma y) <= min(sigma^nu, e^{-(1-sigma) y}).  With 0 <= q < 1
+    and r <= 1 + 1/y (Segura, J. Math. Anal. Appl. 374 (2011) 516),
+    |d ln B/dy| <= sigma + 1 + 1/y; D doubles the 1/y term for margin.
+    """
+    ls = math.log(sigma)
+    return nu * ls + np.minimum(nu * ls, -(1.0 - sigma) * y), sigma + 1.0 + 2.0 / y
 
 
 def _dlog_te_limit(nu, y, sigma: float):
@@ -96,7 +120,7 @@ def _dlog_te_limit(nu, y, sigma: float):
 
 def dlog_cross_te(nu: ArrayLike, y: ArrayLike, sigma: float):
     """d/dy ln P_nu(y, sigma).  Tends to (1 - sigma) - 1/y as y -> infinity."""
-    return _dlog_cross("TE", nu, y, sigma, _te_parts, _dlog_te_limit, 0.0)
+    return _dlog_cross("TE", nu, y, sigma, _te_a, _te_b, _te_bounds, _dlog_te_limit, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -104,35 +128,64 @@ def dlog_cross_te(nu: ArrayLike, y: ArrayLike, sigma: float):
 # ---------------------------------------------------------------------------
 
 
-def _tm_factor(mu, mum1, t):
-    """ln It_mu(t), ln |Kt_mu(t)|, and their (shifted) log-derivatives.
-
-    It(t) = t I' + I = I (t q + 1 + mu) > 0,
-    Kt(t) = t K' + K = -K (t r + mu - 1) < 0 for mu > 1.
-    The returned gI, gK omit +mu/t and -mu/t shifts that cancel between the
-    I and K factors of each cross-product term.
-    """
-    li, q, lk, r = log_bessel_ik(mu, t)
-    wi = t * q + 1.0 + mu
-    wk = t * r + mum1
-    ln_it = li + np.log(wi)
-    ln_kt = lk + np.log(wk)
-    g_i = (t - mum1 * q) / wi
-    g_k = ((mu + 1.0) * r - t) / wk
-    return ln_it, ln_kt, g_i, g_k
-
-
-def _tm_parts(nu, y, sigma: float):
+def _tm_orders(nu):
     mu = np.hypot(nu, 1.0)
-    mum1 = nu * nu / (mu + 1.0)  # mu - 1 without cancellation
+    return mu, nu * nu / (mu + 1.0)  # mu - 1 without cancellation
+
+
+def _tm_i_factor(mu, mum1, t, li, q):
+    """ln It_mu(t) and its shifted log-derivative, from ln I_mu(t) and q.
+
+    It(t) = t I' + I = I (t q + 1 + mu) > 0.  The returned g omits a +mu/t
+    shift that cancels against the K factor of the same cross-product term.
+    """
+    wi = t * q + 1.0 + mu
+    return li + np.log(wi), (t - mum1 * q) / wi
+
+
+def _tm_k_factor(mu, mum1, t, lk, r):
+    """ln |Kt_mu(t)| and its shifted log-derivative, from ln K_mu(t) and r.
+
+    Kt(t) = t K' + K = -K (t r + mu - 1) < 0 for mu > 1; the returned g
+    omits a -mu/t shift.
+    """
+    wk = t * r + mum1
+    return lk + np.log(wk), ((mu + 1.0) * r - t) / wk
+
+
+def _tm_a(nu, y, sigma: float):
+    """(ln |A|, d ln |A|/dy) for A = It(y) Kt(sigma y), at mu = sqrt(nu^2 + 1)."""
+    mu, mum1 = _tm_orders(nu)
     t = sigma * y
-    li_y, lk_y, gi_y, gk_y = _tm_factor(mu, mum1, y)
-    li_t, lk_t, gi_t, gk_t = _tm_factor(mu, mum1, t)
-    ln_a = li_y + lk_t  # ln |It(y) Kt(sigma y)|
-    delta = (li_t + lk_y) - ln_a
-    d1 = gi_y + sigma * gk_t
-    d2 = sigma * gi_t + gk_y
-    return ln_a, delta, d1, d2
+    li, q, lk, r = log_bessel_ik(mu, y, t)
+    ln_i, g_i = _tm_i_factor(mu, mum1, y, li, q)
+    ln_k, g_k = _tm_k_factor(mu, mum1, t, lk, r)
+    return ln_i + ln_k, g_i + sigma * g_k
+
+
+def _tm_b(nu, y, sigma: float):
+    """(ln |B|, d ln |B|/dy) for B = It(sigma y) Kt(y)."""
+    mu, mum1 = _tm_orders(nu)
+    t = sigma * y
+    li, q, lk, r = log_bessel_ik(mu, t, y)
+    ln_i, g_i = _tm_i_factor(mu, mum1, t, li, q)
+    ln_k, g_k = _tm_k_factor(mu, mum1, y, lk, r)
+    return ln_i + ln_k, sigma * g_i + g_k
+
+
+def _tm_bounds(nu, y, sigma: float):
+    """(L, D) with L >= ln(B/A) and D >= |d ln |B|/dy|, for sigma < 1.
+
+    x^{-mu} It and x^{mu-2} |Kt| = x^{mu-1} K_{mu-1} + (mu - 1) x^{mu-2} K_mu
+    are monotone, and so is e^x |Kt| / x (the bounds of :func:`_te_bounds`
+    applied to each part), which gives L.  D bounds the two g terms with
+    0 <= q < 1 and y / (mu + sqrt(mu^2 + y^2)) <= r <= 1 + 1/y.
+    """
+    mu = np.hypot(nu, 1.0)
+    ls = math.log(sigma)
+    ln_rho = mu * ls + np.minimum((mu - 2.0) * ls, -ls - (1.0 - sigma) * y)
+    d2 = sigma * (1.0 + sigma * y / (1.0 + mu)) + (mu + 1.0) / y + (mu + np.hypot(mu, y)) / y
+    return ln_rho, d2
 
 
 def _dlog_tm_limit(nu, y, sigma: float):
@@ -149,7 +202,7 @@ def _dlog_tm_limit(nu, y, sigma: float):
 def dlog_cross_tm(nu: ArrayLike, y: ArrayLike, sigma: float):
     """d/dy ln |Q_mu(y, sigma)|."""
     # the small-y limit needs mu - 1 clear of 0
-    return _dlog_cross("TM", nu, y, sigma, _tm_parts, _dlog_tm_limit, 0.5)
+    return _dlog_cross("TM", nu, y, sigma, _tm_a, _tm_b, _tm_bounds, _dlog_tm_limit, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +210,20 @@ def dlog_cross_tm(nu: ArrayLike, y: ArrayLike, sigma: float):
 # ---------------------------------------------------------------------------
 
 
-def _dlog_cross(tag: str, nu, y, sigma: float, parts, limit, limit_min_nu: float):
-    """(d1 - rho d2) / (1 - rho) from the log-form parts, elementwise over the
-    broadcast shape of nu and y; the closed small-y limit below Y_SMALL for
-    nu >= limit_min_nu."""
+# The one-term result: where rho = B/A < 2^-56, 1 - rho rounds to 1, and
+# where also 2 rho |d2| < 2^-55 |d1|, rho d2 lies below half an ulp of d1
+# (at least 2^-54 |d1|), so (d1 - rho d2) / (1 - rho) rounds to d1 exactly.
+_LN2 = math.log(2.0)
+_ONE_TERM_LN_RHO = -56.0 * _LN2
+_ONE_TERM_LN_RATIO = -55.0 * _LN2
+
+
+def _dlog_cross(tag: str, nu, y, sigma: float, term_a, term_b, bounds, limit,
+                limit_min_nu: float):
+    """(d1 - rho d2) / (1 - rho) from the log-form terms A and B, elementwise
+    over the broadcast shape of nu and y; the closed small-y limit below
+    Y_SMALL for nu >= limit_min_nu.  B is evaluated only where the bounds
+    of `bounds` leave rho d2 able to change the rounded result."""
     nu, y = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(y, dtype=float))
     if np.any(y <= 0.0):
         raise ValueError(f"dlog_cross_{tag.lower()} requires y > 0, got {y[y <= 0.0][0]}")
@@ -169,20 +232,31 @@ def _dlog_cross(tag: str, nu, y, sigma: float, parts, limit, limit_min_nu: float
             f"dlog_cross_{tag.lower()} requires sigma in (0,1) or (1,inf), got {sigma}")
     if sigma > 1.0:
         # |P(y, sigma)| = |P(sigma y, 1/sigma)|, and likewise for Q
-        return sigma * _dlog_cross(tag, nu, sigma * y, 1.0 / sigma, parts, limit, limit_min_nu)
+        return sigma * _dlog_cross(tag, nu, sigma * y, 1.0 / sigma, term_a, term_b, bounds,
+                                   limit, limit_min_nu)
     out = np.empty(y.shape)
     small = (y < Y_SMALL) & (nu >= limit_min_nu)
     if small.any():
         out[small] = limit(nu[small], y[small], sigma)
     full = ~small
-    _, delta, d1, d2 = parts(nu[full], y[full], sigma)
-    one_m = -np.expm1(delta)
-    bad = np.flatnonzero(~(one_m > 0.0))
-    if bad.size:
-        i = np.flatnonzero(full)[bad[0]]
-        raise CrossProductError(f"{tag} cross product lost its fixed sign at "
-                                f"nu={nu.flat[i]}, y={y.flat[i]}, sigma={sigma}")
-    out[full] = (d1 - np.exp(delta) * d2) / one_m
+    n, v = nu[full], y[full]
+    ln_a, d1 = term_a(n, v, sigma)  # d1 becomes the result in place
+    ln_rho, d2_max = bounds(n, v, sigma)
+    with np.errstate(divide="ignore"):
+        one = ((ln_rho < _ONE_TERM_LN_RHO)
+               & (ln_rho + np.log(d2_max) + _LN2 < np.log(np.abs(d1)) + _ONE_TERM_LN_RATIO))
+    two = np.flatnonzero(~one)
+    if two.size:
+        ln_b, d2 = term_b(n[two], v[two], sigma)
+        delta = ln_b - ln_a[two]
+        one_m = -np.expm1(delta)
+        bad = np.flatnonzero(~(one_m > 0.0))
+        if bad.size:
+            i = np.flatnonzero(full)[two[bad[0]]]
+            raise CrossProductError(f"{tag} cross product lost its fixed sign at "
+                                    f"nu={nu.flat[i]}, y={y.flat[i]}, sigma={sigma}")
+        d1[two] = (d1[two] - np.exp(delta) * d2) / one_m
+    out[full] = d1
     return out if out.ndim else float(out)
 
 

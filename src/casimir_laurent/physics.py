@@ -57,7 +57,14 @@ class DielectricSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
-        object.__setattr__(self, "sigma", math.exp(0.5 * self.alpha))
+        try:
+            sigma = math.exp(0.5 * self.alpha)
+        except OverflowError:
+            sigma = math.inf
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"alpha = {self.alpha} gives a contrast exp(alpha/2) "
+                             f"outside the positive finite doubles")
+        object.__setattr__(self, "sigma", sigma)
         if self.alpha == 0.0:
             warnings.warn("alpha = 0 is a homogeneous medium: zero force difference",
                           stacklevel=3)

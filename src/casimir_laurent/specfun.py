@@ -20,13 +20,13 @@ from scipy.special import ive, kve
 # ---------------------------------------------------------------------------
 # Log-domain modified Bessel evaluation.
 #
-# Three branches, chosen per element: scipy's scaled pair wherever it stays
-# inside IEEE range, Debye uniform asymptotics for order >= 200 beyond that
-# range, ascending series otherwise.  The branch seam is controlled by the
-# predicted exponent gap t - nu*eta(t/nu) = -log(ive) and kicks in before
-# ive/kve degrade.  The scipy and Debye branches run on whole arrays; the
-# series, needed only where an order below 200 meets a tiny argument, is
-# summed element by element.
+# Three branches, chosen per element and separately for the I and the K
+# side: scipy's scaled pair wherever it stays inside IEEE range, Debye
+# uniform asymptotics for order >= 200 beyond that range, ascending series
+# otherwise.  The branch seam is controlled by the predicted exponent gap
+# t - nu*eta(t/nu) = -log(ive) and kicks in before ive/kve degrade.  The
+# scipy and Debye branches run on whole arrays; the series, needed only where
+# an order below 200 meets a tiny argument, is summed element by element.
 # ---------------------------------------------------------------------------
 
 _GAP_LIMIT = 620.0
@@ -129,37 +129,51 @@ def _log_k(nu, t):
     return out
 
 
-def log_bessel_ik(nu: ArrayLike, t: ArrayLike):
-    """(ln I_nu(t), I_{nu+1}/I_nu, ln K_nu(t), K_{nu-1}/K_nu) for t > 0.
-
-    Elementwise over the broadcast shape of nu and t: arrays in, arrays of
-    that shape out; two scalars in, four floats out.  Safe over order and
-    argument ranges where the scaled pair leaves IEEE range; worst observed
-    deviation vs 40-digit arithmetic is ~4e-12.
-    """
-    nu, t = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(t, dtype=float))
-    shape = t.shape
-    nu, t = nu.ravel(), t.ravel()
-    if np.any(t <= 0.0):
-        raise ValueError(f"log_bessel_ik requires t > 0, got {t[t <= 0.0][0]}")
-    li, q, lk, r = (np.empty_like(t) for _ in range(4))
-    pair = np.flatnonzero(_gap(nu, t) < _GAP_LIMIT)
-    n, x = nu[pair], t[pair]
-    i0, i1, k0, k1 = ive(n, x), ive(n + 1.0, x), kve(n, x), kve(np.abs(n - 1.0), x)
-    ok = (i0 > 0.0) & (i1 >= 0.0) & np.isfinite(k0) & np.isfinite(k1)
-    done = pair[ok]
-    li[done] = np.log(i0[ok]) + x[ok]
-    q[done] = i1[ok] / i0[ok]
-    lk[done] = np.log(k0[ok]) - x[ok]
-    r[done] = k1[ok] / k0[ok]
-    if done.size < t.size:
-        rest = np.ones(t.shape, dtype=bool)
+def _log_and_ratio(nu, x, scaled, sign, other, ok, log_fn):
+    """(ln F_nu(x), F_other(nu)(x) / F_nu(x)) for F = I (scaled = ive,
+    sign +1, other nu + 1) or F = K (kve, sign -1, other |nu - 1|): the
+    scaled scipy pair where the exponent gap allows and ok(v0, v1) accepts
+    its values, log_fn (:func:`_log_i` or :func:`_log_k`) at both orders
+    elsewhere."""
+    ln, ratio = np.empty_like(x), np.empty_like(x)
+    pair = np.flatnonzero(_gap(nu, x) < _GAP_LIMIT)
+    n, xp = nu[pair], x[pair]
+    v0, v1 = scaled(n, xp), scaled(other(n), xp)
+    good = ok(v0, v1)
+    done = pair[good]
+    ln[done] = np.log(v0[good]) + sign * xp[good]
+    ratio[done] = v1[good] / v0[good]
+    if done.size < x.size:
+        rest = np.ones(x.shape, dtype=bool)
         rest[done] = False
-        n, x = nu[rest], t[rest]
-        li0, li1 = _log_i(n, x), _log_i(n + 1.0, x)
-        lk0, lk1 = _log_k(n, x), _log_k(np.abs(n - 1.0), x)
-        li[rest], q[rest] = li0, np.exp(li1 - li0)
-        lk[rest], r[rest] = lk0, np.exp(lk1 - lk0)
+        n, xr = nu[rest], x[rest]
+        l0, l1 = log_fn(n, xr), log_fn(other(n), xr)
+        ln[rest], ratio[rest] = l0, np.exp(l1 - l0)
+    return ln, ratio
+
+
+def log_bessel_ik(nu: ArrayLike, x: ArrayLike, t: ArrayLike | None = None):
+    """(ln I_nu(x), I_{nu+1}/I_nu at x, ln K_nu(t), K_{nu-1}/K_nu at t) for
+    x, t > 0; t defaults to x.
+
+    The I side is evaluated at x and the K side at t, so that one call gives
+    both factors of a cross-product term I_nu(x) K_nu(t).  Each side takes
+    its own branch.  Elementwise over the broadcast shape of nu, x and t:
+    arrays in, arrays of that shape out; scalars in, four floats out.  Safe
+    over order and argument ranges where the scaled pair leaves IEEE range;
+    worst observed deviation vs 40-digit arithmetic is ~4e-12.
+    """
+    nu, x, t = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(x, dtype=float),
+                                   np.asarray(x if t is None else t, dtype=float))
+    shape = x.shape
+    nu, x, t = nu.ravel(), x.ravel(), t.ravel()
+    for arg in (x, t):
+        if np.any(arg <= 0.0):
+            raise ValueError(f"log_bessel_ik requires arguments > 0, got {arg[arg <= 0.0][0]}")
+    li, q = _log_and_ratio(nu, x, ive, 1.0, lambda n: n + 1.0,
+                           lambda i0, i1: (i0 > 0.0) & (i1 >= 0.0), _log_i)
+    lk, r = _log_and_ratio(nu, t, kve, -1.0, lambda n: np.abs(n - 1.0),
+                           lambda k0, k1: np.isfinite(k0) & np.isfinite(k1), _log_k)
     if not shape:
         return float(li[0]), float(q[0]), float(lk[0]), float(r[0])
     return li.reshape(shape), q.reshape(shape), lk.reshape(shape), r.reshape(shape)

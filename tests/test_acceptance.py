@@ -17,7 +17,7 @@ import pytest
 
 from scipy.special import ive, jv, jvp, yv, yvp
 
-from casimir_laurent.integrands import SpectrumKind, _te_parts, _tm_parts
+from casimir_laurent.integrands import SpectrumKind, _te_a, _te_b, _tm_a, _tm_b
 from casimir_laurent.laurent import (LaurentParams, make_grid, regularize)
 from casimir_laurent.physics import DielectricSpec, force_report
 from casimir_laurent.quadrature import eval_I_vacuum, sample_curve
@@ -157,6 +157,17 @@ def test_criterion_4_force_numbers(dielectric_runs, capsys):
     assert ratio_tm_dev <= 0.02
 
 
+def test_leading_pole_closed_form(dielectric_runs):
+    # The leading Debye term F(r) ~ a3 r^3 of both polarizations puts
+    # 6 a3 / s^4 into I(s), with a3 = 1 - sigma/2 - arccos(sigma)/(2 sqrt(1 - sigma^2)).
+    results, _ = dielectric_runs
+    a3 = 1.0 - SIGMA / 2.0 - math.acos(SIGMA) / (2.0 * math.sqrt(1.0 - SIGMA * SIGMA))
+    assert a3 == pytest.approx(0.1870057, rel=1e-6)
+    for kind in (SpectrumKind.TE, SpectrumKind.TM):
+        assert results[kind].pole_order == -4
+        assert results[kind].c_minus == pytest.approx(6.0 * a3, rel=1e-5), kind
+
+
 def test_criterion_5_synthetic_oracles(capsys):
     rng = np.random.default_rng(12345)
     grid = make_grid(0.05, 1.0, 200)
@@ -211,17 +222,18 @@ def test_criterion_6_special_function_properties(capsys):
         worst_p = max(worst_p, rel)
     checks.append(("polygamma recurrence", worst_p, 1e-12))
 
-    def magnitude(parts, nu, y):
-        # |P| or |Q| = |A| (1 - e^delta) from the package's log-form parts
-        ln_a, delta, _, _ = parts(nu, y, SIGMA)
-        return math.exp(ln_a + math.log(-math.expm1(delta)))
+    def magnitude(term_a, term_b, nu, y):
+        # |P| or |Q| = |A| (1 - e^delta) from the package's log-form terms
+        ln_a, _ = term_a(nu, y, SIGMA)
+        ln_b, _ = term_b(nu, y, SIGMA)
+        return math.exp(ln_a + math.log(-math.expm1(ln_b - ln_a)))
 
     worst_f = 0.0
     for nu, y in ((1.0, 3.0), (4.2, 8.0)):
         z = mp.mpc(0, y)
         f_te = (mp.besselj(nu, z) * mp.bessely(nu, SIGMA * z)
                 - mp.besselj(nu, SIGMA * z) * mp.bessely(nu, z))
-        p = magnitude(_te_parts, nu, y)
+        p = magnitude(_te_a, _te_b, nu, y)
         worst_f = max(worst_f, abs(float(abs(f_te)) - (2.0 / math.pi) * p) / p)
 
         mu = mp.sqrt(mp.mpf(nu) ** 2 + 1)
@@ -233,7 +245,7 @@ def test_criterion_6_special_function_properties(capsys):
             return t * mp.bessely(mu, t, derivative=1) + mp.bessely(mu, t)
 
         f_tm = jt(z) * yt(SIGMA * z) - jt(SIGMA * z) * yt(z)
-        q = magnitude(_tm_parts, nu, y)
+        q = magnitude(_tm_a, _tm_b, nu, y)
         worst_f = max(worst_f, abs(float(abs(f_tm)) - (2.0 / math.pi) * q) / q)
     checks.append(("phase reduction", worst_f, 1e-8))
 

@@ -15,7 +15,7 @@ import pytest
 
 from casimir_laurent import integrands
 from casimir_laurent.integrands import (Y_SMALL, CrossProductError, SpectrumKind,
-                                        _te_parts, _tm_parts, dlog_cross,
+                                        _te_a, _te_b, _tm_a, _tm_b, dlog_cross,
                                         dlog_cross_te, dlog_cross_tm,
                                         vacuum_integrand)
 from casimir_laurent.quadrature import sample_curve
@@ -47,16 +47,21 @@ def mp_tm(nu, y, sigma):
     return it(y) * kt(sigma * y) - it(sigma * y) * kt(y)
 
 
+def magnitude(term_a, term_b, nu, y, sigma):
+    """|A - B| = |A (1 - e^delta)| from the package's log-form terms."""
+    ln_a, _ = term_a(nu, y, sigma)
+    ln_b, _ = term_b(nu, y, sigma)
+    return math.exp(ln_a + math.log(abs(math.expm1(ln_b - ln_a))))
+
+
 def cross_te(nu, y, sigma):
-    """|P_nu(y, sigma)| = |A (1 - e^delta)| from the package's TE parts."""
-    ln_a, delta, _, _ = _te_parts(nu, y, sigma)
-    return math.exp(ln_a + math.log(abs(math.expm1(delta))))
+    """|P_nu(y, sigma)| from the package's TE terms."""
+    return magnitude(_te_a, _te_b, nu, y, sigma)
 
 
 def cross_tm(nu, y, sigma):
-    """|Q_mu(y, sigma)| from the package's TM parts."""
-    ln_a, delta, _, _ = _tm_parts(nu, y, sigma)
-    return math.exp(ln_a + math.log(abs(math.expm1(delta))))
+    """|Q_mu(y, sigma)| from the package's TM terms."""
+    return magnitude(_tm_a, _tm_b, nu, y, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +341,17 @@ def test_dlog_array_equals_scalar(func, sigma):
     np.testing.assert_array_equal(got, ref)
 
 
-@pytest.mark.parametrize("func,parts", [(dlog_cross_te, "_te_parts"),
-                                        (dlog_cross_tm, "_tm_parts")])
-def test_dlog_array_names_first_sign_loss(func, parts, monkeypatch):
+@pytest.mark.parametrize("func,term_a,term_b", [(dlog_cross_te, "_te_a", "_te_b"),
+                                                 (dlog_cross_tm, "_tm_a", "_tm_b")])
+def test_dlog_array_names_first_sign_loss(func, term_a, term_b, monkeypatch):
     # rho = e^delta = 1 makes the cross product vanish: force it at the last
-    # two of four points; the error must name the first of them
-    original = getattr(integrands, parts)
+    # two of four points (ln B = ln A); the error must name the first of them
+    a, original = getattr(integrands, term_a), getattr(integrands, term_b)
 
     def forced(nu, y, sigma):
-        ln_a, delta, d1, d2 = original(nu, y, sigma)
-        return ln_a, np.where(y >= 2.0, 0.0, delta), d1, d2
+        ln_b, d2 = original(nu, y, sigma)
+        return np.where(y >= 2.0, a(nu, y, sigma)[0], ln_b), d2
 
-    monkeypatch.setattr(integrands, parts, forced)
+    monkeypatch.setattr(integrands, term_b, forced)
     with pytest.raises(CrossProductError, match=r"at nu=3\.0, y=2\.0, sigma="):
         func(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.5, 1.0, 2.0, 3.0]), SIGMA)

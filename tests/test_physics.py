@@ -70,6 +70,10 @@ def test_dielectric_spec_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="alpha must be finite"):
             DielectricSpec(alpha=bad)
+    # finite, but exp(alpha/2) underflows to 0 or overflows
+    for bad in (-1e6, 1500.0):
+        with pytest.raises(ValueError, match="outside the positive finite doubles"):
+            DielectricSpec(alpha=bad)
     with pytest.warns(UserWarning, match="alpha = 0"):
         DielectricSpec(alpha=0.0)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from casimir_laurent.integrands import SpectrumKind, dlog_cross, vacuum_integrand
-from casimir_laurent.laurent import Spacing, make_grid
+from casimir_laurent.laurent import LaurentParams, Spacing, make_grid, regularize
 from scipy.integrate import _quadpack_py, quad
 
 from casimir_laurent.quadrature import (ABS_TOL, DIELECTRIC_REL_TOL, MAX_PANELS,
@@ -387,3 +387,22 @@ def test_vacuum_curve_nonconvergence_names_the_sample(monkeypatch):
     with pytest.raises(QuadratureError, match=r"^sample 0 \(s=0\.5\) failed: "
                                               r"quadrature did not converge"):
         sample_curve(SpectrumKind.VACUUM, 1.0, [0.5, 0.6])
+
+
+def test_vacuum_damping_shift_identity():
+    # Moving the damping radius r to sqrt(r^2 + c^2) shifts c0 by
+    # -c^2 a1/2 + c^4 a3/4 for F(r) ~ a3 r^3 + a2 r^2 + a1 r + a0, and adds
+    # an s ln s term with coefficient c^2 a0/2 - c^4 a2/8.  The vacuum
+    # F = r^3 coth(r)/3 has a3 = 1/3 and no other power, so at c = 1 the
+    # difference curve I_c - I is Laurent with a pole of order -2 and c0 = 1/12.
+    grid = make_grid(0.05, 1.0, 200)
+    s = grid.points
+
+    def integrand(x, owner):
+        return vacuum_integrand(x) * np.exp(-s[owner, None] * np.sqrt(x * x + 1.0))
+
+    shifted, _ = _adaptive_gk21(integrand, truncation_point(s), lambda j: f"s={s[j]}", 1e-11)
+    diff = shifted - np.array([vacuum_closed_form(float(v)) for v in s])
+    result = regularize((s, diff), LaurentParams(N2=12))
+    assert result.pole_order == -2
+    assert result.c0 == pytest.approx(1.0 / 12.0, rel=1e-5)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import jv, jvp, kv, yv, yvp
 
-from casimir_laurent.integrands import _tm_factor
+from casimir_laurent.integrands import _tm_i_factor, _tm_k_factor
 from casimir_laurent.specfun import _GAP_LIMIT, _gap, log_bessel_ik
 from vacuum_oracles import polygamma3
 
@@ -98,7 +98,9 @@ def test_tilde_composes_with_derivatives():
     # The TM factors It = t I' + I and Kt = t K' + K at mu = 1 (the nu = 0
     # mode), against 40-digit derivatives.
     mu, t = 1.0, 2.0
-    ln_it, ln_kt, _, _ = _tm_factor(mu, 0.0, t)
+    li, q, lk, r = log_bessel_ik(mu, t)
+    ln_it, _ = _tm_i_factor(mu, 0.0, t, li, q)
+    ln_kt, _ = _tm_k_factor(mu, 0.0, t, lk, r)
     it = t * mp.besseli(mu, t, derivative=1) + mp.besseli(mu, t)
     kt = -t * (mp.besselk(mu - 1, t) + mp.besselk(mu + 1, t)) / 2 + mp.besselk(mu, t)
     assert math.exp(ln_it) == pytest.approx(float(it), rel=1e-14)
@@ -213,6 +215,20 @@ def test_log_bessel_ik_broadcasts():
     row = log_bessel_ik(250.0, BRANCH_T)
     for k, t in enumerate(BRANCH_T):
         assert tuple(part[k] for part in row) == log_bessel_ik(250.0, float(t))
+
+
+def test_log_bessel_ik_sides_at_own_arguments():
+    # I side at x, K side at t, each on its own branch: the reversed
+    # arguments pair every branch of one side with other branches of the other
+    x, t = BRANCH_T, BRANCH_T[::-1].copy()
+    li, q, lk, r = log_bessel_ik(BRANCH_NU, x, t)
+    li_x, q_x, _, _ = log_bessel_ik(BRANCH_NU, x)
+    _, _, lk_t, r_t = log_bessel_ik(BRANCH_NU, t)
+    for got, ref in ((li, li_x), (q, q_x), (lk, lk_t), (r, r_t)):
+        np.testing.assert_array_equal(got, ref)
+    assert log_bessel_ik(2.5, 600.0, 1e-3) == (li_x[5], q_x[5], *log_bessel_ik(2.5, 1e-3)[2:])
+    with pytest.raises(ValueError, match=r"got 0\.0$"):
+        log_bessel_ik(1.0, 1.0, 0.0)
 
 
 def test_log_bessel_ik_array_against_mpmath():
