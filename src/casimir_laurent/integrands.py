@@ -86,17 +86,25 @@ def _te_b(nu, y, sigma: float):
     return li + lk, sigma * q - r
 
 
-def _te_bounds(nu, y, sigma: float):
-    """(L, D) with L >= ln(B/A) and D >= |d ln B/dy|, for sigma < 1.
+def _te_ln_rho_max(nu, y, sigma: float):
+    """L >= ln(B/A), for sigma < 1.
 
     x^{-nu} I_nu and x^nu K_nu are monotone (DLMF 10.29.4) and so is
     e^x K_nu (DLMF 10.32.9): I(sigma y)/I(y) <= sigma^nu and
-    K(y)/K(sigma y) <= min(sigma^nu, e^{-(1-sigma) y}).  With 0 <= q < 1
-    and r <= 1 + 1/y (Segura, J. Math. Anal. Appl. 374 (2011) 516),
-    |d ln B/dy| <= sigma + 1 + 1/y; D doubles the 1/y term for margin.
+    K(y)/K(sigma y) <= min(sigma^nu, e^{-(1-sigma) y}).
     """
     ls = math.log(sigma)
-    return nu * ls + np.minimum(nu * ls, -(1.0 - sigma) * y), sigma + 1.0 + 2.0 / y
+    return nu * ls + np.minimum(nu * ls, -(1.0 - sigma) * y)
+
+
+def _te_d2_max(nu, y, sigma: float):
+    """D >= |d ln B/dy|, for sigma < 1.
+
+    With 0 <= q < 1 and r <= 1 + 1/y (Segura, J. Math. Anal. Appl. 374
+    (2011) 516), |d ln B/dy| <= sigma + 1 + 1/y; D doubles the 1/y term
+    for margin.
+    """
+    return sigma + 1.0 + 2.0 / y
 
 
 def _dlog_te_limit(nu, y, sigma: float):
@@ -120,7 +128,8 @@ def _dlog_te_limit(nu, y, sigma: float):
 
 def dlog_cross_te(nu: ArrayLike, y: ArrayLike, sigma: float):
     """d/dy ln P_nu(y, sigma).  Tends to (1 - sigma) - 1/y as y -> infinity."""
-    return _dlog_cross("TE", nu, y, sigma, _te_a, _te_b, _te_bounds, _dlog_te_limit, 0.0)
+    return _dlog_cross("TE", nu, y, sigma, _te_a, _te_b, _te_ln_rho_max, _te_d2_max,
+                       _dlog_te_limit, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +182,23 @@ def _tm_b(nu, y, sigma: float):
     return ln_i + ln_k, sigma * g_i + g_k
 
 
-def _tm_bounds(nu, y, sigma: float):
-    """(L, D) with L >= ln(B/A) and D >= |d ln |B|/dy|, for sigma < 1.
+def _tm_ln_rho_max(nu, y, sigma: float):
+    """L >= ln(B/A), for sigma < 1.
 
     x^{-mu} It and x^{mu-2} |Kt| = x^{mu-1} K_{mu-1} + (mu - 1) x^{mu-2} K_mu
-    are monotone, and so is e^x |Kt| / x (the bounds of :func:`_te_bounds`
-    applied to each part), which gives L.  D bounds the two g terms with
-    0 <= q < 1 and y / (mu + sqrt(mu^2 + y^2)) <= r <= 1 + 1/y.
+    are monotone, and so is e^x |Kt| / x (the bounds of
+    :func:`_te_ln_rho_max` applied to each part).
     """
     mu = np.hypot(nu, 1.0)
     ls = math.log(sigma)
-    ln_rho = mu * ls + np.minimum((mu - 2.0) * ls, -ls - (1.0 - sigma) * y)
-    d2 = sigma * (1.0 + sigma * y / (1.0 + mu)) + (mu + 1.0) / y + (mu + np.hypot(mu, y)) / y
-    return ln_rho, d2
+    return mu * ls + np.minimum((mu - 2.0) * ls, -ls - (1.0 - sigma) * y)
+
+
+def _tm_d2_max(nu, y, sigma: float):
+    """D >= |d ln |B|/dy|, for sigma < 1: the two g terms bounded with
+    0 <= q < 1 and y / (mu + sqrt(mu^2 + y^2)) <= r <= 1 + 1/y."""
+    mu = np.hypot(nu, 1.0)
+    return sigma * (1.0 + sigma * y / (1.0 + mu)) + (mu + 1.0) / y + (mu + np.hypot(mu, y)) / y
 
 
 def _dlog_tm_limit(nu, y, sigma: float):
@@ -202,7 +215,8 @@ def _dlog_tm_limit(nu, y, sigma: float):
 def dlog_cross_tm(nu: ArrayLike, y: ArrayLike, sigma: float):
     """d/dy ln |Q_mu(y, sigma)|."""
     # the small-y limit needs mu - 1 clear of 0
-    return _dlog_cross("TM", nu, y, sigma, _tm_a, _tm_b, _tm_bounds, _dlog_tm_limit, 0.5)
+    return _dlog_cross("TM", nu, y, sigma, _tm_a, _tm_b, _tm_ln_rho_max, _tm_d2_max,
+                       _dlog_tm_limit, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +232,24 @@ _ONE_TERM_LN_RHO = -56.0 * _LN2
 _ONE_TERM_LN_RATIO = -55.0 * _LN2
 
 
-def _dlog_cross(tag: str, nu, y, sigma: float, term_a, term_b, bounds, limit,
-                limit_min_nu: float):
+def _one_term(nu, y, sigma: float, ln_rho, d1, d2_max):
+    """The points where (d1 - rho d2) / (1 - rho) rounds to d1, from the
+    bound ln_rho on ln rho and the bound d2_max(nu, y, sigma) on |d2|, which
+    is evaluated only where ln_rho is already below the cut."""
+    one = ln_rho < _ONE_TERM_LN_RHO
+    near = np.flatnonzero(one)
+    with np.errstate(divide="ignore"):
+        one[near] = (ln_rho[near] + np.log(d2_max(nu[near], y[near], sigma)) + _LN2
+                     < np.log(np.abs(d1[near])) + _ONE_TERM_LN_RATIO)
+    return one
+
+
+def _dlog_cross(tag: str, nu, y, sigma: float, term_a, term_b, ln_rho_max, d2_max,
+                limit, limit_min_nu: float):
     """(d1 - rho d2) / (1 - rho) from the log-form terms A and B, elementwise
     over the broadcast shape of nu and y; the closed small-y limit below
     Y_SMALL for nu >= limit_min_nu.  B is evaluated only where the bounds
-    of `bounds` leave rho d2 able to change the rounded result."""
+    ln_rho_max and d2_max leave rho d2 able to change the rounded result."""
     nu, y = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(y, dtype=float))
     if np.any(y <= 0.0):
         raise ValueError(f"dlog_cross_{tag.lower()} requires y > 0, got {y[y <= 0.0][0]}")
@@ -232,8 +258,8 @@ def _dlog_cross(tag: str, nu, y, sigma: float, term_a, term_b, bounds, limit,
             f"dlog_cross_{tag.lower()} requires sigma in (0,1) or (1,inf), got {sigma}")
     if sigma > 1.0:
         # |P(y, sigma)| = |P(sigma y, 1/sigma)|, and likewise for Q
-        return sigma * _dlog_cross(tag, nu, sigma * y, 1.0 / sigma, term_a, term_b, bounds,
-                                   limit, limit_min_nu)
+        return sigma * _dlog_cross(tag, nu, sigma * y, 1.0 / sigma, term_a, term_b,
+                                   ln_rho_max, d2_max, limit, limit_min_nu)
     out = np.empty(y.shape)
     small = (y < Y_SMALL) & (nu >= limit_min_nu)
     if small.any():
@@ -241,11 +267,7 @@ def _dlog_cross(tag: str, nu, y, sigma: float, term_a, term_b, bounds, limit,
     full = ~small
     n, v = nu[full], y[full]
     ln_a, d1 = term_a(n, v, sigma)  # d1 becomes the result in place
-    ln_rho, d2_max = bounds(n, v, sigma)
-    with np.errstate(divide="ignore"):
-        one = ((ln_rho < _ONE_TERM_LN_RHO)
-               & (ln_rho + np.log(d2_max) + _LN2 < np.log(np.abs(d1)) + _ONE_TERM_LN_RATIO))
-    two = np.flatnonzero(~one)
+    two = np.flatnonzero(~_one_term(n, v, sigma, ln_rho_max(n, v, sigma), d1, d2_max))
     if two.size:
         ln_b, d2 = term_b(n[two], v[two], sigma)
         delta = ln_b - ln_a[two]

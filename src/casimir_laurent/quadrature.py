@@ -16,6 +16,13 @@ one batch with a member per damping s.  The outer dielectric nu integral is
 a batch of one; every nu node its step asks for starts an inner y integral,
 and those advance together.
 
+The samples of a dielectric curve are independent, and :func:`sample_curve`
+evaluates them on forked worker processes, one per CPU this process may run
+on (``os.sched_getaffinity``), capped at the number of grid points.  Each
+worker runs :func:`eval_I_dielectric` unchanged, so a sample's value and
+error estimate are the same bits whatever the worker count; ``taskset -c 0``
+gives a serial run in this process.
+
 The dielectric integrand is y * dlog_cross weighted by the damping
 exp(-s * sqrt(g^2 + y^2)) with g = nu (TE) or g = sqrt(nu^2 + 1) (TM):
 the damping attaches to the mode radius.  That convention is fixed by the
@@ -27,8 +34,9 @@ changes the pole order of I(s) from -4 to -3).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,6 +110,15 @@ def truncation_point(s: float) -> float:
 def _require_damping(s: float, what: str) -> None:
     if not 0.0 < s < math.inf:
         raise ValueError(f"{what} requires 0 < s < inf, got {s}")
+
+
+def _require_dielectric(kind: SpectrumKind, sigma: float) -> None:
+    if kind is SpectrumKind.VACUUM:
+        raise ValueError("use eval_I_vacuum for the vacuum integral")
+    if kind not in (SpectrumKind.TE, SpectrumKind.TM):
+        raise ValueError(f"no cross product for kind {kind}")
+    if not 0.0 < sigma < math.inf or sigma == 1.0:
+        raise ValueError(f"sigma must lie in (0,1) or (1,inf), got {sigma}")
 
 
 def _vacuum_batch(points: Sequence[float], rel_tol: float,
@@ -238,11 +255,8 @@ def eval_I_dielectric(
     Each outer step integrates the inner y integrals of all its nu nodes
     together (see :func:`_adaptive_gk21`).
     """
-    if kind is SpectrumKind.VACUUM:
-        raise ValueError("use eval_I_vacuum for the vacuum integral")
+    _require_dielectric(kind, sigma)
     _require_damping(s, "eval_I_dielectric")
-    if not 0.0 < sigma < math.inf or sigma == 1.0:
-        raise ValueError(f"sigma must lie in (0,1) or (1,inf), got {sigma}")
     rel_tol = resolve_rel_tol(kind, rel_tol)
     r_max = truncation_point(s)
 
@@ -266,14 +280,40 @@ def eval_I_dielectric(
                           kind=kind, sigma=sigma)
 
 
+def _dielectric_sample(job: tuple[SpectrumKind, float, float, float]) -> IntegralSample:
+    """eval_I_dielectric(kind, s, sigma, rel_tol) for one grid point; a
+    module-level function, so that a pool can send it to its workers."""
+    return eval_I_dielectric(*job)
+
+
+def _in_grid_order(points: list[float], samples: Iterator[IntegralSample]
+                   ) -> list[IntegralSample]:
+    """The samples of `points` as they arrive in grid order; a failure raises
+    QuadratureError naming its grid index, the first failing one."""
+    out = []
+    for j, s in enumerate(points):
+        try:
+            out.append(next(samples))
+        except ArithmeticError as exc:
+            raise QuadratureError(f"sample {j} (s={s}) failed: {exc}") from exc
+    return out
+
+
 def sample_curve(
     kind: SpectrumKind,
     sigma: float,
     grid: Sequence[float],
     rel_tol: float | None = None,
 ) -> list[IntegralSample]:
-    """One IntegralSample per grid point, in grid order.  The vacuum samples
-    are one batch; the dielectric samples are evaluated one after another."""
+    """One IntegralSample per grid point, in grid order.
+
+    The vacuum samples are one batch.  The dielectric samples are checked
+    here, then shared out, one point at a time, among forked worker
+    processes, one per CPU in this process's affinity mask and at most one
+    per point.  With one worker, or where the platform cannot fork, they
+    are evaluated one after another in this process.  Either way each
+    sample is the one eval_I_dielectric returns, bit for bit.
+    """
     points = [float(s) for s in getattr(grid, "points", grid)]
     rel_tol = resolve_rel_tol(kind, rel_tol)
     if kind is SpectrumKind.VACUUM:
@@ -281,10 +321,23 @@ def sample_curve(
             points, rel_tol, lambda j: f"sample {j} (s={points[j]}) failed: quadrature")
         return [IntegralSample(s=s, value=float(v), est_error=float(e), kind=kind, sigma=1.0)
                 for s, v, e in zip(points, values, errors)]
-    samples: list[IntegralSample] = []
-    for j, s in enumerate(points):
-        try:
-            samples.append(eval_I_dielectric(kind, s, sigma, rel_tol))
-        except ArithmeticError as exc:
-            raise QuadratureError(f"sample {j} (s={s}) failed: {exc}") from exc
-    return samples
+    _require_dielectric(kind, sigma)
+    for s in points:
+        _require_damping(s, "eval_I_dielectric")
+    jobs = [(kind, s, sigma, rel_tol) for s in points]
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(affinity(0)), len(points)) if affinity else 1
+    if workers > 1:
+        # imported here: the pool modules cost ~8 ms, which only a
+        # dielectric curve with more than one worker should pay
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # forked workers need no import and see this process's module
+            # state; after a failure, map cancels the samples not yet started
+            # and leaving the block waits for those already running
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return _in_grid_order(points, pool.map(_dielectric_sample, jobs))
+    return _in_grid_order(points, map(_dielectric_sample, jobs))

@@ -429,6 +429,24 @@ def test_quadrature_failure_exits_3(tmp_path, monkeypatch, capsys):
         "quadrature failure: sample 0 (s=0.05) failed: did not converge\n")
 
 
+def test_dielectric_failure_through_the_pool_exits_3(tmp_path, monkeypatch, capsys):
+    # forked workers inherit the patched panel limit; the pool (two CPUs)
+    # reports the failure the serial run (one CPU) reports
+    import casimir_laurent.quadrature as quadrature
+
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 1)
+    argv = ["dielectric", "--sigma", "8/27", "--grid-points", "16", "--out-dir", str(tmp_path)]
+    errors = []
+    for count in (1, 2):
+        monkeypatch.setattr(quadrature.os, "sched_getaffinity",
+                            lambda pid: set(range(count)), raising=False)
+        assert main(argv) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert re.match(r"quadrature failure: sample 0 \(s=0\.05\) failed: inner quadrature "
+                    r"at nu=\S+ did not converge", errors[0])
+
+
 def test_regularization_failure_exits_4(tmp_path, monkeypatch, capsys):
     def failing_regularize(samples, params=None):
         raise RegularizationError("detect", "no stable pole order")

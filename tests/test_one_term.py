@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from casimir_laurent import integrands
-from casimir_laurent.integrands import (Y_SMALL, _dlog_te_limit, _dlog_tm_limit,
-                                        _te_bounds, _tm_bounds, dlog_cross_te,
+from casimir_laurent.integrands import (_LN2, _ONE_TERM_LN_RATIO, _ONE_TERM_LN_RHO,
+                                        Y_SMALL, _dlog_te_limit, _dlog_tm_limit, _one_term,
+                                        _te_a, _te_d2_max, _te_ln_rho_max, _tm_a,
+                                        _tm_d2_max, _tm_ln_rho_max, dlog_cross_te,
                                         dlog_cross_tm)
 from casimir_laurent.specfun import _GAP_LIMIT, _gap, log_bessel_ik
 
@@ -126,6 +128,33 @@ def test_kernel_equals_two_term_formula(kind, sigma, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the one-term mask
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sigma", [8.0 / 27.0, 27.0 / 8.0])
+@pytest.mark.parametrize("kind,term_a,ln_rho_max,d2_max", [
+    ("te", _te_a, _te_ln_rho_max, _te_d2_max), ("tm", _tm_a, _tm_ln_rho_max, _tm_d2_max)],
+    ids=["te", "tm"])
+def test_one_term_mask_equals_full_bound_expression(kind, term_a, ln_rho_max, d2_max, sigma):
+    # the mask evaluates the |d2| bound and both logarithms only below the
+    # ln rho cut; it must equal both conditions evaluated at every point
+    nu, y = kernel_points(404)
+    if sigma > 1.0:   # the arguments the kernel works on after the reflection
+        y, sigma = sigma * y, 1.0 / sigma
+    nu, y = nu[y >= Y_SMALL], y[y >= Y_SMALL]
+    _, d1 = term_a(nu, y, sigma)
+    ln_rho = ln_rho_max(nu, y, sigma)
+    with np.errstate(divide="ignore"):
+        full = ((ln_rho < _ONE_TERM_LN_RHO)
+                & (ln_rho + np.log(d2_max(nu, y, sigma)) + _LN2
+                   < np.log(np.abs(d1)) + _ONE_TERM_LN_RATIO))
+    np.testing.assert_array_equal(_one_term(nu, y, sigma, ln_rho, d1, d2_max), full)
+    # both conditions decide some points
+    assert full.any() and ((ln_rho < _ONE_TERM_LN_RHO) & ~full).any()
+
+
+# ---------------------------------------------------------------------------
 # the bounds against 40-digit arithmetic
 # ---------------------------------------------------------------------------
 
@@ -162,6 +191,16 @@ def mp_tm_b(nu, y, sigma):
     (kt_y, dkt_y), (kt_t, _) = tilde_k(y), tilde_k(t)
     ln_rho = mp.log(it_t) + mp.log(-kt_y) - mp.log(it_y) - mp.log(-kt_t)
     return ln_rho, sigma * dit_t / it_t + dkt_y / kt_y
+
+
+def _te_bounds(nu, y, sigma):
+    """(L, D) of the TE cut: L >= ln(B/A) and D >= |d ln B/dy|."""
+    return _te_ln_rho_max(nu, y, sigma), _te_d2_max(nu, y, sigma)
+
+
+def _tm_bounds(nu, y, sigma):
+    """(L, D) of the TM cut: L >= ln(B/A) and D >= |d ln |B|/dy|."""
+    return _tm_ln_rho_max(nu, y, sigma), _tm_d2_max(nu, y, sigma)
 
 
 BOUND_NU = (0.0, 0.2, 0.7, 1.0, 3.0, 12.0, 60.0, 120.0)

@@ -15,10 +15,9 @@ from casimir_laurent.laurent import LaurentParams, Spacing, make_grid, regulariz
 from scipy.integrate import _quadpack_py, quad
 
 from casimir_laurent.quadrature import (ABS_TOL, DIELECTRIC_REL_TOL, MAX_PANELS,
-                                        VACUUM_REL_TOL, QuadratureError, _adaptive_gk21,
-                                        eval_I_dielectric, eval_I_vacuum,
-                                        resolve_rel_tol, sample_curve,
-                                        truncation_point)
+                                        VACUUM_REL_TOL, IntegralSample, QuadratureError,
+                                        _adaptive_gk21, eval_I_dielectric, eval_I_vacuum,
+                                        resolve_rel_tol, sample_curve, truncation_point)
 from vacuum_oracles import vacuum_closed_form
 
 SIGMA = 8.0 / 27.0
@@ -369,6 +368,81 @@ def test_sample_curve_tags_failing_index(monkeypatch):
     monkeypatch.setattr(quadrature, "vacuum_integrand", poisoned)
     with pytest.raises(QuadratureError, match=r"sample 1 \(s=0\.7\)"):
         sample_curve(SpectrumKind.VACUUM, 1.0, [0.8, 0.7, 0.6])
+
+
+def cpus(monkeypatch, count):
+    """Make sample_curve see `count` CPUs in its affinity mask."""
+    import casimir_laurent.quadrature as quadrature
+
+    monkeypatch.setattr(quadrature.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+@pytest.mark.parametrize("sigma", [8.0 / 27.0, 27.0 / 8.0])
+@pytest.mark.parametrize("kind", [SpectrumKind.TE, SpectrumKind.TM])
+def test_dielectric_curve_equals_single_points(kind, sigma, monkeypatch):
+    # the pool (two workers) and the serial route return each sample bit for bit
+    grid = [0.7, 0.85, 1.0]
+    alone = [eval_I_dielectric(kind, s, sigma) for s in grid]
+    for count in (2, 1):
+        cpus(monkeypatch, count)
+        # dataclass equality: s, value, est_error, kind and sigma, each exactly
+        assert sample_curve(kind, sigma, grid) == alone, count
+
+
+def test_dielectric_curve_names_first_failing_index(monkeypatch, tmp_path):
+    # two workers: samples 0, 2 and 3 return at once, 3 failing, while 1
+    # fails only after 0.5 s and each later sample takes 0.25 s.  The error
+    # names sample 1, was raised in a worker, and cancels the samples not yet
+    # handed to a worker (at most ~10 of the 20 start by then)
+    import os
+    import time
+
+    import casimir_laurent.quadrature as quadrature
+
+    grid = [round(0.5 + 0.05 * j, 2) for j in range(20)]
+
+    def poisoned(kind, s, sigma, rel_tol):
+        j = grid.index(s)
+        (tmp_path / f"started-{j}").touch()
+        time.sleep({0: 0.0, 1: 0.5, 2: 0.0, 3: 0.0}.get(j, 0.25))
+        if j in (1, 3):
+            raise QuadratureError(f"poisoned in process {os.getpid()}")
+        return IntegralSample(s=s, value=1.0, est_error=0.0, kind=kind, sigma=sigma)
+
+    monkeypatch.setattr(quadrature, "eval_I_dielectric", poisoned)
+    cpus(monkeypatch, 2)
+    with pytest.raises(QuadratureError, match=r"^sample 1 \(s=0\.55\) failed: poisoned "
+                                              r"in process \d+$") as info:
+        sample_curve(SpectrumKind.TE, SIGMA, grid)
+    assert not str(info.value).endswith(f" {os.getpid()}")
+    assert (tmp_path / "started-3").exists()
+    assert not (tmp_path / "started-19").exists()
+
+
+@pytest.mark.parametrize("kind,sigma,grid", [
+    (SpectrumKind.TE, 1.0, [0.5, 0.6]),
+    (SpectrumKind.TM, 0.0, [0.5, 0.6]),
+    (SpectrumKind.TE, math.nan, [0.5, 0.6]),
+    (SpectrumKind.TM, math.inf, [0.5, 0.6]),
+    (SpectrumKind.TE, SIGMA, [0.5, math.nan]),
+    (SpectrumKind.TM, SIGMA, [0.5, 0.6, math.inf]),
+    (SpectrumKind.TE, SIGMA, [0.5, 0.0]),
+    ("te", SIGMA, [0.5, 0.6]),
+], ids=["sigma-1", "sigma-0", "sigma-nan", "sigma-inf", "s-nan", "s-inf", "s-0", "kind"])
+def test_dielectric_curve_checks_before_any_sample(kind, sigma, grid, monkeypatch):
+    import concurrent.futures
+
+    import casimir_laurent.quadrature as quadrature
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sample or a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(quadrature, "eval_I_dielectric", refuse)
+    cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match=r"requires 0 < s < inf|sigma must lie in|no cross"):
+        sample_curve(kind, sigma, grid)
 
 
 @pytest.mark.parametrize("grid", [make_grid(0.05, 1.0, 200),
