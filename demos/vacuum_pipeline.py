@@ -19,7 +19,7 @@ print(f"\ndetected pole order : {result.pole_order}")
 print(f"pole strength       : {result.c_minus:.6f}  (expect 2)")
 print(f"stable rectangle    : {len(result.diagnostics['rectangle'])} windows")
 
-print("\nrefit curve (leading singularity subtracted):")
+print(f"\nconstant terms of windows ({result.pole_order}, nhat2):")
 for nhat2, value in result.curve:
     print(f"  nhat2 = {nhat2}:  c0_hat = {value:.9f}")
 turned = "turns" if result.diagnostics["sign_change"] else "is monotone; smallest step"

@@ -1,5 +1,5 @@
 """Batch front-end: run the vacuum and dielectric pipelines and emit
-machine-readable samples, fit matrices, refit curves, and reports.
+machine-readable samples, fit matrices, c0 curves, and reports.
 
 Commands:
     vacuum                          vacuum pipeline
@@ -99,6 +99,9 @@ def plan_run(cfg: RunConfig, *kinds: SpectrumKind) -> RunPlan:
                            else PlateGeometry(cfg.lx, cfg.ly, cfg.lz))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.grid_points <= cfg.n2 - cfg.n1 - 1:    # coefficients of window (n1 + 1, n2 - 1)
+        raise ConfigError(f"grid_points must exceed the {cfg.n2 - cfg.n1 - 1} coefficients of "
+                          f"the widest window, got {cfg.grid_points}")
     return plan
 
 
@@ -201,7 +204,7 @@ def _summary(result: RegularizationResult) -> str:
 
 def _write_curve(out: Path, kind: SpectrumKind, samples: list[IntegralSample],
                  result: RegularizationResult) -> None:
-    """Write one curve's samples, window matrix and refit curve; print its line."""
+    """Write one curve's samples, window matrix and c0 curve; print its line."""
     suffix = "" if kind is SpectrumKind.VACUUM else f"_{kind.value}"
     lines = ["s,I,err"]
     lines += [f"{_fmt(p.s)},{_fmt(p.value)},{_fmt(p.est_error)}" for p in samples]

@@ -3,10 +3,10 @@
 Given samples of I(s) on a grid in (0, s_R], the pipeline fits truncated
 Laurent series over a matrix of exponent windows [n1, n2], prunes
 principal-part coefficients that are small relative to a window average,
-detects the pole order as the most singular exponent shared by a stable
-sub-rectangle of windows, subtracts the leading singularity, refits, and
-reads the regularized constant term c0 off the turning point of the refit
-curve.
+detects the pole order N as the most singular exponent shared by a stable
+sub-rectangle of windows, and reads the regularized constant term c0 off the
+turning point of the constant terms of windows (N, nhat2), which the paper's
+subtract-and-refit route (`subtract_and_refit`) gives in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -118,9 +118,14 @@ class _PowerTable:
         norms = self.norms[lo:hi]
         if np.any(norms == 0.0):
             raise FitError("degenerate basis column")
-        coef_scaled, _, rank, sv = np.linalg.lstsq(self.scaled[:, lo:hi], rhs, rcond=None)
+        # the rhs component along the unit first column bypasses the solve and
+        # its roundoff; np.sum, not a BLAS dot, whose bits depend on strides
+        a = self.scaled[:, lo:hi]
+        lead = np.sum(a[:, 0] * rhs)
+        coef_scaled, _, rank, sv = np.linalg.lstsq(a, rhs - lead * a[:, 0], rcond=None)
         if rank < ncoef:
             raise FitError(f"rank-deficient window ({n1}, {n2}): rank {rank} < {ncoef}")
+        coef_scaled[0] += lead
         coef = coef_scaled / norms
         resid = np.ascontiguousarray(self.table[:, lo:hi]) @ coef - rhs
         rms = float(np.sqrt(np.mean(resid**2)))
@@ -138,8 +143,6 @@ class FitMatrix:
     N2: int
     s: np.ndarray = field(repr=False, compare=False)
     I: np.ndarray = field(repr=False, compare=False)
-    # the powers of s the windows were fitted on; the refits slice them too
-    _powers: _PowerTable | None = field(repr=False, compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,7 @@ class RegularizationResult:
     pole_order: int
     c_minus: float                               # mean of the per-n2 leading coefficients
     c_minus_by_window: Mapping[int, float]       # n2 -> C(pole_order, n2)
-    curve: list[tuple[int, float]]               # (nhat2, c0hat) after subtracting c_minus
+    curve: list[tuple[int, float]]               # (nhat2, c0hat of window (pole_order, nhat2))
     c0: float
     diagnostics: Mapping[str, object]
     matrix: FitMatrix = field(repr=False)        # the window fits the pole was read from
@@ -171,7 +174,7 @@ class LaurentParams:
 
     def __post_init__(self) -> None:
         # pole detection needs two window rows (N1 <= -3), and the turning
-        # point three refit windows (N2 >= 4)
+        # point three windows in the pole's row (N2 >= 4)
         if self.N1 >= -2:
             raise ValueError(f"N1 must be <= -3, got {self.N1}")
         if self.N2 <= 3:
@@ -217,7 +220,7 @@ def build_matrix(samples, N1: int = -6, N2: int = 9) -> FitMatrix:
     powers = _PowerTable.of(s, N1 + 1, N2 - 1)
     entries = {(n1, n2): powers.fit(I, n1, n2)
                for n1 in range(N1 + 1, 0) for n2 in range(1, N2)}
-    return FitMatrix(entries=entries, N1=int(N1), N2=int(N2), s=s, I=I, _powers=powers)
+    return FitMatrix(entries=entries, N1=int(N1), N2=int(N2), s=s, I=I)
 
 
 def prune(matrix: FitMatrix, eps_c: float = 1e-3) -> PruneReport:
@@ -296,12 +299,13 @@ def detect_pole_order(report: PruneReport) -> tuple[int, frozenset[tuple[int, in
 def subtract_and_refit(matrix: FitMatrix, N: int, c_lead: float) -> list[tuple[int, float]]:
     """Subtract c_lead s^N from the matrix's samples and refit [N, nhat2].
 
-    Returns the refit curve [(nhat2, c0hat)] for nhat2 in [1, N2-1]. Each
-    refit has the columns of the matrix window (N, nhat2) and slices the
-    matrix's power table.
+    Returns the refit curve [(nhat2, c0hat)] for nhat2 in [1, N2-1]: the
+    paper's route to the curve `regularize` reads off the matrix windows
+    (N, nhat2), equal to it in exact arithmetic.
     """
     reduced = matrix.I - c_lead * matrix.s**float(N)
-    return [(nhat2, matrix._powers.fit(reduced, N, nhat2).coeffs[0])
+    powers = _PowerTable.of(matrix.s, N, matrix.N2 - 1)
+    return [(nhat2, powers.fit(reduced, N, nhat2).coeffs[0])
             for nhat2 in range(1, matrix.N2)]
 
 
@@ -326,7 +330,8 @@ def turning_point(curve: Sequence) -> float:
 
 
 def regularize(samples, params: LaurentParams | None = None) -> RegularizationResult:
-    """Full pipeline: matrix -> prune -> pole detection -> subtract/refit -> c0."""
+    """Full pipeline: matrix -> prune -> pole detection -> c0, read off the
+    constant terms of windows (N, nhat2); c_minus is reported, not used."""
     params = params or LaurentParams()
     s, I = _extract(samples)
 
@@ -345,9 +350,7 @@ def regularize(samples, params: LaurentParams | None = None) -> RegularizationRe
     c_by_window = {n2: matrix.entries[(pole, n2)].coeffs[pole]
                    for n2 in range(1, params.N2)}
     c_minus = float(np.mean(list(c_by_window.values())))
-    # each refit window has the columns of a window build_matrix solved, and
-    # its checks depend on those columns only, so the refit cannot fail
-    curve = subtract_and_refit(matrix, pole, c_minus)
+    curve = [(n2, matrix.entries[(pole, n2)].coeffs[0]) for n2 in range(1, params.N2)]
     turn, sign_change = _turning(np.array([c0hat for _, c0hat in curve]))
 
     flagged = sorted(w for w, fit in matrix.entries.items() if fit.ill_conditioned)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -280,23 +280,14 @@ def eval_I_dielectric(
                           kind=kind, sigma=sigma)
 
 
-def _dielectric_sample(job: tuple[SpectrumKind, float, float, float]) -> IntegralSample:
-    """eval_I_dielectric(kind, s, sigma, rel_tol) for one grid point; a
-    module-level function, so that a pool can send it to its workers."""
-    return eval_I_dielectric(*job)
-
-
-def _in_grid_order(points: list[float], samples: Iterator[IntegralSample]
-                   ) -> list[IntegralSample]:
-    """The samples of `points` as they arrive in grid order; a failure raises
-    QuadratureError naming its grid index, the first failing one."""
-    out = []
-    for j, s in enumerate(points):
-        try:
-            out.append(next(samples))
-        except ArithmeticError as exc:
-            raise QuadratureError(f"sample {j} (s={s}) failed: {exc}") from exc
-    return out
+def _dielectric_sample(job: tuple[int, SpectrumKind, float, float, float]) -> IntegralSample:
+    """eval_I_dielectric(kind, s, sigma, rel_tol) at grid point j, naming j on
+    failure; module-level, so that a pool can send it to its workers."""
+    j, kind, s, sigma, rel_tol = job
+    try:
+        return eval_I_dielectric(kind, s, sigma, rel_tol)
+    except ArithmeticError as exc:
+        raise QuadratureError(f"sample {j} (s={s}) failed: {exc}") from exc
 
 
 def sample_curve(
@@ -324,7 +315,7 @@ def sample_curve(
     _require_dielectric(kind, sigma)
     for s in points:
         _require_damping(s, "eval_I_dielectric")
-    jobs = [(kind, s, sigma, rel_tol) for s in points]
+    jobs = [(j, kind, s, sigma, rel_tol) for j, s in enumerate(points)]
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(len(affinity(0)), len(points)) if affinity else 1
     if workers > 1:
@@ -335,9 +326,9 @@ def sample_curve(
 
         if "fork" in multiprocessing.get_all_start_methods():
             # forked workers need no import and see this process's module
-            # state; after a failure, map cancels the samples not yet started
-            # and leaving the block waits for those already running
+            # state; map raises the first failing index, then cancels the
+            # samples not yet started, and leaving the block waits for the rest
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return _in_grid_order(points, pool.map(_dielectric_sample, jobs))
-    return _in_grid_order(points, map(_dielectric_sample, jobs))
+                return list(pool.map(_dielectric_sample, jobs))
+    return list(map(_dielectric_sample, jobs))

@@ -1,10 +1,12 @@
-"""Test-only reference route for the Laurent refit.
+"""Test-only reference route for the Laurent read-off.
 
 The paper subtracts the leading singularity once per window column n2 and
 reads one refit curve per n2.  The subtracted term C(N, n2) s^N lies in every
-refit window [N, nhat2], so by linearity of least squares those curves are
-one fit in exact arithmetic; `regularize` fits it once.  This module keeps
-the per-n2 route, built on `fit_window`, so the tests can check that claim.
+refit window [N, nhat2], so by linearity of least squares each refit has the
+constant term of the matrix window (N, nhat2) in exact arithmetic;
+`regularize` reads its curve off those windows and refits nothing.  This
+module keeps the per-n2 route, built on `fit_window`, so the tests can check
+that claim.
 """
 
 from casimir_laurent.laurent import FitMatrix, fit_window, turning_point

@@ -261,7 +261,7 @@ def test_criterion_7_robustness(vacuum_runs, capsys):
     poles = {J: res.pole_order for J, (_, res) in runs.items()}
     c0s = {J: res.c0 for J, (_, res) in runs.items()}
     # the paper's route reads one turning value per n2; each must agree with
-    # the single refit's c0 (they are one fit in exact arithmetic)
+    # the c0 read off the matrix row (they are one fit in exact arithmetic)
     per_n2_devs = {J: max(abs(v - res.c0) for v in per_n2_turning_values(res).values())
                    for J, (_, res) in runs.items()}
 

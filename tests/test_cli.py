@@ -86,7 +86,7 @@ def test_vacuum_samples_schema(vacuum_run):
 def test_vacuum_curves_schema(vacuum_run):
     lines = (vacuum_run / "curves.csv").read_text().splitlines()
     assert lines[0] == "nhat2,c0hat"
-    assert len(lines) == 9  # one refit curve, nhat2 in [1, 8]
+    assert len(lines) == 9  # one c0 curve, nhat2 in [1, 8]
     assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 9))
     for line in lines[1:]:
         assert FLOAT_16E.match(line.split(",")[1]), line
@@ -115,7 +115,7 @@ def test_vacuum_report_contents(vacuum_run):
     assert report["rel_dev_exact"] < 1e-3
     assert report["reference_c0"] == C0_REFERENCE
     assert report["abs_dev_reference"] < 5e-3
-    # the default vacuum refit curve rises monotonically: c0 is the
+    # the default vacuum curve rises monotonically: c0 is the
     # fallback after its smallest step, at the last window
     assert report["turning_nhat2"] == 8
     assert report["sign_change"] is False
@@ -193,6 +193,16 @@ def test_config_file_rejects_removed_keys(tmp_path, capsys, line):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_config_file_unparsable_value(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("grid_points = many\n")
+    out = tmp_path / "out"
+    assert main(["vacuum", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: bad value for grid_points: 'many' (")
+    assert not out.exists()
+
+
 def test_config_file_malformed_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("eps_s 0.1\n")
@@ -213,7 +223,7 @@ def test_config_file_missing(tmp_path, capsys):
     ["--n2", "1"],
     ["--eps-c", "-0.5"],
     ["--rel-tol", "2.0"],
-    ["--n2", "3"],               # two refit windows: no turning point
+    ["--n2", "3"],               # two curve windows: no turning point
     ["--n2", "2"],               # one window column: no 2 x 2 rectangle
     ["--n1", "-2"],              # one window row: no 2 x 2 rectangle
 ])
@@ -294,7 +304,7 @@ def test_sensitivity_invalid_swept_config(tmp_path):
 
 
 def test_sensitivity_fence_without_c0_rejected_before_sampling(tmp_path, monkeypatch, capsys):
-    # N2 = 3 leaves two refit windows, too few for a turning point; it used
+    # N2 = 3 leaves two curve windows, too few for a turning point; it used
     # to escape regularize as a ValueError traceback after the N2 = 9 run
     calls = []
     monkeypatch.setattr(cli, "sample_curve", lambda *args: calls.append(args))
@@ -303,6 +313,28 @@ def test_sensitivity_fence_without_c0_rejected_before_sampling(tmp_path, monkeyp
                  "--out-dir", str(out)]) == 2
     assert "configuration error: N2 must be >= 4, got 3" in capsys.readouterr().err
     assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["vacuum", "--n2", "16"],
+    ["dielectric", "--sigma", "8/27", "--n2", "16"],
+    ["sensitivity", "--vary", "N2", "--values", "9,16"],
+])
+def test_fence_wider_than_the_grid_rejected_before_sampling(tmp_path, monkeypatch, capsys,
+                                                            argv):
+    # window (-5, 15) has 21 coefficients, more than 16 samples can determine;
+    # it used to exit 4 after sampling, the sweep after printing its N2 = 9 row
+    def refuse(*args, **kwargs):
+        raise AssertionError("a curve was sampled")
+
+    monkeypatch.setattr(cli, "sample_curve", refuse)
+    out = tmp_path / "out"
+    assert main(argv + ["--grid-points", "16", "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("configuration error: grid_points must exceed the 21 "
+                            "coefficients of the widest window, got 16\n")
+    assert captured.out == ""
     assert not out.exists()
 
 

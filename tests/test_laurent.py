@@ -1,14 +1,18 @@
 """Regularization-pipeline oracles.
 
 The vacuum curve has a closed form whose constant term is pi^4/360, which
-pins down every stage: window fits, pruning, pole detection, subtraction,
-and the turning-point read-off.  Synthetic Laurent data with known poles
-covers the rest of the detection range.  The per-n2 refit route of the
-paper is the reference for the single refit (`laurent_oracles`).
+pins down every stage: window fits, pruning, pole detection and the
+turning-point read-off.  Synthetic Laurent data with known poles
+covers the rest of the detection range.  The paper's subtract-and-refit
+routes, once (`subtract_and_refit`) and per n2 (`laurent_oracles`), are the
+references for the curve read off the window matrix, and a 60-digit solve
+for its roundoff.
 """
 
 import math
+from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -137,6 +141,10 @@ def test_fit_window_errors():
         fit_window((s, I), 2, -2)
     with pytest.raises(FitError):
         fit_window((s[:4], I[:4]), -3, 2)  # 6 coefficients, 4 samples
+    # 12 samples at 3 distinct abscissae cannot separate 5 coefficients
+    x = np.repeat([0.2, 0.5, 0.9], 4)
+    with pytest.raises(FitError, match=r"rank-deficient window \(-2, 2\): rank 3 < 5"):
+        fit_window((x, 1.0 / x), -2, 2)
     with pytest.raises(ValueError):
         fit_window((np.array([-0.1, 0.5, 1.0]), np.ones(3)), -1, 1)
     with pytest.raises(ValueError):
@@ -389,20 +397,47 @@ def test_matrix_windows_equal_single_window_fits(curve_J200):
         assert _fit_tuple(fit) == _fit_tuple(fit_window((s, I), n1, n2)), (n1, n2)
 
 
-def test_refit_points_equal_single_window_fits(curve_J200):
-    # the refit subtracts c_minus once and slices the matrix's power table;
-    # every point must still be the exact fit a lone fit_window call makes
+def test_curve_points_equal_single_window_fits(curve_J200):
+    # the curve is read off the matrix row of the pole; every point must
+    # still be the constant term a lone fit_window call makes
     s, I = curve_J200
     res = regularize((s, I))
-    N = res.pole_order
-    reduced = I - res.c_minus * s**float(N)
-    assert res.curve == [(nhat2, fit_window((s, reduced), N, nhat2).coeffs[0])
+    assert res.curve == [(nhat2, fit_window((s, I), res.pole_order, nhat2).coeffs[0])
                          for nhat2 in range(1, 9)]
+
+
+def test_curve_matches_the_subtract_and_refit_reference(curve_J200):
+    # subtracting c_minus s^N and refitting gives the same constant terms in
+    # exact arithmetic; the two routes differ by roundoff alone
+    res = regularize(curve_J200)
+    reference = subtract_and_refit(res.matrix, res.pole_order, res.c_minus)
+    assert [p[0] for p in reference] == [p[0] for p in res.curve]
+    for (_, ref), (nhat2, c0hat) in zip(reference, res.curve):
+        assert abs(c0hat - ref) <= 1e-6 * abs(ref), nhat2
+
+
+@pytest.mark.parametrize("grid", [make_grid(0.05, 1.0, 200),
+                                  make_grid(0.05, 0.9, 200, Spacing.LOG)],
+                         ids=["default", "log"])
+def test_curve_c0_matches_a_60_digit_solve(grid):
+    # c0 is the constant term of window (N, nhat2) at the turn; against the
+    # same least-squares problem solved at 60 digits it reads 9.5e-8 (default)
+    # and 1.9e-8 (log) off.  Without the leading column projected out of the
+    # solve, the log grid reads 1.8e-6 off
+    s = grid.points
+    I = np.array([p.value for p in sample_curve(SpectrumKind.VACUUM, 1.0, grid)])
+    res = regularize((s, I))
+    N, nhat2 = res.pole_order, res.diagnostics["turning_nhat2"]
+    with mp.workdps(60):
+        A = mp.matrix([[mp.mpf(x) ** n for n in range(N, nhat2 + 1)] for x in s])
+        coef, _ = mp.qr_solve(A, mp.matrix([mp.mpf(v) for v in I]))
+        exact = float(coef[-N])
+    assert abs(res.c0 - exact) <= 5e-7 * abs(exact)
 
 
 def test_one_refit_matches_every_per_n2_refit(curve_J200):
     # the per-n2 curves are one fit in exact arithmetic: they differ from the
-    # single refit by roundoff alone, and turn at the same window
+    # matrix row by roundoff alone, and turn at the same window
     res = regularize(curve_J200)
     for n2, curve in per_n2_curves(res.matrix, res.pole_order).items():
         assert [p[0] for p in curve] == [p[0] for p in res.curve]
@@ -412,7 +447,7 @@ def test_one_refit_matches_every_per_n2_refit(curve_J200):
 
 
 def test_regularize_solves_each_window_once(curve_J200, monkeypatch):
-    # 40 window fits plus 8 refits, one least-squares solve each
+    # 40 window fits, one least-squares solve each, and no refit
     calls = []
     real = np.linalg.lstsq
 
@@ -420,9 +455,13 @@ def test_regularize_solves_each_window_once(curve_J200, monkeypatch):
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("regularize refitted the curve")
+
     monkeypatch.setattr(np.linalg, "lstsq", counting)
+    monkeypatch.setattr(laurent, "subtract_and_refit", refuse)
     regularize(curve_J200)
-    assert len(calls) == 48
+    assert len(calls) == 40
 
 
 def test_subtract_and_refit_shape_and_values():
@@ -467,9 +506,20 @@ def test_turning_point_needs_three_points():
 ])
 def test_regularize_reports_where_the_curve_turned(vacuum_samples, monkeypatch,
                                                    curve, nhat2, sign_change):
-    # an interior turn, and a monotone curve that falls back to the smallest step
-    monkeypatch.setattr(laurent, "subtract_and_refit", lambda matrix, N, c_lead: curve)
-    res = regularize(vacuum_samples)
+    # an interior turn, and a monotone curve that falls back to the smallest
+    # step, injected as the constant terms of the pole's matrix row
+    real = laurent.build_matrix
+
+    def injected(samples, N1, N2):
+        matrix = real(samples, N1, N2)
+        entries = dict(matrix.entries)
+        for k, c0hat in curve:
+            entries[(-4, k)] = replace(entries[(-4, k)],
+                                       coeffs={**entries[(-4, k)].coeffs, 0: c0hat})
+        return replace(matrix, entries=entries)
+
+    monkeypatch.setattr(laurent, "build_matrix", injected)
+    res = regularize(vacuum_samples, LaurentParams(N2=len(curve) + 1))
     assert res.curve == curve
     assert res.c0 == turning_point(curve) == dict(curve)[nhat2]
     assert res.diagnostics["turning_nhat2"] == nhat2
@@ -572,6 +622,11 @@ def test_regularize_stage_tagging(monkeypatch):
     with pytest.raises(RegularizationError) as exc:
         regularize((s, 1.0 / s))
     assert exc.value.stage == "fit"
+    # 30 samples at 10 distinct abscissae: enough samples, too low a rank
+    s = np.repeat(np.linspace(0.1, 1.0, 10), 3)
+    with pytest.raises(RegularizationError) as exc:
+        regularize((s, 1.0 / s))
+    assert exc.value.stage == "fit"
 
     # The window rule keeps the vacuum pole detectable on every grid tried,
     # so the detection failure is injected.
@@ -588,7 +643,7 @@ def test_regularize_stage_tagging(monkeypatch):
 
 def test_laurent_params_validation():
     # N1 = -2 leaves one window row, so no 2 x 2 rectangle can agree on a pole;
-    # N2 = 3 leaves two refit windows, too few for a turning point
+    # N2 = 3 leaves two curve windows, too few for a turning point
     for bad in ({"N1": -1}, {"N1": -2}, {"N2": 1}, {"N2": 2}, {"N2": 3}):
         with pytest.raises(ValueError):
             LaurentParams(**bad)
