@@ -7,10 +7,10 @@ from .laurent import (DetectionError, FitError, FitMatrix, LaurentParams,
                       PruneReport, RegularizationError, RegularizationResult,
                       SGrid, Spacing, TruncatedLaurentFit, build_matrix,
                       detect_pole_order, fit_window, make_grid, prune,
-                      regularize, subtract_and_refit, turning_point)
+                      regularize, subtract_and_refit)
 from .physics import (C_LIGHT, HBAR, HBAR_C, DielectricSpec, ForceReport,
-                      PlateGeometry, casimir_energy_te, f0_prefactor,
-                      force_report, vacuum_force_per_area)
+                      PlateGeometry, f0_prefactor, force_report,
+                      vacuum_force_per_area)
 from .quadrature import (IntegralSample, QuadratureError, eval_I_dielectric,
                          eval_I_vacuum, sample_curve)
 from .specfun import log_bessel_ik
@@ -23,9 +23,8 @@ __all__ = [
     "IntegralSample", "LaurentParams", "PlateGeometry", "PruneReport",
     "QuadratureError", "RegularizationError", "RegularizationResult", "SGrid",
     "Spacing", "SpectrumKind", "TruncatedLaurentFit", "build_matrix",
-    "casimir_energy_te", "detect_pole_order", "dlog_cross_te", "dlog_cross_tm",
-    "eval_I_dielectric", "eval_I_vacuum", "f0_prefactor", "fit_window",
-    "force_report", "log_bessel_ik", "make_grid", "prune", "regularize",
-    "sample_curve", "subtract_and_refit", "turning_point",
-    "vacuum_force_per_area", "vacuum_integrand",
+    "detect_pole_order", "dlog_cross_te", "dlog_cross_tm", "eval_I_dielectric",
+    "eval_I_vacuum", "f0_prefactor", "fit_window", "force_report",
+    "log_bessel_ik", "make_grid", "prune", "regularize", "sample_curve",
+    "subtract_and_refit", "vacuum_force_per_area", "vacuum_integrand",
 ]

@@ -9,7 +9,9 @@ Commands:
 
 Common flags mirror the config-file keys of the same name; flags override
 file values.  Config files are flat `key = value` lines with `#` comments.
-Every value is checked before the first sample and the first file write.
+Every value is checked before the first sample, and out_dir is created only
+once every curve of the command has been sampled and regularized, so a failed
+run leaves no directory and no partial artifacts.
 Exit codes: 0 success, 2 configuration error, 3 quadrature failure,
 4 regularization failure.
 """
@@ -63,15 +65,15 @@ class RunPlan:
     """A RunConfig resolved into the library objects that check its values."""
     grid: SGrid
     params: LaurentParams
-    quad: dict[SpectrumKind, float]   # rel_tol of each curve, in run order
+    rel_tol: float                    # of every curve; TE and TM share one
     sigma: float = 1.0
     spec: DielectricSpec | None = None
     geom: PlateGeometry | None = None
 
 
-def plan_run(cfg: RunConfig, *kinds: SpectrumKind) -> RunPlan:
-    """Check every value of cfg for the curves `kinds`, before any sampling
-    or file write.
+def plan_run(cfg: RunConfig, kind: SpectrumKind) -> RunPlan:
+    """Check every value of cfg for curves of `kind`, before any sampling or
+    file write; TE stands for both dielectric kinds, which share every rule.
 
     The range rules live in make_grid, LaurentParams, resolve_rel_tol,
     DielectricSpec and PlateGeometry; their ValueError becomes a ConfigError.
@@ -81,7 +83,7 @@ def plan_run(cfg: RunConfig, *kinds: SpectrumKind) -> RunPlan:
         raise ConfigError(f"grid_points must be >= 16, got {cfg.grid_points}")
     if cfg.spacing not in ("linear", "log"):
         raise ConfigError(f"spacing must be linear or log, got {cfg.spacing!r}")
-    dielectric = SpectrumKind.VACUUM not in kinds
+    dielectric = kind is not SpectrumKind.VACUUM
     sigma = float(cfg.sigma) if dielectric else 1.0
     if dielectric and sigma == 1.0:
         raise ConfigError(f"sigma must lie in (0,1) or (1,inf), got {cfg.sigma}")
@@ -89,7 +91,7 @@ def plan_run(cfg: RunConfig, *kinds: SpectrumKind) -> RunPlan:
         plan = RunPlan(
             grid=make_grid(cfg.eps_s, cfg.s_max, cfg.grid_points, cfg.spacing),
             params=LaurentParams(N1=cfg.n1, N2=cfg.n2, eps_c=cfg.eps_c),
-            quad={kind: resolve_rel_tol(kind, cfg.rel_tol) for kind in kinds},
+            rel_tol=resolve_rel_tol(kind, cfg.rel_tol),
             sigma=sigma)
         if dielectric:
             # the scaled force block uses a unit box, exempt from the aspect warning
@@ -227,12 +229,11 @@ def _write_curve(out: Path, kind: SpectrumKind, samples: list[IntegralSample],
 
 
 def _config_echo(cfg: RunConfig, plan: RunPlan) -> dict[str, object]:
-    # TE and TM always share one rel_tol
     return {
         "grid": {"eps_s": cfg.eps_s, "s_R": cfg.s_max, "J": cfg.grid_points,
                  "spacing": cfg.spacing},
         "laurent": {"N1": cfg.n1, "N2": cfg.n2, "eps_c": cfg.eps_c},
-        "quadrature": {"rel_tol": next(iter(plan.quad.values()))},
+        "quadrature": {"rel_tol": plan.rel_tol},
     }
 
 
@@ -259,17 +260,17 @@ def _curve(kind: SpectrumKind, plan: RunPlan, taken: dict
     `taken` holds the command's samples by (kind, sigma, grid, rel_tol); a
     curve whose key is already there is not sampled again.
     """
-    key = (kind, plan.sigma, plan.grid, plan.quad[kind])
+    key = (kind, plan.sigma, plan.grid, plan.rel_tol)
     if key not in taken:
-        taken[key] = sample_curve(kind, plan.sigma, plan.grid, plan.quad[kind])
+        taken[key] = sample_curve(kind, plan.sigma, plan.grid, plan.rel_tol)
     return taken[key], regularize(taken[key], plan.params)
 
 
 def run_vacuum(cfg: RunConfig) -> int:
     plan = plan_run(cfg, SpectrumKind.VACUUM)
+    samples, result = _curve(SpectrumKind.VACUUM, plan, {})
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    samples, result = _curve(SpectrumKind.VACUUM, plan, {})
     _write_curve(out, SpectrumKind.VACUUM, samples, result)
     report = {
         "mode": "vacuum",
@@ -285,26 +286,25 @@ def run_vacuum(cfg: RunConfig) -> int:
 
 
 def run_dielectric(cfg: RunConfig) -> int:
-    plan = plan_run(cfg, SpectrumKind.TE, SpectrumKind.TM)
+    plan = plan_run(cfg, SpectrumKind.TE)
+    curves = {kind: _curve(kind, plan, {}) for kind in (SpectrumKind.TE, SpectrumKind.TM)}
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results: dict[str, RegularizationResult] = {}
-    taken: dict = {}
-    for kind in plan.quad:
-        samples, results[kind.value] = _curve(kind, plan, taken)
-        _write_curve(out, kind, samples, results[kind.value])
+    for kind, (samples, result) in curves.items():
+        _write_curve(out, kind, samples, result)
+    te, tm = curves[SpectrumKind.TE][1], curves[SpectrumKind.TM][1]
     spec, geom = plan.spec, plan.geom
-    forces = force_report(results["te"].c0, results["tm"].c0, spec, geom)
+    forces = force_report(te.c0, tm.c0, spec, geom)
     report = {
         "mode": "dielectric",
         "sigma": plan.sigma,
         "sigma_exact": str(cfg.sigma) if isinstance(cfg.sigma, Fraction) else None,
         "alpha": spec.alpha,
         **_config_echo(cfg, plan),
-        "te": _result_block(results["te"]),
-        "tm": _result_block(results["tm"]),
+        "te": _result_block(te),
+        "tm": _result_block(tm),
         "geometry": {"Lx": geom.Lx, "Ly": geom.Ly, "Lz": geom.Lz},
-        "force": {k: v for k, v in asdict(forces).items() if not k.startswith("c0_")},
+        "force": asdict(forces),
     }
     _write_json(out / "report.json", report)
     return 0
@@ -323,8 +323,6 @@ def dump_sensitivity(cfg: RunConfig, vary: str, values: list[float]) -> int:
     plan_run(cfg, SpectrumKind.VACUUM)   # the unswept config must hold on its own
     plans = [plan_run(replace(cfg, **{field_name: parse(v)}), SpectrumKind.VACUUM)
              for v in values]
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows, lines = [], ["param,value,pole_order,c0,turning_nhat2,sign_change"]
     taken: dict = {}
     for value, plan in zip(values, plans):
@@ -334,6 +332,8 @@ def dump_sensitivity(cfg: RunConfig, vary: str, values: list[float]) -> int:
         diag = result.diagnostics
         lines.append(f"{vary},{value:g},{result.pole_order},{_fmt(result.c0)},"
                      f"{diag['turning_nhat2']},{json.dumps(diag['sign_change'])}")
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "sensitivity.csv", "\n".join(lines) + "\n")
     _write_json(out / "sensitivity.json", {
         "vary": vary,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -105,8 +105,14 @@ class _PowerTable:
 
     @classmethod
     def of(cls, s: np.ndarray, n_lo: int, n_hi: int) -> "_PowerTable":
+        """Raises FitError where a column's norm overflows or underflows."""
         table = s[:, None] ** np.arange(n_lo, n_hi + 1)[None, :]
         norms = np.linalg.norm(table, axis=0)
+        bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
+        if bad.size:
+            raise FitError(f"basis column s^{n_lo + bad[0]} has norm {norms[bad[0]]:g} "
+                           f"on the grid [{s.min():g}, {s.max():g}]: the monomials "
+                           f"cannot represent it in doubles")
         return cls(n_lo=int(n_lo), table=table, norms=norms, scaled=table / norms)
 
     def fit(self, rhs: np.ndarray, n1: int, n2: int) -> TruncatedLaurentFit:
@@ -115,9 +121,6 @@ class _PowerTable:
         if len(rhs) <= ncoef:
             raise FitError(f"{len(rhs)} samples cannot determine {ncoef} coefficients")
         lo, hi = n1 - self.n_lo, n2 - self.n_lo + 1
-        norms = self.norms[lo:hi]
-        if np.any(norms == 0.0):
-            raise FitError("degenerate basis column")
         # the rhs component along the unit first column bypasses the solve and
         # its roundoff; np.sum, not a BLAS dot, whose bits depend on strides
         a = self.scaled[:, lo:hi]
@@ -126,7 +129,7 @@ class _PowerTable:
         if rank < ncoef:
             raise FitError(f"rank-deficient window ({n1}, {n2}): rank {rank} < {ncoef}")
         coef_scaled[0] += lead
-        coef = coef_scaled / norms
+        coef = coef_scaled / self.norms[lo:hi]
         resid = np.ascontiguousarray(self.table[:, lo:hi]) @ coef - rhs
         rms = float(np.sqrt(np.mean(resid**2)))
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
@@ -148,8 +151,7 @@ class FitMatrix:
 @dataclass(frozen=True)
 class PruneReport:
     eps_c: float
-    kept: frozenset[tuple[int, int, int]]      # (n, n1, n2)
-    dropped: frozenset[tuple[int, int, int]]
+    kept: frozenset[tuple[int, int, int]]      # (n, n1, n2); the rest are dropped
     averages: Mapping[tuple[int, int, int], float]
     N1: int
     N2: int
@@ -224,7 +226,8 @@ def build_matrix(samples, N1: int = -6, N2: int = 9) -> FitMatrix:
 
 
 def prune(matrix: FitMatrix, eps_c: float = 1e-3) -> PruneReport:
-    """Classify every principal-part coefficient by the ratio test |c_n|/M_n > eps_c.
+    """Keep every principal-part coefficient that passes the ratio test
+    |c_n|/M_n > eps_c; a zero M_n drops its coefficients.
 
     M_n is |sum of the window's own principal coefficients| / |n|, or their
     mean magnitude where the signed sum cancels below AVERAGE_CANCEL_GUARD.
@@ -232,7 +235,6 @@ def prune(matrix: FitMatrix, eps_c: float = 1e-3) -> PruneReport:
     if eps_c < 0.0:
         raise ValueError(f"eps_c must be non-negative, got {eps_c}")
     kept: set[tuple[int, int, int]] = set()
-    dropped: set[tuple[int, int, int]] = set()
     averages: dict[tuple[int, int, int], float] = {}
     for (n1, n2), fit in matrix.entries.items():
         own = [fit.coeffs[j] for j in range(n1, 0)]
@@ -242,14 +244,10 @@ def prune(matrix: FitMatrix, eps_c: float = 1e-3) -> PruneReport:
             signed = total / abs(n)
             m = mean_abs if signed < AVERAGE_CANCEL_GUARD * mean_abs else signed
             averages[(n, n1, n2)] = m
-            if m == 0.0:
-                dropped.add((n, n1, n2))
-            elif abs(fit.coeffs[n]) / m > eps_c:
+            if m > 0.0 and abs(fit.coeffs[n]) / m > eps_c:
                 kept.add((n, n1, n2))
-            else:
-                dropped.add((n, n1, n2))
-    return PruneReport(eps_c=eps_c, kept=frozenset(kept), dropped=frozenset(dropped),
-                       averages=averages, N1=matrix.N1, N2=matrix.N2)
+    return PruneReport(eps_c=eps_c, kept=frozenset(kept), averages=averages,
+                       N1=matrix.N1, N2=matrix.N2)
 
 
 def _most_singular_kept(report: PruneReport) -> dict[tuple[int, int], int]:
@@ -313,7 +311,7 @@ def _turning(ys: np.ndarray) -> tuple[int, bool]:
     """Index of the turning ordinate, and whether the differences changed sign
     there (False: the fallback after the smallest absolute step)."""
     if len(ys) < 3:
-        raise ValueError(f"turning_point needs >= 3 points, got {len(ys)}")
+        raise ValueError(f"a turning point needs >= 3 points, got {len(ys)}")
     d = np.diff(ys)
     for i in range(1, len(d)):
         if d[i - 1] * d[i] <= 0.0:
@@ -321,28 +319,15 @@ def _turning(ys: np.ndarray) -> tuple[int, bool]:
     return int(np.argmin(np.abs(d))) + 1, False
 
 
-def turning_point(curve: Sequence) -> float:
-    """Ordinate of the first interior sign change of the discrete differences;
-    for monotone curves, the ordinate after the smallest absolute step."""
-    ys = np.array([p[1] if isinstance(p, (tuple, list)) else p for p in curve],
-                  dtype=float)
-    return float(ys[_turning(ys)[0]])
-
-
 def regularize(samples, params: LaurentParams | None = None) -> RegularizationResult:
     """Full pipeline: matrix -> prune -> pole detection -> c0, read off the
     constant terms of windows (N, nhat2); c_minus is reported, not used."""
     params = params or LaurentParams()
-    s, I = _extract(samples)
-
     try:
-        matrix = build_matrix((s, I), params.N1, params.N2)
-    except (FitError, ValueError) as exc:
+        matrix = build_matrix(samples, params.N1, params.N2)
+    except ValueError as exc:    # FitError, and samples _extract rejects
         raise RegularizationError("fit", str(exc)) from exc
-    try:
-        report = prune(matrix, params.eps_c)
-    except ValueError as exc:
-        raise RegularizationError("prune", str(exc)) from exc
+    report = prune(matrix, params.eps_c)
     try:
         pole, rectangle = detect_pole_order(report)
     except DetectionError as exc:

@@ -78,8 +78,6 @@ class DielectricSpec:
 
 @dataclass(frozen=True)
 class ForceReport:
-    c0_te: float
-    c0_tm: float
     F0: float                  # N
     delta_force: float         # N, F0 * (c0_te + c0_tm)
     vacuum_force: float        # N, total attraction on a plate in vacuum
@@ -89,11 +87,6 @@ class ForceReport:
     scaled_te: float
     scaled_tm: float
     scaled_total: float
-
-
-def casimir_energy_te(c0: float, geom: PlateGeometry) -> float:
-    """TE zero-point energy -Lx Ly hbar c * c0 / (4 pi^2 Lz^3), in Joules."""
-    return -geom.area * HBAR_C * c0 / (4.0 * math.pi**2 * geom.Lz**3)
 
 
 def vacuum_force_per_area(Lz: float) -> float:
@@ -119,8 +112,6 @@ def force_report(c0_te: float, c0_tm: float, spec: DielectricSpec,
     vac = geom.area * vacuum_force_per_area(geom.Lz)
     scale = HBAR_C * spec.alpha**4 / (64.0 * math.pi**2)
     return ForceReport(
-        c0_te=c0_te,
-        c0_tm=c0_tm,
         F0=f0,
         delta_force=f0 * (c0_te + c0_tm),
         vacuum_force=vac,

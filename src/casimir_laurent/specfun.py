@@ -21,12 +21,14 @@ from scipy.special import ive, kve
 # Log-domain modified Bessel evaluation.
 #
 # Three branches, chosen per element and separately for the I and the K
-# side: scipy's scaled pair wherever it stays inside IEEE range, Debye
-# uniform asymptotics for order >= 200 beyond that range, ascending series
-# otherwise.  The branch seam is controlled by the predicted exponent gap
+# side: scipy's scaled pair wherever it stays inside IEEE range, else one
+# fallback, `_log`, shared by I and K: the scaled value alone where it is
+# > 0, Debye uniform asymptotics for order >= 200, ascending series below.
+# The branch seam is controlled by the predicted exponent gap
 # t - nu*eta(t/nu) = -log(ive) and kicks in before ive/kve degrade.  The
 # scipy and Debye branches run on whole arrays; the series, needed only where
 # an order below 200 meets a tiny argument, is summed element by element.
+# Orders are >= 0; the K side's lower neighbour is |nu - 1| (K_{-nu} = K_nu).
 # ---------------------------------------------------------------------------
 
 _GAP_LIMIT = 620.0
@@ -100,41 +102,29 @@ def _log_k_series(nu: float, t: float) -> float:
     return -math.log(2.0) + math.lgamma(nu) + nu * math.log(2.0 / t) + math.log(total)
 
 
-def _fill_asymptotic(out, rest, nu, t, debye, series) -> None:
-    """out[rest] from Debye where nu >= 200, from the series below."""
+def _log(nu, t, scaled, sign, debye, series):
+    """ln F_nu(t) for F = I (scaled = ive, sign +1) or F = K (kve, sign -1):
+    the scaled scipy value where the exponent gap allows and it is > 0, the
+    Debye expansion where nu >= 200, the ascending series below that."""
+    out = np.empty_like(t)
+    rest = np.ones(t.shape, dtype=bool)
+    pair = np.flatnonzero((nu == 0.0) | (_gap(nu, t) < _GAP_LIMIT))
+    v = scaled(nu[pair], t[pair])
+    ok = v > 0.0
+    out[pair[ok]] = np.log(v[ok]) + sign * t[pair[ok]]
+    rest[pair[ok]] = False
     big = rest & (nu >= _DEBYE_MIN_ORDER)
     out[big] = debye(nu[big], t[big])
     low = rest & ~big
     out[low] = [series(n, x) for n, x in zip(nu[low].tolist(), t[low].tolist())]
-
-
-def _log_i(nu, t):
-    out = np.empty_like(t)
-    rest = np.ones(t.shape, dtype=bool)
-    pair = np.flatnonzero((nu == 0.0) | (_gap(nu, t) < _GAP_LIMIT))
-    v = ive(nu[pair], t[pair])
-    ok = (nu[pair] == 0.0) | (v > 0.0)
-    out[pair[ok]] = np.log(v[ok]) + t[pair[ok]]
-    rest[pair[ok]] = False
-    _fill_asymptotic(out, rest, nu, t, _log_i_debye, _log_i_series)
     return out
 
 
-def _log_k(nu, t):
-    nu = np.abs(nu)
-    out = np.empty_like(t)
-    pair = (nu == 0.0) | (_gap(nu, t) < _GAP_LIMIT)
-    out[pair] = np.log(kve(nu[pair], t[pair])) - t[pair]
-    _fill_asymptotic(out, ~pair, nu, t, _log_k_debye, _log_k_series)
-    return out
-
-
-def _log_and_ratio(nu, x, scaled, sign, other, ok, log_fn):
+def _log_and_ratio(nu, x, scaled, sign, other, ok, debye, series):
     """(ln F_nu(x), F_other(nu)(x) / F_nu(x)) for F = I (scaled = ive,
     sign +1, other nu + 1) or F = K (kve, sign -1, other |nu - 1|): the
     scaled scipy pair where the exponent gap allows and ok(v0, v1) accepts
-    its values, log_fn (:func:`_log_i` or :func:`_log_k`) at both orders
-    elsewhere."""
+    its values, :func:`_log` with (debye, series) at both orders elsewhere."""
     ln, ratio = np.empty_like(x), np.empty_like(x)
     pair = np.flatnonzero(_gap(nu, x) < _GAP_LIMIT)
     n, xp = nu[pair], x[pair]
@@ -147,7 +137,8 @@ def _log_and_ratio(nu, x, scaled, sign, other, ok, log_fn):
         rest = np.ones(x.shape, dtype=bool)
         rest[done] = False
         n, xr = nu[rest], x[rest]
-        l0, l1 = log_fn(n, xr), log_fn(other(n), xr)
+        l0 = _log(n, xr, scaled, sign, debye, series)
+        l1 = _log(other(n), xr, scaled, sign, debye, series)
         ln[rest], ratio[rest] = l0, np.exp(l1 - l0)
     return ln, ratio
 
@@ -167,13 +158,17 @@ def log_bessel_ik(nu: ArrayLike, x: ArrayLike, t: ArrayLike | None = None):
                                    np.asarray(x if t is None else t, dtype=float))
     shape = x.shape
     nu, x, t = nu.ravel(), x.ravel(), t.ravel()
+    if np.any(nu < 0.0):
+        raise ValueError(f"log_bessel_ik requires nu >= 0, got {nu[nu < 0.0][0]}")
     for arg in (x, t):
         if np.any(arg <= 0.0):
             raise ValueError(f"log_bessel_ik requires arguments > 0, got {arg[arg <= 0.0][0]}")
     li, q = _log_and_ratio(nu, x, ive, 1.0, lambda n: n + 1.0,
-                           lambda i0, i1: (i0 > 0.0) & (i1 >= 0.0), _log_i)
+                           lambda i0, i1: (i0 > 0.0) & (i1 >= 0.0),
+                           _log_i_debye, _log_i_series)
     lk, r = _log_and_ratio(nu, t, kve, -1.0, lambda n: np.abs(n - 1.0),
-                           lambda k0, k1: np.isfinite(k0) & np.isfinite(k1), _log_k)
+                           lambda k0, k1: np.isfinite(k0) & np.isfinite(k1),
+                           _log_k_debye, _log_k_series)
     if not shape:
         return float(li[0]), float(q[0]), float(lk[0]), float(r[0])
     return li.reshape(shape), q.reshape(shape), lk.reshape(shape), r.reshape(shape)

@@ -6,10 +6,23 @@ refit window [N, nhat2], so by linearity of least squares each refit has the
 constant term of the matrix window (N, nhat2) in exact arithmetic;
 `regularize` reads its curve off those windows and refits nothing.  This
 module keeps the per-n2 route, built on `fit_window`, so the tests can check
-that claim.
+that claim, and `turning_point`, the pipeline's turning rule on a bare curve.
 """
 
-from casimir_laurent.laurent import FitMatrix, fit_window, turning_point
+from typing import Sequence
+
+import numpy as np
+
+from casimir_laurent.laurent import FitMatrix, _turning, fit_window
+
+
+def turning_point(curve: Sequence) -> float:
+    """Ordinate of the first interior sign change of the discrete differences;
+    for monotone curves, the ordinate after the smallest absolute step.
+    Accepts (nhat2, c0hat) pairs or bare ordinates."""
+    ys = np.array([p[1] if isinstance(p, (tuple, list)) else p for p in curve],
+                  dtype=float)
+    return float(ys[_turning(ys)[0]])
 
 
 def per_n2_curves(matrix: FitMatrix, N: int) -> dict[int, list[tuple[int, float]]]:

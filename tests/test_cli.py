@@ -10,6 +10,7 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import casimir_laurent.cli as cli
@@ -487,6 +488,48 @@ def test_regularization_failure_exits_4(tmp_path, monkeypatch, capsys):
     assert main(["vacuum", "--grid-points", "64", "--out-dir", str(tmp_path)]) == 4
     assert capsys.readouterr().err == (
         "regularization failure (detect): [detect] no stable pole order\n")
+
+
+def _tm_fails(kind, sigma, grid, rel_tol=None):
+    if kind is SpectrumKind.TM:
+        raise QuadratureError("sample 0 (s=0.05) failed: did not converge")
+    return synthetic_sampler(kind, sigma, grid, rel_tol)
+
+
+@pytest.mark.parametrize("argv,code,sampler", [
+    # window (-5, 16) is rank-deficient on the default grid
+    (["vacuum", "--n2", "20"], 4, None),
+    (["sensitivity", "--vary", "N2", "--values", "9,20"], 4, None),
+    (["dielectric", "--sigma", "8/27", "--grid-points", "64"], 3, _tm_fails),
+])
+def test_failed_run_writes_nothing(tmp_path, monkeypatch, argv, code, sampler):
+    # every curve is sampled and regularized before out_dir is created, so a
+    # failure after the first curve leaves neither a directory nor its files
+    if sampler is not None:
+        monkeypatch.setattr(cli, "sample_curve", sampler)
+    fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+    existing.mkdir()
+    assert main(argv + ["--out-dir", str(fresh)]) == code
+    assert main(argv + ["--out-dir", str(existing)]) == code
+    assert not fresh.exists()
+    assert list(existing.iterdir()) == []
+
+
+@pytest.mark.parametrize("eps_s,s_max,norm", [("1e-70", "2e-70", "inf"),
+                                              ("1e40", "2e40", "0")])
+def test_grid_the_monomials_cannot_represent_exits_4(tmp_path, capfd, eps_s, s_max, norm):
+    # s^-5 overflows on the first grid and underflows in its norm on the
+    # second; the first used to reach LAPACK, which printed DLASCL errors
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = main(["vacuum", "--eps-s", eps_s, "--s-max", s_max, "--grid-points", "16",
+                     "--out-dir", str(out)])
+    assert code == 4
+    captured = capfd.readouterr()
+    assert "DLASCL" not in captured.out + captured.err
+    assert (f"regularization failure (fit): [fit] basis column s^-5 has norm {norm} "
+            in captured.err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,line", [

@@ -23,10 +23,9 @@ from casimir_laurent.laurent import (AVERAGE_CANCEL_GUARD, DetectionError,
                                      PruneReport, RegularizationError, Spacing,
                                      TruncatedLaurentFit, build_matrix,
                                      detect_pole_order, fit_window, make_grid,
-                                     prune, regularize, subtract_and_refit,
-                                     turning_point)
+                                     prune, regularize, subtract_and_refit)
 from casimir_laurent.quadrature import IntegralSample, sample_curve
-from laurent_oracles import per_n2_curves, per_n2_turning_values
+from laurent_oracles import per_n2_curves, per_n2_turning_values, turning_point
 from vacuum_oracles import vacuum_closed_form
 
 C0_VACUUM_EXACT = math.pi**4 / 360.0
@@ -171,15 +170,16 @@ def test_build_matrix_vacuum_leading_coefficient(vacuum_samples):
 def test_prune_vacuum_keeps_the_pole(vacuum_samples):
     report = prune(build_matrix(vacuum_samples))
     assert (-4, -5, 6) in report.kept
-    assert (-5, -5, 6) in report.dropped
+    assert (-5, -5, 6) not in report.kept
     assert (-4, -4, 3) in report.kept
     # single-coefficient windows always keep themselves (self-ratio is 1)
     assert (-1, -1, 2) in report.kept
 
 
 def test_prune_zero_threshold_keeps_everything(vacuum_samples):
-    report = prune(build_matrix(vacuum_samples), eps_c=0.0)
-    assert not report.dropped
+    matrix = build_matrix(vacuum_samples)
+    report = prune(matrix, eps_c=0.0)
+    assert report.kept == {(n, n1, n2) for n1, n2 in matrix.entries for n in range(n1, 0)}
 
 
 def test_prune_rejects_negative_threshold(vacuum_samples):
@@ -198,7 +198,7 @@ def test_prune_zero_average_drops():
         (-1, 1): TruncatedLaurentFit(-1, 1, {-1: 1.0, 0: 1.0, 1: 0.0}, 0.0, 1.0),
     }
     report = prune(_hand_matrix(fits, -3, 2))
-    assert (-2, -2, 1) in report.dropped
+    assert (-2, -2, 1) not in report.kept
     assert report.averages[(-2, -2, 1)] == 0.0
 
 
@@ -240,8 +240,7 @@ def test_detect_second_order_pole():
 
 def _hand_report(msk, N1, N2):
     kept = frozenset((lab, n1, n2) for (n1, n2), lab in msk.items() if lab is not None)
-    return PruneReport(eps_c=1e-3, kept=kept, dropped=frozenset(), averages={},
-                       N1=N1, N2=N2)
+    return PruneReport(eps_c=1e-3, kept=kept, averages={}, N1=N1, N2=N2)
 
 
 def test_detect_requires_two_by_two():
@@ -344,8 +343,8 @@ def test_detect_matches_the_cell_by_cell_scan():
                 if lab:
                     kept |= {(n, n1, n2) for n in range(int(lab), 0)
                              if n == lab or rng.uniform() < 0.3}
-        report = PruneReport(eps_c=1e-3, kept=frozenset(kept), dropped=frozenset(),
-                             averages={}, N1=N1, N2=N2)
+        report = PruneReport(eps_c=1e-3, kept=frozenset(kept), averages={},
+                             N1=N1, N2=N2)
         expected = _detect_by_scan(report)
         if expected is None:
             with pytest.raises(DetectionError):
@@ -627,6 +626,9 @@ def test_regularize_stage_tagging(monkeypatch):
     with pytest.raises(RegularizationError) as exc:
         regularize((s, 1.0 / s))
     assert exc.value.stage == "fit"
+    with pytest.raises(RegularizationError, match="1-D and congruent") as exc:
+        regularize((np.ones(5), np.ones(4)))
+    assert exc.value.stage == "fit"
 
     # The window rule keeps the vacuum pole detectable on every grid tried,
     # so the detection failure is injected.
@@ -639,6 +641,22 @@ def test_regularize_stage_tagging(monkeypatch):
     with pytest.raises(RegularizationError) as exc:
         regularize((grid.points, I))
     assert exc.value.stage == "detect"
+
+
+@pytest.mark.parametrize("eps_s,norm", [(1e-70, "inf"), (1e40, "0")])
+def test_regularize_rejects_a_grid_the_monomials_cannot_represent(monkeypatch, eps_s, norm):
+    # s^-5 overflows on the first grid and its square underflows on the
+    # second; one error names the column before any window reaches LAPACK
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window reached lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    s = make_grid(eps_s, 2.0 * eps_s, 16).points
+    with pytest.raises(RegularizationError) as exc, np.errstate(all="ignore"):
+        regularize((s, np.ones_like(s)))
+    assert exc.value.stage == "fit"
+    assert (f"basis column s^-5 has norm {norm} on the grid [{eps_s:g}, {2.0 * eps_s:g}]"
+            in str(exc.value))
 
 
 def test_laurent_params_validation():

@@ -7,8 +7,7 @@ import warnings
 import pytest
 
 from casimir_laurent.physics import (C_LIGHT, HBAR, HBAR_C, DielectricSpec,
-                                     ForceReport, PlateGeometry,
-                                     casimir_energy_te, f0_prefactor,
+                                     ForceReport, PlateGeometry, f0_prefactor,
                                      force_report, vacuum_force_per_area)
 
 SIGMA = 8.0 / 27.0
@@ -84,24 +83,8 @@ def test_alpha_fourth_power_value():
 
 
 # ---------------------------------------------------------------------------
-# energies and pressures
+# pressures
 # ---------------------------------------------------------------------------
-
-
-def test_te_energy_micron_example():
-    # -area hbar c c0 / (4 pi^2 Lz^3) with c0 = 0.27042, 1 mm x 1 mm x 1 um
-    geom = PlateGeometry(**MICRON_BOX)
-    expect = -1e-6 * HBAR_C * 0.27042 / (4.0 * math.pi**2 * 1e-18)
-    got = casimir_energy_te(0.27042, geom)
-    assert got == pytest.approx(expect, rel=1e-14)
-    assert got == pytest.approx(-2.1653e-16, rel=1e-3)
-
-
-def test_te_energy_linearity():
-    geom = PlateGeometry(**MICRON_BOX)
-    assert casimir_energy_te(0.6, geom) == pytest.approx(
-        2.0 * casimir_energy_te(0.3, geom), rel=1e-14)
-    assert casimir_energy_te(0.0, geom) == 0.0
 
 
 def test_vacuum_pressure_at_one_micron():
@@ -156,7 +139,8 @@ def report():
 def test_report_delta_force(report):
     assert report.delta_force == pytest.approx(
         report.F0 * (0.19744 + 0.20231), rel=1e-14)
-    assert report.c0_te == 0.19744 and report.c0_tm == 0.20231
+    # each coefficient lands in its own polarization's slot
+    assert report.ratio_te / report.ratio_tm == pytest.approx(0.19744 / 0.20231, rel=1e-14)
 
 
 def test_report_ratio_identity(report):

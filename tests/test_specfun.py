@@ -64,6 +64,19 @@ def test_log_bessel_ik_domain():
         log_bessel_ik(1.0, -2.0)
     with pytest.raises(ValueError, match=r"got -2\.0$"):
         log_bessel_ik(np.array([1.0, 2.0, 3.0]), np.array([1.0, -2.0, 0.0]))
+    with pytest.raises(ValueError, match=r"requires nu >= 0, got -0\.5$"):
+        log_bessel_ik(-0.5, 1.0)
+
+
+def test_k_series_stops_at_the_last_positive_order():
+    # nu = 1.2 at t = 1e-250 is past the gap limit below order 200, so ln K
+    # comes from the ascending series, which stops once nu - k < 1/2; the
+    # ratio's order 0.2 stays on the scaled branch
+    _, _, lk, r = log_bessel_ik(1.2, 1e-250)
+    nu, t = mp.mpf(1.2), mp.mpf(1e-250)
+    k = mp.besselk(nu, t)
+    assert lk == pytest.approx(float(mp.log(k)), rel=1e-15)
+    assert r == pytest.approx(float(mp.besselk(nu - 1, t) / k), rel=1e-12)
 
 
 def test_i_derivative_recurrence_symmetry():
