@@ -13,9 +13,10 @@ is negative throughout sigma in (0,1); the mode integrals need only their
 log-derivatives d/dy ln|P| and d/dy ln|Q|, assembled from log-form factors.
 These and the vacuum kernel are evaluated elementwise over numpy arrays.
 
-Each cross product is a difference A - B of two terms: A = I(y) K(sigma y)
-and B = I(sigma y) K(y) for TE, the same with It, Kt for TM.  With
-rho = B/A = e^delta and d1, d2 the log-derivatives of A and B,
+Each cross product is a difference A - B of two values of one term,
+T(x, t) = I(x) K(t) for TE and It(x) Kt(t) for TM: A = T(y, sigma y) and
+B = T(sigma y, y).  With rho = B/A = e^delta and d1, d2 the log-derivatives
+of A and B,
 
     d/dy ln|A - B| = (d1 - rho d2) / (1 - rho).
 
@@ -55,11 +56,14 @@ def vacuum_integrand(r: ArrayLike):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError(f"vacuum_integrand requires r >= 0, got {r[r < 0.0][0]}")
-    r2 = r * r
+    out = np.empty(r.shape)
+    small = r < 1e-2
+    r2 = r[small] * r[small]
     # (1/3) r^3 coth r = r^2/3 + r^4/9 - r^6/135 + 2 r^8/2835 + O(r^10)
-    series = r2 / 3.0 + r2 * r2 / 9.0 - r2 * r2 * r2 / 135.0 + 2.0 * r2**4 / 2835.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(r < 1e-2, series, (r**3 / 3.0) / np.tanh(r))
+    out[small] = r2 / 3.0 + r2 * r2 / 9.0 - r2 * r2 * r2 / 135.0 + 2.0 * r2**4 / 2835.0
+    big = r[~small]
+    with np.errstate(over="ignore"):   # inf past r ~ 5e102; the quadrature reports it
+        out[~small] = (big**3 / 3.0) / np.tanh(big)
     return out if out.ndim else float(out)
 
 
@@ -68,22 +72,16 @@ def vacuum_integrand(r: ArrayLike):
 # ---------------------------------------------------------------------------
 
 
-def _te_a(nu, y, sigma: float):
-    """(ln A, d ln A/dy) for A = I(y) K(sigma y).
+def _te_term(nu, x, t, cx: float, ct: float):
+    """(ln T, cx q(x) - ct r(t)) for T = I_nu(x) K_nu(t), q = I_{nu+1}/I_nu
+    and r = K_{nu-1}/K_nu.
 
     The order/argument terms of the factor log-derivatives cancel inside
-    each product, leaving d(ln A)/dy = q(y) - sigma r(sigma y) and, for
-    B = I(sigma y) K(y), d(ln B)/dy = sigma q(sigma y) - r(y), with
-    q = I_{nu+1}/I_nu and r = K_{nu-1}/K_nu.
+    each product, so (x, t, cx, ct) = (y, sigma y, 1, sigma) gives
+    d(ln A)/dy and (sigma y, y, sigma, 1) gives d(ln B)/dy.
     """
-    li, q, lk, r = log_bessel_ik(nu, y, sigma * y)
-    return li + lk, q - sigma * r
-
-
-def _te_b(nu, y, sigma: float):
-    """(ln B, d ln B/dy) for B = I(sigma y) K(y)."""
-    li, q, lk, r = log_bessel_ik(nu, sigma * y, y)
-    return li + lk, sigma * q - r
+    li, q, lk, r = log_bessel_ik(nu, x, t)
+    return li + lk, cx * q - ct * r
 
 
 def _te_ln_rho_max(nu, y, sigma: float):
@@ -128,18 +126,13 @@ def _dlog_te_limit(nu, y, sigma: float):
 
 def dlog_cross_te(nu: ArrayLike, y: ArrayLike, sigma: float):
     """d/dy ln P_nu(y, sigma).  Tends to (1 - sigma) - 1/y as y -> infinity."""
-    return _dlog_cross("TE", nu, y, sigma, _te_a, _te_b, _te_ln_rho_max, _te_d2_max,
+    return _dlog_cross("TE", nu, y, sigma, _te_term, _te_ln_rho_max, _te_d2_max,
                        _dlog_te_limit, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # TM cross product
 # ---------------------------------------------------------------------------
-
-
-def _tm_orders(nu):
-    mu = np.hypot(nu, 1.0)
-    return mu, nu * nu / (mu + 1.0)  # mu - 1 without cancellation
 
 
 def _tm_i_factor(mu, mum1, t, li, q):
@@ -162,24 +155,15 @@ def _tm_k_factor(mu, mum1, t, lk, r):
     return lk + np.log(wk), ((mu + 1.0) * r - t) / wk
 
 
-def _tm_a(nu, y, sigma: float):
-    """(ln |A|, d ln |A|/dy) for A = It(y) Kt(sigma y), at mu = sqrt(nu^2 + 1)."""
-    mu, mum1 = _tm_orders(nu)
-    t = sigma * y
-    li, q, lk, r = log_bessel_ik(mu, y, t)
-    ln_i, g_i = _tm_i_factor(mu, mum1, y, li, q)
+def _tm_term(nu, x, t, cx: float, ct: float):
+    """(ln |T|, cx g_i(x) + ct g_k(t)) for T = It_mu(x) Kt_mu(t) at
+    mu = sqrt(nu^2 + 1); d ln |A|/dy and d ln |B|/dy as in :func:`_te_term`."""
+    mu = np.hypot(nu, 1.0)
+    mum1 = nu * nu / (mu + 1.0)  # mu - 1 without cancellation
+    li, q, lk, r = log_bessel_ik(mu, x, t)
+    ln_i, g_i = _tm_i_factor(mu, mum1, x, li, q)
     ln_k, g_k = _tm_k_factor(mu, mum1, t, lk, r)
-    return ln_i + ln_k, g_i + sigma * g_k
-
-
-def _tm_b(nu, y, sigma: float):
-    """(ln |B|, d ln |B|/dy) for B = It(sigma y) Kt(y)."""
-    mu, mum1 = _tm_orders(nu)
-    t = sigma * y
-    li, q, lk, r = log_bessel_ik(mu, t, y)
-    ln_i, g_i = _tm_i_factor(mu, mum1, t, li, q)
-    ln_k, g_k = _tm_k_factor(mu, mum1, y, lk, r)
-    return ln_i + ln_k, sigma * g_i + g_k
+    return ln_i + ln_k, cx * g_i + ct * g_k
 
 
 def _tm_ln_rho_max(nu, y, sigma: float):
@@ -215,7 +199,7 @@ def _dlog_tm_limit(nu, y, sigma: float):
 def dlog_cross_tm(nu: ArrayLike, y: ArrayLike, sigma: float):
     """d/dy ln |Q_mu(y, sigma)|."""
     # the small-y limit needs mu - 1 clear of 0
-    return _dlog_cross("TM", nu, y, sigma, _tm_a, _tm_b, _tm_ln_rho_max, _tm_d2_max,
+    return _dlog_cross("TM", nu, y, sigma, _tm_term, _tm_ln_rho_max, _tm_d2_max,
                        _dlog_tm_limit, 0.5)
 
 
@@ -244,12 +228,13 @@ def _one_term(nu, y, sigma: float, ln_rho, d1, d2_max):
     return one
 
 
-def _dlog_cross(tag: str, nu, y, sigma: float, term_a, term_b, ln_rho_max, d2_max,
+def _dlog_cross(tag: str, nu, y, sigma: float, term, ln_rho_max, d2_max,
                 limit, limit_min_nu: float):
-    """(d1 - rho d2) / (1 - rho) from the log-form terms A and B, elementwise
-    over the broadcast shape of nu and y; the closed small-y limit below
-    Y_SMALL for nu >= limit_min_nu.  B is evaluated only where the bounds
-    ln_rho_max and d2_max leave rho d2 able to change the rounded result."""
+    """(d1 - rho d2) / (1 - rho) from the log-form terms A = term(y, sigma y)
+    and B = term(sigma y, y), elementwise over the broadcast shape of nu and
+    y; the closed small-y limit below Y_SMALL for nu >= limit_min_nu.  B is
+    evaluated only where the bounds ln_rho_max and d2_max leave rho d2 able
+    to change the rounded result."""
     nu, y = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(y, dtype=float))
     if np.any(y <= 0.0):
         raise ValueError(f"dlog_cross_{tag.lower()} requires y > 0, got {y[y <= 0.0][0]}")
@@ -258,18 +243,19 @@ def _dlog_cross(tag: str, nu, y, sigma: float, term_a, term_b, ln_rho_max, d2_ma
             f"dlog_cross_{tag.lower()} requires sigma in (0,1) or (1,inf), got {sigma}")
     if sigma > 1.0:
         # |P(y, sigma)| = |P(sigma y, 1/sigma)|, and likewise for Q
-        return sigma * _dlog_cross(tag, nu, sigma * y, 1.0 / sigma, term_a, term_b,
-                                   ln_rho_max, d2_max, limit, limit_min_nu)
+        return sigma * _dlog_cross(tag, nu, sigma * y, 1.0 / sigma, term, ln_rho_max,
+                                   d2_max, limit, limit_min_nu)
     out = np.empty(y.shape)
     small = (y < Y_SMALL) & (nu >= limit_min_nu)
     if small.any():
         out[small] = limit(nu[small], y[small], sigma)
     full = ~small
     n, v = nu[full], y[full]
-    ln_a, d1 = term_a(n, v, sigma)  # d1 becomes the result in place
+    sv = sigma * v
+    ln_a, d1 = term(n, v, sv, 1.0, sigma)  # d1 becomes the result in place
     two = np.flatnonzero(~_one_term(n, v, sigma, ln_rho_max(n, v, sigma), d1, d2_max))
     if two.size:
-        ln_b, d2 = term_b(n[two], v[two], sigma)
+        ln_b, d2 = term(n[two], sv[two], v[two], sigma, 1.0)
         delta = ln_b - ln_a[two]
         one_m = -np.expm1(delta)
         bad = np.flatnonzero(~(one_m > 0.0))

@@ -106,8 +106,9 @@ class _PowerTable:
     @classmethod
     def of(cls, s: np.ndarray, n_lo: int, n_hi: int) -> "_PowerTable":
         """Raises FitError where a column's norm overflows or underflows."""
-        table = s[:, None] ** np.arange(n_lo, n_hi + 1)[None, :]
-        norms = np.linalg.norm(table, axis=0)
+        with np.errstate(over="ignore"):   # an inf column or norm is reported below
+            table = s[:, None] ** np.arange(n_lo, n_hi + 1)[None, :]
+            norms = np.linalg.norm(table, axis=0)
         bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
         if bad.size:
             raise FitError(f"basis column s^{n_lo + bad[0]} has norm {norms[bad[0]]:g} "
@@ -342,7 +343,6 @@ def regularize(samples, params: LaurentParams | None = None) -> RegularizationRe
     diagnostics = {
         "rectangle": sorted(rectangle),
         "flagged_windows": flagged,
-        "eps_c": params.eps_c,
         "turning_nhat2": curve[turn][0],
         "sign_change": sign_change,
     }

@@ -110,7 +110,7 @@ def force_report(c0_te: float, c0_tm: float, spec: DielectricSpec,
     geom = geom or _unit_geometry()
     f0 = f0_prefactor(spec, geom)
     vac = geom.area * vacuum_force_per_area(geom.Lz)
-    scale = HBAR_C * spec.alpha**4 / (64.0 * math.pi**2)
+    scale = f0_prefactor(spec)   # the unit box
     return ForceReport(
         F0=f0,
         delta_force=f0 * (c0_te + c0_tm),

@@ -22,13 +22,15 @@ from scipy.special import ive, kve
 #
 # Three branches, chosen per element and separately for the I and the K
 # side: scipy's scaled pair wherever it stays inside IEEE range, else one
-# fallback, `_log`, shared by I and K: the scaled value alone where it is
-# > 0, Debye uniform asymptotics for order >= 200, ascending series below.
-# The branch seam is controlled by the predicted exponent gap
-# t - nu*eta(t/nu) = -log(ive) and kicks in before ive/kve degrade.  The
-# scipy and Debye branches run on whole arrays; the series, needed only where
-# an order below 200 meets a tiny argument, is summed element by element.
-# Orders are >= 0; the K side's lower neighbour is |nu - 1| (K_{-nu} = K_nu).
+# fallback, `_log`: the scaled value alone where it is > 0, Debye uniform
+# asymptotics for order >= 200, ascending series below.  One evaluator
+# serves both sides, keyed by sign = +1 for I and -1 for K: the sign picks
+# ive or kve and the series, flips the odd Debye terms and gives the
+# neighbour order |nu + sign| (K_{-nu} = K_nu).  The branch seam is
+# controlled by the predicted exponent gap t - nu*eta(t/nu) = -log(ive) and
+# kicks in before ive/kve degrade.  The scipy and Debye branches run on
+# whole arrays; the series, needed only where an order below 200 meets a
+# tiny argument, is summed element by element.  Orders are >= 0.
 # ---------------------------------------------------------------------------
 
 _GAP_LIMIT = 620.0
@@ -58,20 +60,13 @@ def _gap(nu, t):
     return gap
 
 
-def _log_i_debye(nu, t):
+def _log_debye(nu, t, sign):
+    """ln I_nu(t) (sign +1) or ln K_nu(t) (sign -1), DLMF 10.41.3-4."""
     z = t / nu
-    w = np.sqrt(1.0 + z * z)
-    u = _debye_u(1.0 / w)
-    s = u[0] + u[1] / nu + u[2] / nu**2 + u[3] / nu**3 + u[4] / nu**4
-    return -0.5 * np.log(2.0 * math.pi * nu) - 0.25 * np.log(1.0 + z * z) + nu * _eta(z) + np.log(s)
-
-
-def _log_k_debye(nu, t):
-    z = t / nu
-    w = np.sqrt(1.0 + z * z)
-    u = _debye_u(1.0 / w)
-    s = u[0] - u[1] / nu + u[2] / nu**2 - u[3] / nu**3 + u[4] / nu**4
-    return 0.5 * np.log(math.pi / (2.0 * nu)) - 0.25 * np.log(1.0 + z * z) - nu * _eta(z) + np.log(s)
+    u = _debye_u(1.0 / np.sqrt(1.0 + z * z))
+    s = u[0] + sign * u[1] / nu + u[2] / nu**2 + sign * u[3] / nu**3 + u[4] / nu**4
+    lead = -0.5 * np.log(2.0 * math.pi * nu) if sign > 0.0 else 0.5 * np.log(math.pi / (2.0 * nu))
+    return lead - 0.25 * np.log(1.0 + z * z) + sign * nu * _eta(z) + np.log(s)
 
 
 def _log_i_series(nu: float, t: float) -> float:
@@ -102,34 +97,36 @@ def _log_k_series(nu: float, t: float) -> float:
     return -math.log(2.0) + math.lgamma(nu) + nu * math.log(2.0 / t) + math.log(total)
 
 
-def _log(nu, t, scaled, sign, debye, series):
-    """ln F_nu(t) for F = I (scaled = ive, sign +1) or F = K (kve, sign -1):
-    the scaled scipy value where the exponent gap allows and it is > 0, the
-    Debye expansion where nu >= 200, the ascending series below that."""
+def _log(nu, t, sign):
+    """ln F_nu(t) for F = I (sign +1) or F = K (sign -1): the scaled scipy
+    value where the exponent gap allows and it is > 0, the Debye expansion
+    where nu >= 200, the ascending series below that."""
     out = np.empty_like(t)
     rest = np.ones(t.shape, dtype=bool)
     pair = np.flatnonzero((nu == 0.0) | (_gap(nu, t) < _GAP_LIMIT))
-    v = scaled(nu[pair], t[pair])
+    v = (ive if sign > 0.0 else kve)(nu[pair], t[pair])
     ok = v > 0.0
     out[pair[ok]] = np.log(v[ok]) + sign * t[pair[ok]]
     rest[pair[ok]] = False
     big = rest & (nu >= _DEBYE_MIN_ORDER)
-    out[big] = debye(nu[big], t[big])
+    out[big] = _log_debye(nu[big], t[big], sign)
     low = rest & ~big
+    series = _log_i_series if sign > 0.0 else _log_k_series
     out[low] = [series(n, x) for n, x in zip(nu[low].tolist(), t[low].tolist())]
     return out
 
 
-def _log_and_ratio(nu, x, scaled, sign, other, ok, debye, series):
-    """(ln F_nu(x), F_other(nu)(x) / F_nu(x)) for F = I (scaled = ive,
-    sign +1, other nu + 1) or F = K (kve, sign -1, other |nu - 1|): the
-    scaled scipy pair where the exponent gap allows and ok(v0, v1) accepts
-    its values, :func:`_log` with (debye, series) at both orders elsewhere."""
+def _log_and_ratio(nu, x, sign):
+    """(ln F_nu(x), F_|nu+sign|(x) / F_nu(x)) for F = I (sign +1) or F = K
+    (sign -1): the scaled scipy pair where the exponent gap allows and both
+    values are finite with v0 > 0, v1 >= 0, :func:`_log` at both orders
+    elsewhere."""
     ln, ratio = np.empty_like(x), np.empty_like(x)
     pair = np.flatnonzero(_gap(nu, x) < _GAP_LIMIT)
     n, xp = nu[pair], x[pair]
-    v0, v1 = scaled(n, xp), scaled(other(n), xp)
-    good = ok(v0, v1)
+    scaled = ive if sign > 0.0 else kve
+    v0, v1 = scaled(n, xp), scaled(np.abs(n + sign), xp)
+    good = np.isfinite(v0) & np.isfinite(v1) & (v0 > 0.0) & (v1 >= 0.0)
     done = pair[good]
     ln[done] = np.log(v0[good]) + sign * xp[good]
     ratio[done] = v1[good] / v0[good]
@@ -137,8 +134,8 @@ def _log_and_ratio(nu, x, scaled, sign, other, ok, debye, series):
         rest = np.ones(x.shape, dtype=bool)
         rest[done] = False
         n, xr = nu[rest], x[rest]
-        l0 = _log(n, xr, scaled, sign, debye, series)
-        l1 = _log(other(n), xr, scaled, sign, debye, series)
+        l0 = _log(n, xr, sign)
+        l1 = _log(np.abs(n + sign), xr, sign)
         ln[rest], ratio[rest] = l0, np.exp(l1 - l0)
     return ln, ratio
 
@@ -163,12 +160,8 @@ def log_bessel_ik(nu: ArrayLike, x: ArrayLike, t: ArrayLike | None = None):
     for arg in (x, t):
         if np.any(arg <= 0.0):
             raise ValueError(f"log_bessel_ik requires arguments > 0, got {arg[arg <= 0.0][0]}")
-    li, q = _log_and_ratio(nu, x, ive, 1.0, lambda n: n + 1.0,
-                           lambda i0, i1: (i0 > 0.0) & (i1 >= 0.0),
-                           _log_i_debye, _log_i_series)
-    lk, r = _log_and_ratio(nu, t, kve, -1.0, lambda n: np.abs(n - 1.0),
-                           lambda k0, k1: np.isfinite(k0) & np.isfinite(k1),
-                           _log_k_debye, _log_k_series)
+    li, q = _log_and_ratio(nu, x, 1.0)
+    lk, r = _log_and_ratio(nu, t, -1.0)
     if not shape:
         return float(li[0]), float(q[0]), float(lk[0]), float(r[0])
     return li.reshape(shape), q.reshape(shape), lk.reshape(shape), r.reshape(shape)

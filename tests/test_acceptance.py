@@ -17,7 +17,7 @@ import pytest
 
 from scipy.special import ive, jv, jvp, yv, yvp
 
-from casimir_laurent.integrands import SpectrumKind, _te_a, _te_b, _tm_a, _tm_b
+from casimir_laurent.integrands import SpectrumKind, _te_term, _tm_term
 from casimir_laurent.laurent import (LaurentParams, make_grid, regularize)
 from casimir_laurent.physics import DielectricSpec, force_report
 from casimir_laurent.quadrature import eval_I_vacuum, sample_curve
@@ -222,10 +222,10 @@ def test_criterion_6_special_function_properties(capsys):
         worst_p = max(worst_p, rel)
     checks.append(("polygamma recurrence", worst_p, 1e-12))
 
-    def magnitude(term_a, term_b, nu, y):
-        # |P| or |Q| = |A| (1 - e^delta) from the package's log-form terms
-        ln_a, _ = term_a(nu, y, SIGMA)
-        ln_b, _ = term_b(nu, y, SIGMA)
+    def magnitude(term, nu, y):
+        # |P| or |Q| = |A| (1 - e^delta) from the package's log-form term
+        ln_a, _ = term(nu, y, SIGMA * y, 1.0, SIGMA)
+        ln_b, _ = term(nu, SIGMA * y, y, SIGMA, 1.0)
         return math.exp(ln_a + math.log(-math.expm1(ln_b - ln_a)))
 
     worst_f = 0.0
@@ -233,7 +233,7 @@ def test_criterion_6_special_function_properties(capsys):
         z = mp.mpc(0, y)
         f_te = (mp.besselj(nu, z) * mp.bessely(nu, SIGMA * z)
                 - mp.besselj(nu, SIGMA * z) * mp.bessely(nu, z))
-        p = magnitude(_te_a, _te_b, nu, y)
+        p = magnitude(_te_term, nu, y)
         worst_f = max(worst_f, abs(float(abs(f_te)) - (2.0 / math.pi) * p) / p)
 
         mu = mp.sqrt(mp.mpf(nu) ** 2 + 1)
@@ -245,7 +245,7 @@ def test_criterion_6_special_function_properties(capsys):
             return t * mp.bessely(mu, t, derivative=1) + mp.bessely(mu, t)
 
         f_tm = jt(z) * yt(SIGMA * z) - jt(SIGMA * z) * yt(z)
-        q = magnitude(_tm_a, _tm_b, nu, y)
+        q = magnitude(_tm_term, nu, y)
         worst_f = max(worst_f, abs(float(abs(f_tm)) - (2.0 / math.pi) * q) / q)
     checks.append(("phase reduction", worst_f, 1e-8))
 

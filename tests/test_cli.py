@@ -8,6 +8,7 @@ integral takes minutes per curve and is covered by the acceptance tests).
 import json
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -515,20 +516,44 @@ def test_failed_run_writes_nothing(tmp_path, monkeypatch, argv, code, sampler):
     assert list(existing.iterdir()) == []
 
 
+def run_extreme_grid(out, eps_s, s_max):
+    """main() on a 16-point vacuum grid, with every warning it raises recorded."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["vacuum", "--eps-s", eps_s, "--s-max", s_max, "--grid-points", "16",
+                     "--out-dir", str(out)])
+    return code, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("eps_s,s_max,norm", [("1e-70", "2e-70", "inf"),
                                               ("1e40", "2e40", "0")])
 def test_grid_the_monomials_cannot_represent_exits_4(tmp_path, capfd, eps_s, s_max, norm):
     # s^-5 overflows on the first grid and underflows in its norm on the
-    # second; the first used to reach LAPACK, which printed DLASCL errors
+    # second; the first used to reach LAPACK, which printed DLASCL errors.
+    # The overflows on the way print no numpy warning: one line, then exit 4
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        code = main(["vacuum", "--eps-s", eps_s, "--s-max", s_max, "--grid-points", "16",
-                     "--out-dir", str(out)])
+    code, runtime_warnings = run_extreme_grid(out, eps_s, s_max)
     assert code == 4
+    assert runtime_warnings == []
     captured = capfd.readouterr()
     assert "DLASCL" not in captured.out + captured.err
-    assert (f"regularization failure (fit): [fit] basis column s^-5 has norm {norm} "
-            in captured.err)
+    assert captured.err.startswith(
+        f"regularization failure (fit): [fit] basis column s^-5 has norm {norm} ")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_vacuum_kernel_overflow_exits_3(tmp_path, capfd):
+    # the tail of s = 1e-110 reaches r ~ 1e109, where r^3 overflows: the
+    # quadrature names the non-finite integrand, with no numpy warning before it
+    out = tmp_path / "out"
+    code, runtime_warnings = run_extreme_grid(out, "1e-110", "2e-110")
+    assert code == 3
+    assert runtime_warnings == []
+    captured = capfd.readouterr()
+    assert captured.err.startswith("quadrature failure: sample 0 (s=1e-110) failed: "
+                                   "quadrature: non-finite integrand at x=")
+    assert len(captured.err.splitlines()) == 1
     assert not out.exists()
 
 

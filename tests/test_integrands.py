@@ -2,7 +2,9 @@
 
 Every nontrivial value is checked against a 40-digit dual route built from
 mpmath Bessel functions, including the reduction of the oscillatory real-axis
-cross products to the modified-Bessel form used by the package.  The package
+cross products to the modified-Bessel form used by the package, and the
+log-derivatives also against the graded-medium mode equations integrated
+directly, a route that uses no Bessel function at all.  The package
 needs only the log-derivatives of the cross products; their values are read
 here from the same log-form parts the log-derivatives are built from.
 """
@@ -12,10 +14,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from casimir_laurent import integrands
 from casimir_laurent.integrands import (Y_SMALL, CrossProductError, SpectrumKind,
-                                        _te_a, _te_b, _tm_a, _tm_b, dlog_cross,
+                                        _te_term, _tm_term, dlog_cross,
                                         dlog_cross_te, dlog_cross_tm,
                                         vacuum_integrand)
 from casimir_laurent.quadrature import sample_curve
@@ -47,21 +50,21 @@ def mp_tm(nu, y, sigma):
     return it(y) * kt(sigma * y) - it(sigma * y) * kt(y)
 
 
-def magnitude(term_a, term_b, nu, y, sigma):
-    """|A - B| = |A (1 - e^delta)| from the package's log-form terms."""
-    ln_a, _ = term_a(nu, y, sigma)
-    ln_b, _ = term_b(nu, y, sigma)
+def magnitude(term, nu, y, sigma):
+    """|A - B| = |A (1 - e^delta)| from the package's log-form term."""
+    ln_a, _ = term(nu, y, sigma * y, 1.0, sigma)
+    ln_b, _ = term(nu, sigma * y, y, sigma, 1.0)
     return math.exp(ln_a + math.log(abs(math.expm1(ln_b - ln_a))))
 
 
 def cross_te(nu, y, sigma):
     """|P_nu(y, sigma)| from the package's TE terms."""
-    return magnitude(_te_a, _te_b, nu, y, sigma)
+    return magnitude(_te_term, nu, y, sigma)
 
 
 def cross_tm(nu, y, sigma):
     """|Q_mu(y, sigma)| from the package's TM terms."""
-    return magnitude(_tm_a, _tm_b, nu, y, sigma)
+    return magnitude(_tm_term, nu, y, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +282,49 @@ def test_tm_phase_reduction(nu, y):
 
 
 # ---------------------------------------------------------------------------
+# Maxwell shooting through the graded layer
+# ---------------------------------------------------------------------------
+
+
+def shoot(kind, nu, y, sigma):
+    """d/dy ln|P| (TE) or d/dy ln|Q| (TM) from the mode equation of the
+    layer z in [0, 1] with beta = ln sigma, integrated with its y-variation.
+
+    With u = y e^{beta z} the TE field obeys E'' = beta^2 (u^2 + nu^2) E, and
+    E(0) = 0, E'(0) = 1 give E(1) = -P / beta; the TM field obeys
+    H'' - 2 beta H' = beta^2 (u^2 + nu^2) H, and H(0) = 1, H'(0) = 0 give
+    H'(1) = beta sigma Q.  Neither factor depends on y, so the log-derivative
+    is E_y(1) / E(1) or H'_y(1) / H'(1), with no finite difference.
+    """
+    beta = math.log(sigma)
+    drag = 2.0 * beta if kind == "tm" else 0.0
+
+    def rhs(z, w):
+        f, df, fy, dfy = w
+        e2 = math.exp(2.0 * beta * z)
+        k = beta * beta * (y * y * e2 + nu * nu)
+        return [df, drag * df + k * f,
+                dfy, drag * dfy + k * fy + 2.0 * beta * beta * y * e2 * f]
+
+    w0 = [0.0, 1.0, 0.0, 0.0] if kind == "te" else [1.0, 0.0, 0.0, 0.0]
+    sol = solve_ivp(rhs, (0.0, 1.0), w0, method="DOP853", rtol=1e-12, atol=1e-18)
+    assert sol.success, sol.message
+    f, df, fy, dfy = sol.y[:, -1]
+    return fy / f if kind == "te" else dfy / df
+
+
+@pytest.mark.parametrize("kind,func", [("te", dlog_cross_te), ("tm", dlog_cross_tm)])
+def test_dlog_matches_maxwell_shooting(kind, func):
+    worst = 0.0
+    for sigma in (8.0 / 27.0, 0.6, 2.5, 27.0 / 8.0):
+        for nu in (0.0, 0.4, 1.0, 3.0, 12.0):
+            for y in (0.05, 0.7, 4.0, 20.0):
+                ref = shoot(kind, nu, y, sigma)
+                worst = max(worst, abs(func(nu, y, sigma) - ref) / abs(ref))
+    assert worst < 1e-9
+
+
+# ---------------------------------------------------------------------------
 # sigma > 1 reduction
 # ---------------------------------------------------------------------------
 
@@ -341,17 +387,20 @@ def test_dlog_array_equals_scalar(func, sigma):
     np.testing.assert_array_equal(got, ref)
 
 
-@pytest.mark.parametrize("func,term_a,term_b", [(dlog_cross_te, "_te_a", "_te_b"),
-                                                 (dlog_cross_tm, "_tm_a", "_tm_b")])
-def test_dlog_array_names_first_sign_loss(func, term_a, term_b, monkeypatch):
+@pytest.mark.parametrize("func,name", [(dlog_cross_te, "_te_term"),
+                                       (dlog_cross_tm, "_tm_term")])
+def test_dlog_array_names_first_sign_loss(func, name, monkeypatch):
     # rho = e^delta = 1 makes the cross product vanish: force it at the last
-    # two of four points (ln B = ln A); the error must name the first of them
-    a, original = getattr(integrands, term_a), getattr(integrands, term_b)
+    # two of four points (ln B = ln A, the B call with its arguments swapped);
+    # the error must name the first of them
+    original = getattr(integrands, name)
 
-    def forced(nu, y, sigma):
-        ln_b, d2 = original(nu, y, sigma)
-        return np.where(y >= 2.0, a(nu, y, sigma)[0], ln_b), d2
+    def forced(nu, x, t, cx, ct):
+        ln, d = original(nu, x, t, cx, ct)
+        if cx == 1.0:   # A = term(y, sigma y, 1, sigma)
+            return ln, d
+        return np.where(t >= 2.0, original(nu, t, x, ct, cx)[0], ln), d
 
-    monkeypatch.setattr(integrands, term_b, forced)
+    monkeypatch.setattr(integrands, name, forced)
     with pytest.raises(CrossProductError, match=r"at nu=3\.0, y=2\.0, sigma="):
         func(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.5, 1.0, 2.0, 3.0]), SIGMA)

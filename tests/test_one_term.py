@@ -16,9 +16,9 @@ import pytest
 from casimir_laurent import integrands
 from casimir_laurent.integrands import (_LN2, _ONE_TERM_LN_RATIO, _ONE_TERM_LN_RHO,
                                         Y_SMALL, _dlog_te_limit, _dlog_tm_limit, _one_term,
-                                        _te_a, _te_d2_max, _te_ln_rho_max, _tm_a,
-                                        _tm_d2_max, _tm_ln_rho_max, dlog_cross_te,
-                                        dlog_cross_tm)
+                                        _te_d2_max, _te_ln_rho_max, _te_term,
+                                        _tm_d2_max, _tm_ln_rho_max, _tm_term,
+                                        dlog_cross_te, dlog_cross_tm)
 from casimir_laurent.specfun import _GAP_LIMIT, _gap, log_bessel_ik
 
 mp.mp.dps = 40
@@ -73,9 +73,9 @@ def two_term_dlog(parts, limit, limit_min_nu, nu, y, sigma):
 
 
 KERNELS = {
-    "te": (dlog_cross_te, "_te_a", "_te_b",
+    "te": (dlog_cross_te, "_te_term",
            lambda nu, y, s: two_term_dlog(two_term_te, _dlog_te_limit, 0.0, nu, y, s)),
-    "tm": (dlog_cross_tm, "_tm_a", "_tm_b",
+    "tm": (dlog_cross_tm, "_tm_term",
            lambda nu, y, s: two_term_dlog(two_term_tm, _dlog_tm_limit, 0.5, nu, y, s)),
 }
 
@@ -98,20 +98,17 @@ def kernel_points(seed):
 @pytest.mark.parametrize("sigma", SIGMAS)
 @pytest.mark.parametrize("kind", ["te", "tm"])
 def test_kernel_equals_two_term_formula(kind, sigma, monkeypatch):
-    func, name_a, name_b, reference = KERNELS[kind]
+    func, name, reference = KERNELS[kind]
     nu, y = kernel_points(2027)
-    seen = {name_a: 0, name_b: 0}
+    seen = {"A": 0, "B": 0}
+    original = getattr(integrands, name)
 
-    def counted(name):
-        original = getattr(integrands, name)
+    def counted(n, x, t, cx, ct):
+        # A = term(y, sigma y, 1, sigma), B = term(sigma y, y, sigma, 1)
+        seen["A" if cx == 1.0 else "B"] += n.size
+        return original(n, x, t, cx, ct)
 
-        def term(n, v, s):
-            seen[name] += n.size
-            return original(n, v, s)
-        return term
-
-    for name in (name_a, name_b):
-        monkeypatch.setattr(integrands, name, counted(name))
+    monkeypatch.setattr(integrands, name, counted)
     got = func(nu, y, sigma)
     monkeypatch.undo()
     np.testing.assert_array_equal(got, reference(nu, y, sigma))
@@ -124,7 +121,7 @@ def test_kernel_equals_two_term_formula(kind, sigma, monkeypatch):
         beyond = _gap(nu, arg) >= _GAP_LIMIT
         assert (beyond & (nu >= 200.0)).any() and (beyond & (nu < 200.0)).any()
     # both sides of the cut: every non-limit point evaluates A, only some B
-    assert 0 < seen[name_b] < seen[name_a]
+    assert 0 < seen["B"] < seen["A"]
 
 
 # ---------------------------------------------------------------------------
@@ -133,17 +130,17 @@ def test_kernel_equals_two_term_formula(kind, sigma, monkeypatch):
 
 
 @pytest.mark.parametrize("sigma", [8.0 / 27.0, 27.0 / 8.0])
-@pytest.mark.parametrize("kind,term_a,ln_rho_max,d2_max", [
-    ("te", _te_a, _te_ln_rho_max, _te_d2_max), ("tm", _tm_a, _tm_ln_rho_max, _tm_d2_max)],
+@pytest.mark.parametrize("kind,term,ln_rho_max,d2_max", [
+    ("te", _te_term, _te_ln_rho_max, _te_d2_max), ("tm", _tm_term, _tm_ln_rho_max, _tm_d2_max)],
     ids=["te", "tm"])
-def test_one_term_mask_equals_full_bound_expression(kind, term_a, ln_rho_max, d2_max, sigma):
+def test_one_term_mask_equals_full_bound_expression(kind, term, ln_rho_max, d2_max, sigma):
     # the mask evaluates the |d2| bound and both logarithms only below the
     # ln rho cut; it must equal both conditions evaluated at every point
     nu, y = kernel_points(404)
     if sigma > 1.0:   # the arguments the kernel works on after the reflection
         y, sigma = sigma * y, 1.0 / sigma
     nu, y = nu[y >= Y_SMALL], y[y >= Y_SMALL]
-    _, d1 = term_a(nu, y, sigma)
+    _, d1 = term(nu, y, sigma * y, 1.0, sigma)
     ln_rho = ln_rho_max(nu, y, sigma)
     with np.errstate(divide="ignore"):
         full = ((ln_rho < _ONE_TERM_LN_RHO)
