@@ -6,13 +6,12 @@ from .integrands import (CrossProductError, SpectrumKind, dlog_cross_te,
 from .laurent import (DetectionError, FitError, FitMatrix, LaurentParams,
                       PruneReport, RegularizationError, RegularizationResult,
                       SGrid, Spacing, TruncatedLaurentFit, build_matrix,
-                      detect_pole_order, fit_window, make_grid, prune,
-                      regularize, subtract_and_refit)
+                      detect_pole_order, make_grid, prune, regularize)
 from .physics import (C_LIGHT, HBAR, HBAR_C, DielectricSpec, ForceReport,
                       PlateGeometry, f0_prefactor, force_report,
                       vacuum_force_per_area)
 from .quadrature import (IntegralSample, QuadratureError, eval_I_dielectric,
-                         eval_I_vacuum, sample_curve)
+                         sample_curve)
 from .specfun import log_bessel_ik
 
 __version__ = "0.1.0"
@@ -24,7 +23,6 @@ __all__ = [
     "QuadratureError", "RegularizationError", "RegularizationResult", "SGrid",
     "Spacing", "SpectrumKind", "TruncatedLaurentFit", "build_matrix",
     "detect_pole_order", "dlog_cross_te", "dlog_cross_tm", "eval_I_dielectric",
-    "eval_I_vacuum", "f0_prefactor", "fit_window", "force_report",
-    "log_bessel_ik", "make_grid", "prune", "regularize", "sample_curve",
-    "subtract_and_refit", "vacuum_force_per_area", "vacuum_integrand",
+    "f0_prefactor", "force_report", "log_bessel_ik", "make_grid", "prune",
+    "regularize", "sample_curve", "vacuum_force_per_area", "vacuum_integrand",
 ]

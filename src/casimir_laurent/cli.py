@@ -23,14 +23,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 from .integrands import SpectrumKind
 from .laurent import (LaurentParams, RegularizationError, RegularizationResult,
                       SGrid, make_grid, regularize)
-from .physics import DielectricSpec, PlateGeometry, _unit_geometry, force_report
+from .physics import DielectricSpec, PlateGeometry, force_report
 from .quadrature import IntegralSample, QuadratureError, resolve_rel_tol, sample_curve
 
 # Vacuum comparison constants: the exact zeta-regularized coefficient and
@@ -43,21 +43,52 @@ class ConfigError(ValueError):
     pass
 
 
+def parse_sigma(text: str) -> Fraction | float:
+    """Accept a decimal or an exact fraction like 8/27."""
+    text = text.strip()
+    try:
+        if "/" in text:
+            return Fraction(text)
+        return float(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"cannot parse sigma value {text!r}: {exc}") from exc
+
+
+def _setting(default, parse, flag_help: str | None = None, sweep: str | None = None):
+    """A RunConfig field: its default, the parser of its config-file value,
+    the help of its --flag (None: config file only) and its sweep key."""
+    return field(default=default, metadata={"parse": parse, "help": flag_help, "sweep": sweep})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    sigma: Fraction | float | None = None
-    eps_s: float = 0.05
-    s_max: float = 1.0
-    grid_points: int = 200
-    spacing: str = "linear"
-    n1: int = -6
-    n2: int = 9
-    eps_c: float = 1e-3
-    rel_tol: float | None = None
-    out_dir: str = "."
-    lx: float = 1.0
-    ly: float = 1.0
-    lz: float = 1.0
+    """Every run setting; each field is a config-file key of the same name.
+    Unset eps_s and s_max mean the default grid of the run's kind."""
+    sigma: Fraction | float | None = _setting(None, parse_sigma)
+    eps_s: float | None = _setting(None, float, "grid lower endpoint", "eps_s")
+    s_max: float | None = _setting(None, float, "grid upper endpoint", "s_R")
+    grid_points: int = _setting(200, int, "grid size J", "J")
+    spacing: str = _setting("linear", str, "grid spacing, linear or log")
+    eps_c: float = _setting(LaurentParams.eps_c, float, "pruning tolerance", "eps_c")
+    n1: int = _setting(LaurentParams.N1, int, "most negative probed exponent fence N1")
+    n2: int = _setting(LaurentParams.N2, int, "largest positive probed exponent fence N2", "N2")
+    rel_tol: float | None = _setting(None, float, "quadrature relative tolerance", "rel_tol")
+    out_dir: str = _setting(".", str, "output directory")
+    lx: float = _setting(1.0, float)
+    ly: float = _setting(1.0, float)
+    lz: float = _setting(1.0, float)
+
+
+_SETTINGS = {f.name: f for f in fields(RunConfig)}
+_SWEEPS = {f.metadata["sweep"]: f for f in fields(RunConfig) if f.metadata["sweep"]}
+
+# The default vacuum grid [DEFAULT_EPS_S, DEFAULT_S_MAX].  The default
+# dielectric grid is that one scaled by |ln sigma| / |ln GRID_SIGMA|: the
+# paper's contrast runs on it unscaled, and near sigma = 1, where the Laurent
+# terms dominate only for s of order |ln sigma|, the grid shrinks with them.
+DEFAULT_EPS_S = 0.05
+DEFAULT_S_MAX = 1.0
+GRID_SIGMA = 8 / 27
 
 
 @dataclass(frozen=True)
@@ -68,7 +99,7 @@ class RunPlan:
     rel_tol: float                    # of every curve; TE and TM share one
     sigma: float = 1.0
     spec: DielectricSpec | None = None
-    geom: PlateGeometry | None = None
+    geom: PlateGeometry | None = None  # None: the unit box
 
 
 def plan_run(cfg: RunConfig, kind: SpectrumKind) -> RunPlan:
@@ -88,17 +119,17 @@ def plan_run(cfg: RunConfig, kind: SpectrumKind) -> RunPlan:
     if dielectric and sigma == 1.0:
         raise ConfigError(f"sigma must lie in (0,1) or (1,inf), got {cfg.sigma}")
     try:
+        spec = DielectricSpec.from_sigma(sigma) if dielectric else None
+        scale = abs(math.log(sigma) / math.log(GRID_SIGMA)) if dielectric else 1.0
+        eps_s = DEFAULT_EPS_S * scale if cfg.eps_s is None else cfg.eps_s
+        s_max = DEFAULT_S_MAX * scale if cfg.s_max is None else cfg.s_max
+        box = (cfg.lx, cfg.ly, cfg.lz)
         plan = RunPlan(
-            grid=make_grid(cfg.eps_s, cfg.s_max, cfg.grid_points, cfg.spacing),
+            grid=make_grid(eps_s, s_max, cfg.grid_points, cfg.spacing),
             params=LaurentParams(N1=cfg.n1, N2=cfg.n2, eps_c=cfg.eps_c),
             rel_tol=resolve_rel_tol(kind, cfg.rel_tol),
-            sigma=sigma)
-        if dielectric:
-            # the scaled force block uses a unit box, exempt from the aspect warning
-            unit = (cfg.lx, cfg.ly, cfg.lz) == (1.0, 1.0, 1.0)
-            plan = replace(plan, spec=DielectricSpec.from_sigma(sigma),
-                           geom=_unit_geometry() if unit
-                           else PlateGeometry(cfg.lx, cfg.ly, cfg.lz))
+            sigma=sigma, spec=spec,
+            geom=PlateGeometry(*box) if dielectric and box != (1.0, 1.0, 1.0) else None)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.grid_points <= cfg.n2 - cfg.n1 - 1:    # coefficients of window (n1 + 1, n2 - 1)
@@ -107,43 +138,12 @@ def plan_run(cfg: RunConfig, kind: SpectrumKind) -> RunPlan:
     return plan
 
 
-# RunConfig fields that have a command-line flag of the same name.
-_FLAG_FIELDS = ("eps_s", "s_max", "grid_points", "spacing", "eps_c", "n1", "n2",
-                "rel_tol", "out_dir")
-
 def _whole(value: float) -> int:
     """A sweep value for an integer field; int() would truncate 200.7 and
     raise on nan or inf."""
     if not (math.isfinite(value) and value == int(value)):
         raise ConfigError(f"sweep value {value:g} is not a whole number")
     return int(value)
-
-
-# Sensitivity sweep key -> (RunConfig field, parser of one swept value).
-_SWEEPS = {
-    "eps_s": ("eps_s", float), "s_R": ("s_max", float), "J": ("grid_points", _whole),
-    "eps_c": ("eps_c", float), "N2": ("n2", _whole), "rel_tol": ("rel_tol", float),
-}
-SENSITIVITY_KEYS = tuple(_SWEEPS)
-
-
-def parse_sigma(text: str) -> Fraction | float:
-    """Accept a decimal or an exact fraction like 8/27."""
-    text = text.strip()
-    try:
-        if "/" in text:
-            return Fraction(text)
-        return float(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"cannot parse sigma value {text!r}: {exc}") from exc
-
-
-# Config-file key -> parser of its value; every key is a RunConfig field.
-_FIELD_PARSERS = {
-    "sigma": parse_sigma, "eps_s": float, "s_max": float, "grid_points": int,
-    "spacing": str, "n1": int, "n2": int, "eps_c": float,
-    "rel_tol": float, "out_dir": str, "lx": float, "ly": float, "lz": float,
-}
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -157,7 +157,7 @@ def parse_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_PARSERS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         data[key] = value
     return data
@@ -169,11 +169,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         for key, text in parse_config_file(Path(args.config)).items():
             try:
-                updates[key] = _FIELD_PARSERS[key](text)
+                updates[key] = _SETTINGS[key].metadata["parse"](text)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
-    for name in _FLAG_FIELDS:
-        if getattr(args, name) is not None:
+    for name, setting in _SETTINGS.items():
+        if setting.metadata["help"] and getattr(args, name) is not None:
             updates[name] = getattr(args, name)
     if getattr(args, "sigma", None) is not None:
         updates["sigma"] = parse_sigma(args.sigma)
@@ -230,8 +230,8 @@ def _write_curve(out: Path, kind: SpectrumKind, samples: list[IntegralSample],
 
 def _config_echo(cfg: RunConfig, plan: RunPlan) -> dict[str, object]:
     return {
-        "grid": {"eps_s": cfg.eps_s, "s_R": cfg.s_max, "J": cfg.grid_points,
-                 "spacing": cfg.spacing},
+        "grid": {"eps_s": plan.grid.eps_s, "s_R": plan.grid.s_R, "J": plan.grid.J,
+                 "spacing": plan.grid.spacing.value},
         "laurent": {"N1": cfg.n1, "N2": cfg.n2, "eps_c": cfg.eps_c},
         "quadrature": {"rel_tol": plan.rel_tol},
     }
@@ -293,17 +293,16 @@ def run_dielectric(cfg: RunConfig) -> int:
     for kind, (samples, result) in curves.items():
         _write_curve(out, kind, samples, result)
     te, tm = curves[SpectrumKind.TE][1], curves[SpectrumKind.TM][1]
-    spec, geom = plan.spec, plan.geom
-    forces = force_report(te.c0, tm.c0, spec, geom)
+    forces = force_report(te.c0, tm.c0, plan.spec, plan.geom)
     report = {
         "mode": "dielectric",
         "sigma": plan.sigma,
         "sigma_exact": str(cfg.sigma) if isinstance(cfg.sigma, Fraction) else None,
-        "alpha": spec.alpha,
+        "alpha": plan.spec.alpha,
         **_config_echo(cfg, plan),
         "te": _result_block(te),
         "tm": _result_block(tm),
-        "geometry": {"Lx": geom.Lx, "Ly": geom.Ly, "Lz": geom.Lz},
+        "geometry": {"Lx": cfg.lx, "Ly": cfg.ly, "Lz": cfg.lz},
         "force": asdict(forces),
     }
     _write_json(out / "report.json", report)
@@ -318,10 +317,11 @@ def dump_sensitivity(cfg: RunConfig, vary: str, values: list[float]) -> int:
     """
     if vary not in _SWEEPS:
         raise ConfigError(f"unknown sweep parameter {vary!r}; "
-                          f"choose from {', '.join(SENSITIVITY_KEYS)}")
-    field_name, parse = _SWEEPS[vary]
+                          f"choose from {', '.join(_SWEEPS)}")
+    setting = _SWEEPS[vary]
+    parse = _whole if setting.metadata["parse"] is int else float
     plan_run(cfg, SpectrumKind.VACUUM)   # the unswept config must hold on its own
-    plans = [plan_run(replace(cfg, **{field_name: parse(v)}), SpectrumKind.VACUUM)
+    plans = [plan_run(replace(cfg, **{setting.name: parse(v)}), SpectrumKind.VACUUM)
              for v in values]
     rows, lines = [], ["param,value,pole_order,c0,turning_nhat2,sign_change"]
     taken: dict = {}
@@ -350,15 +350,10 @@ def dump_sensitivity(cfg: RunConfig, vary: str, values: list[float]) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps-s", dest="eps_s", type=float, help="grid lower endpoint")
-    p.add_argument("--s-max", dest="s_max", type=float, help="grid upper endpoint")
-    p.add_argument("--grid-points", dest="grid_points", type=int, help="grid size J")
-    p.add_argument("--spacing", choices=("linear", "log"), help="grid spacing")
-    p.add_argument("--eps-c", dest="eps_c", type=float, help="pruning tolerance")
-    p.add_argument("--n1", type=int, help="most negative probed exponent fence N1")
-    p.add_argument("--n2", type=int, help="largest positive probed exponent fence N2")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, help="quadrature relative tolerance")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
+    for name, setting in _SETTINGS.items():
+        if setting.metadata["help"]:
+            p.add_argument("--" + name.replace("_", "-"), type=setting.metadata["parse"],
+                           help=setting.metadata["help"])
     p.add_argument("--config", help="flat key = value config file")
 
 

@@ -151,7 +151,6 @@ class FitMatrix:
 
 @dataclass(frozen=True)
 class PruneReport:
-    eps_c: float
     kept: frozenset[tuple[int, int, int]]      # (n, n1, n2); the rest are dropped
     averages: Mapping[tuple[int, int, int], float]
     N1: int
@@ -162,7 +161,6 @@ class PruneReport:
 class RegularizationResult:
     pole_order: int
     c_minus: float                               # mean of the per-n2 leading coefficients
-    c_minus_by_window: Mapping[int, float]       # n2 -> C(pole_order, n2)
     curve: list[tuple[int, float]]               # (nhat2, c0hat of window (pole_order, nhat2))
     c0: float
     diagnostics: Mapping[str, object]
@@ -217,7 +215,7 @@ def fit_window(samples, n1: int, n2: int) -> TruncatedLaurentFit:
     return _PowerTable.of(s, n1, n2).fit(I, n1, n2)
 
 
-def build_matrix(samples, N1: int = -6, N2: int = 9) -> FitMatrix:
+def build_matrix(samples, N1: int = LaurentParams.N1, N2: int = LaurentParams.N2) -> FitMatrix:
     """Complete rectangle of window fits: N1 < n1 <= -1, 1 <= n2 < N2."""
     s, I = _extract(samples)
     powers = _PowerTable.of(s, N1 + 1, N2 - 1)
@@ -226,7 +224,7 @@ def build_matrix(samples, N1: int = -6, N2: int = 9) -> FitMatrix:
     return FitMatrix(entries=entries, N1=int(N1), N2=int(N2), s=s, I=I)
 
 
-def prune(matrix: FitMatrix, eps_c: float = 1e-3) -> PruneReport:
+def prune(matrix: FitMatrix, eps_c: float = LaurentParams.eps_c) -> PruneReport:
     """Keep every principal-part coefficient that passes the ratio test
     |c_n|/M_n > eps_c; a zero M_n drops its coefficients.
 
@@ -247,8 +245,7 @@ def prune(matrix: FitMatrix, eps_c: float = 1e-3) -> PruneReport:
             averages[(n, n1, n2)] = m
             if m > 0.0 and abs(fit.coeffs[n]) / m > eps_c:
                 kept.add((n, n1, n2))
-    return PruneReport(eps_c=eps_c, kept=frozenset(kept), averages=averages,
-                       N1=matrix.N1, N2=matrix.N2)
+    return PruneReport(kept=frozenset(kept), averages=averages, N1=matrix.N1, N2=matrix.N2)
 
 
 def _most_singular_kept(report: PruneReport) -> dict[tuple[int, int], int]:
@@ -333,9 +330,8 @@ def regularize(samples, params: LaurentParams | None = None) -> RegularizationRe
         pole, rectangle = detect_pole_order(report)
     except DetectionError as exc:
         raise RegularizationError("detect", str(exc)) from exc
-    c_by_window = {n2: matrix.entries[(pole, n2)].coeffs[pole]
-                   for n2 in range(1, params.N2)}
-    c_minus = float(np.mean(list(c_by_window.values())))
+    c_minus = float(np.mean([matrix.entries[(pole, n2)].coeffs[pole]
+                             for n2 in range(1, params.N2)]))
     curve = [(n2, matrix.entries[(pole, n2)].coeffs[0]) for n2 in range(1, params.N2)]
     turn, sign_change = _turning(np.array([c0hat for _, c0hat in curve]))
 
@@ -349,7 +345,6 @@ def regularize(samples, params: LaurentParams | None = None) -> RegularizationRe
     return RegularizationResult(
         pole_order=int(pole),
         c_minus=c_minus,
-        c_minus_by_window=c_by_window,
         curve=curve,
         c0=float(curve[turn][1]),
         diagnostics=diagnostics,

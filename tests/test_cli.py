@@ -217,6 +217,35 @@ def test_config_file_missing(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("eps_s", "0.06"), ("s_max", "1.2"), ("grid_points", "80"), ("spacing", "log"),
+    ("eps_c", "1e-4"), ("n1", "-7"), ("n2", "10"), ("rel_tol", "1e-8"), ("out_dir", "out"),
+])
+def test_flag_and_config_key_run_the_same(tmp_path, key, value):
+    # every flag sets the config key of its name, through the same parser
+    def run(how):
+        base = tmp_path / how
+        base.mkdir()
+        flags = {"grid_points": "64", "out_dir": str(base / "out")}
+        given = str(base / value) if key == "out_dir" else value
+        argv = ["vacuum"]
+        if how == "config":
+            (base / "run.cfg").write_text(f"{key} = {given}\n")
+            argv += ["--config", str(base / "run.cfg")]
+            flags.pop(key, None)
+        elif how == "flag":
+            flags[key] = given
+        for name, text in flags.items():
+            argv += ["--" + name.replace("_", "-"), text]
+        assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in sorted((base / "out").iterdir())}
+
+    by_flag = run("flag")
+    assert run("config") == by_flag
+    if key != "out_dir":    # the value reached the run
+        assert run("unset") != by_flag
+
+
 @pytest.mark.parametrize("flags", [
     ["--grid-points", "8"],
     ["--eps-s", "0.0"],
@@ -228,6 +257,7 @@ def test_config_file_missing(tmp_path, capsys):
     ["--n2", "3"],               # two curve windows: no turning point
     ["--n2", "2"],               # one window column: no 2 x 2 rectangle
     ["--n1", "-2"],              # one window row: no 2 x 2 rectangle
+    ["--spacing", "bogus"],      # plan_run's rule, not an argparse choice
 ])
 def test_validation_failures_exit_2(tmp_path, flags, capsys):
     assert main(["vacuum", "--out-dir", str(tmp_path)] + flags) == 2
@@ -446,6 +476,54 @@ def test_dielectric_requires_sigma():
     with pytest.raises(SystemExit) as exc:
         main(["dielectric"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("sigma,scale", [
+    (0.9, math.log(0.9) / math.log(8 / 27)),
+    (Fraction(8, 27), 1.0),      # the paper's contrast runs on the vacuum grid
+    (Fraction(27, 8), 1.0),
+])
+def test_dielectric_default_grid_scales_with_log_sigma(sigma, scale):
+    vacuum = cli.plan_run(cli.RunConfig(), SpectrumKind.VACUUM).grid
+    assert (vacuum.eps_s, vacuum.s_R) == (0.05, 1.0)
+    grid = cli.plan_run(cli.RunConfig(sigma=sigma), SpectrumKind.TE).grid
+    assert (grid.eps_s, grid.s_R) == (pytest.approx(0.05 * scale, rel=1e-15),
+                                      pytest.approx(scale, rel=1e-15))
+    if scale == 1.0:
+        assert (grid.eps_s, grid.s_R) == (0.05, 1.0)
+    # an explicit endpoint is honoured, the unset one still scales
+    grid = cli.plan_run(cli.RunConfig(sigma=sigma, eps_s=0.001), SpectrumKind.TE).grid
+    assert (grid.eps_s, grid.s_R) == (0.001, pytest.approx(scale, rel=1e-15))
+    grid = cli.plan_run(cli.RunConfig(sigma=sigma, s_max=2.0), SpectrumKind.TE).grid
+    assert (grid.eps_s, grid.s_R) == (pytest.approx(0.05 * scale, rel=1e-15), 2.0)
+
+
+def test_dielectric_report_echoes_the_grid_that_ran(tmp_path, monkeypatch):
+    ran = []
+
+    def recording_sampler(kind, sigma, grid, rel_tol=None):
+        ran.append(grid)
+        return synthetic_sampler(kind, sigma, grid)
+
+    monkeypatch.setattr(cli, "sample_curve", recording_sampler)
+    assert main(["dielectric", "--sigma", "0.9", "--grid-points", "64",
+                 "--out-dir", str(tmp_path)]) == 0
+    grid = ran[0]
+    assert grid.s_R == pytest.approx(math.log(0.9) / math.log(8 / 27), rel=1e-15)
+    assert read_json(tmp_path / "report.json")["grid"] == {
+        "eps_s": grid.eps_s, "s_R": grid.s_R, "J": 64, "spacing": "linear"}
+
+
+def test_dielectric_near_unit_contrast_reads_c0_on_the_scaled_grid():
+    # On the unscaled grid [0.05, 1], sigma = 0.9 TE read pole -4 and c0
+    # -114.30 with no sign change: s / |ln sigma| spans [0.47, 9.5], far past
+    # the Laurent region.  Converged samples read 243.31 on the scaled grid;
+    # the default rel_tol reads 239.99, 1.4% low from sample noise.
+    plan = cli.plan_run(cli.RunConfig(sigma=0.9), SpectrumKind.TE)
+    res = cli.regularize(cli.sample_curve(SpectrumKind.TE, plan.sigma, plan.grid,
+                                          plan.rel_tol), plan.params)
+    assert res.pole_order == -4
+    assert res.c0 == pytest.approx(243.31, rel=0.03)
 
 
 # ---------------------------------------------------------------------------

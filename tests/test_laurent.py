@@ -240,7 +240,7 @@ def test_detect_second_order_pole():
 
 def _hand_report(msk, N1, N2):
     kept = frozenset((lab, n1, n2) for (n1, n2), lab in msk.items() if lab is not None)
-    return PruneReport(eps_c=1e-3, kept=kept, averages={}, N1=N1, N2=N2)
+    return PruneReport(kept=kept, averages={}, N1=N1, N2=N2)
 
 
 def test_detect_requires_two_by_two():
@@ -343,8 +343,7 @@ def test_detect_matches_the_cell_by_cell_scan():
                 if lab:
                     kept |= {(n, n1, n2) for n in range(int(lab), 0)
                              if n == lab or rng.uniform() < 0.3}
-        report = PruneReport(eps_c=1e-3, kept=frozenset(kept), averages={},
-                             N1=N1, N2=N2)
+        report = PruneReport(kept=frozenset(kept), averages={}, N1=N1, N2=N2)
         expected = _detect_by_scan(report)
         if expected is None:
             with pytest.raises(DetectionError):
@@ -541,7 +540,8 @@ def test_regularize_vacuum_closed_form(vacuum_samples):
     for n2, value in per_n2_turning_values(res).items():
         assert abs(value - res.c0) < 1e-5, n2
     assert len(res.diagnostics["rectangle"]) == 16
-    for n2, c in res.c_minus_by_window.items():
+    for n2 in range(1, 9):
+        c = res.matrix.entries[(res.pole_order, n2)].coeffs[res.pole_order]
         assert c == pytest.approx(2.0, rel=1e-2), n2
 
 
@@ -551,9 +551,10 @@ def test_regularize_returns_its_matrix(vacuum_samples):
     rebuilt = build_matrix(vacuum_samples, params.N1, params.N2)
     assert (res.matrix.N1, res.matrix.N2) == (-6, 8)
     assert res.matrix.entries == rebuilt.entries
-    assert res.c_minus_by_window == {
-        n2: res.matrix.entries[(res.pole_order, n2)].coeffs[res.pole_order]
-        for n2 in range(1, 8)}
+    # c_minus is the mean of the pole row's leading coefficients
+    assert res.c_minus == float(np.mean([
+        res.matrix.entries[(res.pole_order, n2)].coeffs[res.pole_order]
+        for n2 in range(1, 8)]))
 
 
 def test_regularize_scale_covariance(vacuum_samples):
