@@ -253,22 +253,24 @@ def _result_block(result: RegularizationResult) -> dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def _curve(kind: SpectrumKind, plan: RunPlan, taken: dict
-           ) -> tuple[list[IntegralSample], RegularizationResult]:
-    """Sample one curve and regularize it.
+def _curves(kinds: tuple[SpectrumKind, ...], plan: RunPlan, taken: dict
+            ) -> list[tuple[list[IntegralSample], RegularizationResult]]:
+    """Sample the curves of kinds in one sample_curve call, then regularize
+    each; one (samples, result) per kind.
 
-    `taken` holds the command's samples by (kind, sigma, grid, rel_tol); a
-    curve whose key is already there is not sampled again.
+    `taken` holds the command's samples by (kinds, sigma, grid, rel_tol);
+    curves whose key is already there are not sampled again.
     """
-    key = (kind, plan.sigma, plan.grid, plan.rel_tol)
+    key = (kinds, plan.sigma, plan.grid, plan.rel_tol)
     if key not in taken:
-        taken[key] = sample_curve(kind, plan.sigma, plan.grid, plan.rel_tol)
-    return taken[key], regularize(taken[key], plan.params)
+        taken[key] = sample_curve(kinds, plan.sigma, plan.grid, plan.rel_tol)
+    curves = [[p for p in taken[key] if p.kind is kind] for kind in kinds]
+    return [(samples, regularize(samples, plan.params)) for samples in curves]
 
 
 def run_vacuum(cfg: RunConfig) -> int:
     plan = plan_run(cfg, SpectrumKind.VACUUM)
-    samples, result = _curve(SpectrumKind.VACUUM, plan, {})
+    [(samples, result)] = _curves((SpectrumKind.VACUUM,), plan, {})
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_curve(out, SpectrumKind.VACUUM, samples, result)
@@ -287,7 +289,8 @@ def run_vacuum(cfg: RunConfig) -> int:
 
 def run_dielectric(cfg: RunConfig) -> int:
     plan = plan_run(cfg, SpectrumKind.TE)
-    curves = {kind: _curve(kind, plan, {}) for kind in (SpectrumKind.TE, SpectrumKind.TM)}
+    kinds = (SpectrumKind.TE, SpectrumKind.TM)
+    curves = dict(zip(kinds, _curves(kinds, plan, {})))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for kind, (samples, result) in curves.items():
@@ -326,7 +329,7 @@ def dump_sensitivity(cfg: RunConfig, vary: str, values: list[float]) -> int:
     rows, lines = [], ["param,value,pole_order,c0,turning_nhat2,sign_change"]
     taken: dict = {}
     for value, plan in zip(values, plans):
-        _, result = _curve(SpectrumKind.VACUUM, plan, taken)
+        [(_, result)] = _curves((SpectrumKind.VACUUM,), plan, taken)
         rows.append((value, result))
         print(f"{vary}={value:g}: {_summary(result)}")
         diag = result.diagnostics

@@ -393,14 +393,15 @@ def test_sensitivity_integer_keys_reject_non_integers(tmp_path, monkeypatch, cap
 # ---------------------------------------------------------------------------
 
 
-def synthetic_sampler(kind, sigma, grid, rel_tol=None):
-    c_lead = 0.5 if kind is SpectrumKind.TE else 0.8
-    c0 = 0.1973 if kind is SpectrumKind.TE else 0.1961
+def synthetic_sampler(kinds, sigma, grid, rel_tol=None):
     out = []
-    for s in grid.points:
-        value = c_lead / s**4 + c0 + 0.05 * s
-        out.append(IntegralSample(s=float(s), value=value, est_error=1e-12,
-                                  kind=kind, sigma=sigma))
+    for kind in kinds:
+        c_lead = 0.5 if kind is SpectrumKind.TE else 0.8
+        c0 = 0.1973 if kind is SpectrumKind.TE else 0.1961
+        for s in grid.points:
+            value = c_lead / s**4 + c0 + 0.05 * s
+            out.append(IntegralSample(s=float(s), value=value, est_error=1e-12,
+                                      kind=kind, sigma=sigma))
     return out
 
 
@@ -447,14 +448,14 @@ def test_dielectric_report(dielectric_run):
 def test_dielectric_report_echoes_the_rel_tol_that_ran(tmp_path, monkeypatch):
     ran = []
 
-    def recording_sampler(kind, sigma, grid, rel_tol=None):
-        ran.append((kind, rel_tol))
-        return synthetic_sampler(kind, sigma, grid)
+    def recording_sampler(kinds, sigma, grid, rel_tol=None):
+        ran.append((kinds, rel_tol))
+        return synthetic_sampler(kinds, sigma, grid)
 
     monkeypatch.setattr(cli, "sample_curve", recording_sampler)
     assert main(["dielectric", "--sigma", "8/27", "--grid-points", "64",
                  "--rel-tol", "3e-8", "--out-dir", str(tmp_path)]) == 0
-    assert ran == [(SpectrumKind.TE, 3e-8), (SpectrumKind.TM, 3e-8)]
+    assert ran == [((SpectrumKind.TE, SpectrumKind.TM), 3e-8)]
     assert read_json(tmp_path / "report.json")["quadrature"] == {"rel_tol": 3e-8}
 
 
@@ -465,6 +466,24 @@ def test_dielectric_stdout(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "te: pole_order=-4" in out
     assert "tm: pole_order=-4" in out
+
+
+def test_dielectric_run_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys):
+    # one CPU samples each curve as one chunk in this process, two CPUs as
+    # chunks of 8 points on forked workers: the same bytes either way
+    import casimir_laurent.quadrature as quadrature
+
+    runs = []
+    for count in (1, 2):
+        monkeypatch.setattr(quadrature.os, "sched_getaffinity",
+                            lambda pid: set(range(count)), raising=False)
+        out = tmp_path / f"cpus-{count}"
+        assert main(["dielectric", "--sigma", "8/27", "--grid-points", "16",
+                     "--out-dir", str(out)]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((files, capsys.readouterr()))
+    assert len(runs[0][0]) == 7
+    assert runs[0] == runs[1]
 
 
 def test_dielectric_rejects_unit_sigma(tmp_path, capsys):
@@ -501,9 +520,9 @@ def test_dielectric_default_grid_scales_with_log_sigma(sigma, scale):
 def test_dielectric_report_echoes_the_grid_that_ran(tmp_path, monkeypatch):
     ran = []
 
-    def recording_sampler(kind, sigma, grid, rel_tol=None):
+    def recording_sampler(kinds, sigma, grid, rel_tol=None):
         ran.append(grid)
-        return synthetic_sampler(kind, sigma, grid)
+        return synthetic_sampler(kinds, sigma, grid)
 
     monkeypatch.setattr(cli, "sample_curve", recording_sampler)
     assert main(["dielectric", "--sigma", "0.9", "--grid-points", "64",
@@ -532,7 +551,7 @@ def test_dielectric_near_unit_contrast_reads_c0_on_the_scaled_grid():
 
 
 def test_quadrature_failure_exits_3(tmp_path, monkeypatch, capsys):
-    def failing_sampler(kind, sigma, grid, rel_tol=None):
+    def failing_sampler(kinds, sigma, grid, rel_tol=None):
         raise QuadratureError("sample 0 (s=0.05) failed: did not converge")
 
     monkeypatch.setattr(cli, "sample_curve", failing_sampler)
@@ -569,10 +588,10 @@ def test_regularization_failure_exits_4(tmp_path, monkeypatch, capsys):
         "regularization failure (detect): [detect] no stable pole order\n")
 
 
-def _tm_fails(kind, sigma, grid, rel_tol=None):
-    if kind is SpectrumKind.TM:
+def _tm_fails(kinds, sigma, grid, rel_tol=None):
+    if SpectrumKind.TM in kinds:
         raise QuadratureError("sample 0 (s=0.05) failed: did not converge")
-    return synthetic_sampler(kind, sigma, grid, rel_tol)
+    return synthetic_sampler(kinds, sigma, grid, rel_tol)
 
 
 @pytest.mark.parametrize("argv,code,sampler", [
@@ -697,7 +716,7 @@ def test_infinite_s_max_is_a_configuration_error(tmp_path, monkeypatch, capsys, 
 
 @pytest.mark.parametrize("argv,counts", [
     (["vacuum", "--grid-points", "64"], (1, 1)),
-    (["dielectric", "--sigma", "8/27", "--grid-points", "64"], (2, 2)),
+    (["dielectric", "--sigma", "8/27", "--grid-points", "64"], (1, 2)),
     (["sensitivity", "--vary", "eps_c", "--values", "0.0005,0.001,0.002",
       "--grid-points", "64"], (1, 3)),
     (["sensitivity", "--vary", "N2", "--values", "7,8,9", "--grid-points", "64"], (1, 3)),

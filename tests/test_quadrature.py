@@ -15,9 +15,9 @@ from casimir_laurent.laurent import LaurentParams, Spacing, make_grid, regulariz
 from scipy.integrate import _quadpack_py, quad
 
 from casimir_laurent.quadrature import (ABS_TOL, DIELECTRIC_REL_TOL, MAX_PANELS,
-                                        VACUUM_REL_TOL, IntegralSample, QuadratureError,
-                                        _adaptive_gk21, eval_I_dielectric, eval_I_vacuum,
-                                        resolve_rel_tol, sample_curve, truncation_point)
+                                        VACUUM_REL_TOL, QuadratureError, _adaptive_gk21,
+                                        eval_I_dielectric, eval_I_vacuum, resolve_rel_tol,
+                                        sample_curve, truncation_point)
 from vacuum_oracles import vacuum_closed_form
 
 SIGMA = 8.0 / 27.0
@@ -381,43 +381,74 @@ def cpus(monkeypatch, count):
 @pytest.mark.parametrize("sigma", [8.0 / 27.0, 27.0 / 8.0])
 @pytest.mark.parametrize("kind", [SpectrumKind.TE, SpectrumKind.TM])
 def test_dielectric_curve_equals_single_points(kind, sigma, monkeypatch):
-    # the pool (two workers) and the serial route return each sample bit for bit
-    grid = [0.7, 0.85, 1.0]
-    alone = [eval_I_dielectric(kind, s, sigma) for s in grid]
+    # both kinds in one call, `kind` first: five points make chunks of 3 and
+    # 2 on two CPUs and of 5 on one, and the pool (two workers) and the
+    # serial route return each sample bit for bit, in the order asked for
+    other = SpectrumKind.TM if kind is SpectrumKind.TE else SpectrumKind.TE
+    grid = [0.7, 0.775, 0.85, 0.925, 1.0]
+    alone = [eval_I_dielectric(k, s, sigma) for k in (kind, other) for s in grid]
     for count in (2, 1):
         cpus(monkeypatch, count)
         # dataclass equality: s, value, est_error, kind and sigma, each exactly
-        assert sample_curve(kind, sigma, grid) == alone, count
+        assert sample_curve((kind, other), sigma, grid) == alone, count
 
 
 def test_dielectric_curve_names_first_failing_index(monkeypatch, tmp_path):
-    # two workers: samples 0, 2 and 3 return at once, 3 failing, while 1
-    # fails only after 0.5 s and each later sample takes 0.25 s.  The error
-    # names sample 1, was raised in a worker, and cancels the samples not yet
-    # handed to a worker (at most ~10 of the 20 start by then)
+    # two workers and chunks of two points: 15 chunks for 30 points.  The
+    # kernel is a cheap stand-in that sees a chunk start on its first call,
+    # which holds every member's first outer nodes, and is NaN at sample 5
+    # after 0.5 s and at sample 7 at once; every other chunk starts 0.25 s
+    # late.  The error names sample 5, the second member of the third chunk,
+    # although its chunk failed after sample 7's; it was raised in a worker
+    # and cancels the chunks not yet handed to a worker (at most ~10 of the
+    # 15 start by then)
     import os
     import time
 
     import casimir_laurent.quadrature as quadrature
 
-    grid = [round(0.5 + 0.05 * j, 2) for j in range(20)]
+    grid = [round(0.5 + 0.05 * j, 2) for j in range(30)]
+    reach = truncation_point(np.array(grid))
+    top = 0.5 * reach + (0.5 * reach) * quadrature._XGK[0]   # each sample's largest first node
 
-    def poisoned(kind, s, sigma, rel_tol):
-        j = grid.index(s)
-        (tmp_path / f"started-{j}").touch()
-        time.sleep({0: 0.0, 1: 0.5, 2: 0.0, 3: 0.0}.get(j, 0.25))
-        if j in (1, 3):
-            raise QuadratureError(f"poisoned in process {os.getpid()}")
-        return IntegralSample(s=s, value=1.0, est_error=0.0, kind=kind, sigma=sigma)
+    def poisoned(kind, nu, y, sigma):
+        new = [j for j in range(len(grid)) if np.any(nu == top[j])
+               and not (tmp_path / f"started-{j}").exists()]
+        for j in new:
+            (tmp_path / f"started-{j}").touch()
+        if new:
+            time.sleep(0.5 if 5 in new else 0.0 if 7 in new else 0.25)
+        if np.any(nu == top[5]):
+            (tmp_path / f"poisoned-{os.getpid()}").touch()
+        bad = (nu == top[5]) | (nu == top[7])
+        return np.where(bad, math.nan, np.ones(np.broadcast(nu, y).shape))
 
-    monkeypatch.setattr(quadrature, "eval_I_dielectric", poisoned)
+    monkeypatch.setattr(quadrature, "dlog_cross", poisoned)
+    monkeypatch.setattr(quadrature, "MAX_CHUNK", 2)
     cpus(monkeypatch, 2)
-    with pytest.raises(QuadratureError, match=r"^sample 1 \(s=0\.55\) failed: poisoned "
-                                              r"in process \d+$") as info:
+    with pytest.raises(QuadratureError, match=r"^sample 5 \(s=0\.75\) failed: inner quadrature "
+                                              r"at nu=\S+: non-finite integrand at x="):
         sample_curve(SpectrumKind.TE, SIGMA, grid)
-    assert not str(info.value).endswith(f" {os.getpid()}")
-    assert (tmp_path / "started-3").exists()
-    assert not (tmp_path / "started-19").exists()
+    assert (tmp_path / "started-7").exists()
+    poisoned_in = [p.name for p in tmp_path.glob("poisoned-*")]
+    assert len(poisoned_in) == 1 and poisoned_in != [f"poisoned-{os.getpid()}"]
+    assert not (tmp_path / "started-29").exists()
+
+
+def test_dielectric_curve_names_the_chunk_of_a_kernel_error(monkeypatch):
+    # the kernel raises for its whole array, so a batch cannot tell which
+    # member failed: the error names the chunk, as a QuadratureError (exit 3)
+    import casimir_laurent.quadrature as quadrature
+    from casimir_laurent.integrands import CrossProductError
+
+    def broken(kind, nu, y, sigma):
+        raise CrossProductError("TE cross product lost its fixed sign at nu=1.0, y=2.0")
+
+    monkeypatch.setattr(quadrature, "dlog_cross", broken)
+    cpus(monkeypatch, 1)
+    with pytest.raises(QuadratureError, match=r"^one of samples 0 to 2 \(s=0\.5 to 0\.7\) "
+                                              r"failed: TE cross product lost its fixed sign"):
+        sample_curve(SpectrumKind.TE, SIGMA, [0.5, 0.6, 0.7])
 
 
 @pytest.mark.parametrize("kind,sigma,grid", [
@@ -429,7 +460,10 @@ def test_dielectric_curve_names_first_failing_index(monkeypatch, tmp_path):
     (SpectrumKind.TM, SIGMA, [0.5, 0.6, math.inf]),
     (SpectrumKind.TE, SIGMA, [0.5, 0.0]),
     ("te", SIGMA, [0.5, 0.6]),
-], ids=["sigma-1", "sigma-0", "sigma-nan", "sigma-inf", "s-nan", "s-inf", "s-0", "kind"])
+    ((SpectrumKind.TE, "tm"), SIGMA, [0.5, 0.6]),
+    ((SpectrumKind.TM, SpectrumKind.TE), SIGMA, [0.5, -0.6]),
+], ids=["sigma-1", "sigma-0", "sigma-nan", "sigma-inf", "s-nan", "s-inf", "s-0", "kind",
+        "second-kind", "both-kinds-s"])
 def test_dielectric_curve_checks_before_any_sample(kind, sigma, grid, monkeypatch):
     import concurrent.futures
 
@@ -439,7 +473,8 @@ def test_dielectric_curve_checks_before_any_sample(kind, sigma, grid, monkeypatc
         raise AssertionError("a sample or a pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    monkeypatch.setattr(quadrature, "eval_I_dielectric", refuse)
+    for name in ("eval_I_dielectric", "_sample_chunk", "_dielectric_batch"):
+        monkeypatch.setattr(quadrature, name, refuse)
     cpus(monkeypatch, 2)
     with pytest.raises(ValueError, match=r"requires 0 < s < inf|sigma must lie in|no cross"):
         sample_curve(kind, sigma, grid)
