@@ -236,9 +236,10 @@ def _dlog_cross(tag: str, nu, y, sigma: float, term, ln_rho_max, d2_max,
     evaluated only where the bounds ln_rho_max and d2_max leave rho d2 able
     to change the rounded result."""
     nu, y = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(y, dtype=float))
-    if np.any(y <= 0.0):
-        raise ValueError(f"dlog_cross_{tag.lower()} requires y > 0, got {y[y <= 0.0][0]}")
-    if sigma <= 0.0 or sigma == 1.0:
+    ok = (y > 0.0) & (y < math.inf)
+    if not ok.all():
+        raise ValueError(f"dlog_cross_{tag.lower()} requires finite y > 0, got {y[~ok][0]}")
+    if not 0.0 < sigma < math.inf or sigma == 1.0:
         raise ValueError(
             f"dlog_cross_{tag.lower()} requires sigma in (0,1) or (1,inf), got {sigma}")
     if sigma > 1.0:

@@ -185,19 +185,21 @@ class LaurentParams:
 
 
 def _extract(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Accept (s, I) arrays, an (J, 2) array, or a list of IntegralSample."""
+    """Accept an (s, I) pair of arrays or a list of IntegralSample."""
     if isinstance(samples, tuple) and len(samples) == 2:
         s, I = np.asarray(samples[0], dtype=float), np.asarray(samples[1], dtype=float)
-    elif hasattr(samples, "ndim"):
-        arr = np.asarray(samples, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("array samples must have shape (J, 2)")
-        s, I = arr[:, 0], arr[:, 1]
     else:
-        s = np.array([p.s for p in samples], dtype=float)
-        I = np.array([p.value for p in samples], dtype=float)
+        try:
+            s = np.array([p.s for p in samples], dtype=float)
+            I = np.array([p.value for p in samples], dtype=float)
+        except AttributeError:
+            raise ValueError("samples must be an (s, I) pair or IntegralSamples") from None
     if s.shape != I.shape or s.ndim != 1:
         raise ValueError("sample abscissae and values must be 1-D and congruent")
+    bad = np.flatnonzero(~(np.isfinite(s) & np.isfinite(I)))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(f"sample {j} is not finite: s={s[j]}, I={I[j]}")
     if np.any(s <= 0.0):
         raise ValueError("all sample points must be positive")
     return s, I

@@ -13,15 +13,18 @@ driver with the 21-point Gauss-Kronrod rule `qk21` (Piessens et al., 1983):
 many integrals advance in lockstep, each bisecting its own largest-error
 panel, with one integrand call per step for all of them.  Every step works
 row by row, so an integral's bits do not depend on what else is in its
-batch.  A vacuum curve is one batch with a member per damping s.  A
-dielectric batch has a member per damping s too: their outer nu integrals
+batch.  A batch (:func:`_batch`) has a member per damping s: a vacuum
+member is one integral; the outer nu integrals of dielectric members
 advance together, and every nu node an outer step asks for, of every
 member, starts an inner y integral, and those advance together as well.
-:func:`eval_I_dielectric` is the batch of one.
 
-:func:`sample_curve` cuts a dielectric curve into contiguous chunks, one
-per CPU this process may run on (``os.sched_getaffinity``) and at most
-MAX_CHUNK points, and samples each chunk as one batch.  The chunks of all
+:func:`sample_curve` is the one way in.  It checks every kind, sigma, s
+and rel_tol before the first sample, and :func:`_sample_chunk` builds and
+labels every sample.  :func:`eval_I_dielectric` is the batch of one, a
+one-point curve, as is :func:`eval_I_vacuum`; neither starts a pool.
+sample_curve cuts a dielectric curve into contiguous chunks, one per CPU
+this process may run on (``os.sched_getaffinity``) and at most MAX_CHUNK
+points, and samples each chunk as one batch.  The chunks of all
 the curves of one call, TE and TM for a dielectric command, are shared out
 among one pool of forked worker processes, one per CPU, that closes with
 the call.  A sample's value and error estimate are therefore the same bits
@@ -119,43 +122,6 @@ def truncation_point(s: float) -> float:
     return (-math.log(TAIL_TOL) + 20.0) / s
 
 
-def _require_damping(s: float, what: str) -> None:
-    if not 0.0 < s < math.inf:
-        raise ValueError(f"{what} requires 0 < s < inf, got {s}")
-
-
-def _require_dielectric(kind: SpectrumKind, sigma: float) -> None:
-    if kind is SpectrumKind.VACUUM:
-        raise ValueError("use eval_I_vacuum for the vacuum integral")
-    if kind not in (SpectrumKind.TE, SpectrumKind.TM):
-        raise ValueError(f"no cross product for kind {kind}")
-    if not 0.0 < sigma < math.inf or sigma == 1.0:
-        raise ValueError(f"sigma must lie in (0,1) or (1,inf), got {sigma}")
-
-
-def _vacuum_batch(points: Sequence[float], rel_tol: float,
-                  label: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
-    """(1/3) Int_0^X(s) r^3 coth(r) e^{-s r} dr for every s of points, as one
-    batch of :func:`_adaptive_gk21`; a failure of member i is named
-    `label(i)` + "quadrature".  Returns (values, est_errors)."""
-    s = np.asarray(points, dtype=float)
-
-    def integrand(x, owner):
-        return vacuum_integrand(x) * np.exp(-s[owner, None] * x)
-
-    return _adaptive_gk21(integrand, truncation_point(s), lambda i: f"{label(i)}quadrature",
-                          rel_tol)
-
-
-def eval_I_vacuum(s: float, rel_tol: float | None = None) -> IntegralSample:
-    """(1/3) Int_0^inf r^3 coth(r) e^{-s r} dr by adaptive quadrature."""
-    _require_damping(s, "eval_I_vacuum")
-    rel_tol = resolve_rel_tol(SpectrumKind.VACUUM, rel_tol)
-    value, err = _vacuum_batch([s], rel_tol, lambda _: "")
-    return IntegralSample(s=s, value=float(value[0]), est_error=float(err[0]),
-                          kind=SpectrumKind.VACUUM, sigma=1.0)
-
-
 def _qk21(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
           name: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """QUADPACK qk21 on the panels [a_i, b_i] of the integrals owner_i, with
@@ -198,7 +164,7 @@ def _qk21(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
 
 
 def _adaptive_gk21(f: Callable, upper: np.ndarray, name: Callable[[int], str],
-                   rel_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Integrals i of f over (0, upper[i]), advanced in lockstep by QUADPACK's
     qag rule: each step bisects every unconverged integral's largest-error
     panel, and one f call evaluates the new panels of all of them.
@@ -206,12 +172,13 @@ def _adaptive_gk21(f: Callable, upper: np.ndarray, name: Callable[[int], str],
     f(x, owner) maps a (panels, 21) node array and the integral index of each
     panel to integrand values.  Integral i stops once its error sum is at most
     max(ABS_TOL, rel_tol * |value|) (after one panel, also unless qk21's error
-    estimate is saturated); None is the vacuum default.  The value is the sum
-    of its panel list in QUADPACK's order.  Returns (values, est_errors).
-    Raises QuadratureError naming `name(i)` for the first integral still short
-    of its budget at MAX_PANELS panels.
+    estimate is saturated).  The value is the sum of its panel list in
+    QUADPACK's order.  Returns (values, est_errors).  Raises ValueError for
+    rel_tol outside (0, 1), and QuadratureError naming `name(i)` for the
+    first integral still short of its budget at MAX_PANELS panels.
     """
-    rel_tol = resolve_rel_tol(SpectrumKind.VACUUM, rel_tol)
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie in (0,1), got {rel_tol}")
     limit = MAX_PANELS
     n = upper.size
     rows = np.arange(n)
@@ -254,16 +221,18 @@ def _adaptive_gk21(f: Callable, upper: np.ndarray, name: Callable[[int], str],
     return np.cumsum(res, axis=1)[rows, last - 1], errsum
 
 
-def _dielectric_batch(kind: SpectrumKind, sigma: float, points: Sequence[float],
-                      rel_tol: float, label: Callable[[int], str]
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """The dielectric integrals at every s of points, as one batch of
-    :func:`_adaptive_gk21`: their outer nu integrals advance in lockstep, and
-    each outer step integrates the inner y integrals of all its nu nodes, of
-    every member, together.  A failure is named `label(i)` plus the failing
-    integral, for member i.  Returns (values, est_errors)."""
+def _batch(kind: SpectrumKind, sigma: float, points: Sequence[float], rel_tol: float,
+           label: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """The integrals of `kind` at every s of points, as one batch of
+    :func:`_adaptive_gk21`: (1/3) Int_0^X(s) r^3 coth(r) e^{-s r} dr for
+    vacuum; for TE and TM, outer nu integrals over [0, X(s)] of inner y
+    integrals over [0, sqrt(X(s)^2 - g^2)].  A failure of member i is named
+    `label(i)` plus the failing integral.  Returns (values, est_errors)."""
     s = np.asarray(points, dtype=float)
     r_max = truncation_point(s)
+    if kind is SpectrumKind.VACUUM:
+        return _adaptive_gk21(lambda x, owner: vacuum_integrand(x) * np.exp(-s[owner, None] * x),
+                              r_max, lambda i: f"{label(i)}quadrature", rel_tol)
 
     def inner(nu: np.ndarray, member: np.ndarray) -> np.ndarray:
         owner = np.broadcast_to(member[:, None], nu.shape)   # the member of each node
@@ -286,47 +255,26 @@ def _dielectric_batch(kind: SpectrumKind, sigma: float, points: Sequence[float],
                           lambda i: f"{label(i)}outer quadrature", rel_tol)
 
 
-def eval_I_dielectric(
-    kind: SpectrumKind,
-    s: float,
-    sigma: float,
-    rel_tol: float | None = None,
-) -> IntegralSample:
-    """Nested quadrature of the dielectric mode integral at damping s.
-
-    Outer variable nu in [0, R], inner y in [0, sqrt(R^2 - g^2)] where
-    R = truncation_point(s) and g is the kind's effective order; the inner
-    integrand is y * dlog_cross(nu, y, sigma) * exp(-s * hypot(g, y)).
-    This is the one-member case of :func:`_dielectric_batch`.
-    """
-    _require_dielectric(kind, sigma)
-    _require_damping(s, "eval_I_dielectric")
-    value, err = _dielectric_batch(kind, sigma, [s], resolve_rel_tol(kind, rel_tol),
-                                   lambda _: "")
-    return IntegralSample(s=s, value=float(value[0]), est_error=float(err[0]),
-                          kind=kind, sigma=sigma)
-
-
 def _sample_chunk(job: tuple[SpectrumKind, float, int, list[float], float]
                   ) -> list[IntegralSample]:
     """The samples of one chunk of a curve, as one batch: the chunk is the
     kind, sigma, the grid index of its first point, its points and rel_tol.
-    Module-level, so that a pool can send it to its workers."""
+    Every sample is built here, and every failure named.  Module-level, so
+    that a pool can send it to its workers."""
     kind, sigma, first, points, rel_tol = job
 
     def label(i: int) -> str:
         return f"sample {first + i} (s={points[i]}) failed: "
 
     try:
-        if kind is SpectrumKind.VACUUM:
-            values, errors = _vacuum_batch(points, rel_tol, label)
-        else:
-            values, errors = _dielectric_batch(kind, sigma, points, rel_tol, label)
+        values, errors = _batch(kind, sigma, points, rel_tol, label)
     except QuadratureError:
         raise
     except ArithmeticError as exc:   # the kernel's, raised for the batch as a whole
-        raise QuadratureError(f"one of samples {first} to {first + len(points) - 1} "
-                              f"(s={points[0]} to {points[-1]}) failed: {exc}") from exc
+        where = label(0) if len(points) == 1 else (
+            f"one of samples {first} to {first + len(points) - 1} "
+            f"(s={points[0]} to {points[-1]}) failed: ")
+        raise QuadratureError(f"{where}{exc}") from exc
     return [IntegralSample(s=s, value=float(v), est_error=float(e), kind=kind, sigma=sigma)
             for s, v, e in zip(points, values, errors)]
 
@@ -340,24 +288,27 @@ def sample_curve(
     """One IntegralSample per kind and grid point: the curve of each kind in
     the order given, each in grid order.
 
-    Every kind, sigma and s is checked first.  A vacuum curve is one batch.
-    A dielectric curve is cut into contiguous chunks, one per CPU in this
-    process's affinity mask and at most MAX_CHUNK points long, and each
-    chunk is one batch.  With more than one chunk and CPU, and where the
-    platform can fork, the chunks of every curve share one pool of forked
-    worker processes, one per CPU; otherwise they are sampled one after
-    another in this process.  Either way each sample is the one
-    eval_I_dielectric returns, bit for bit.  The error raised is that of
-    the first failing chunk in curve order, and names the first of its
-    samples to fail, which need not be its lowest failing index.
+    Every kind, sigma, s and rel_tol is checked before any sample or pool
+    starts.  A vacuum curve is one batch.  A dielectric curve is cut into
+    contiguous chunks, one per CPU in this process's affinity mask and at
+    most MAX_CHUNK points long, and each chunk is one batch.  With more than
+    one chunk and CPU, and where the platform can fork, the chunks of every
+    curve share one pool of forked worker processes, one per CPU; otherwise
+    they are sampled one after another in this process.  Either way each
+    sample is the one-point curve at its s, bit for bit.  The error raised
+    is that of the first failing chunk in curve order, and names the first
+    of its samples to fail, which need not be its lowest failing index.
     """
     points = [float(s) for s in getattr(grid, "points", grid)]
     kinds = kinds if isinstance(kinds, tuple) else (kinds,)
     for kind in kinds:
-        if kind is not SpectrumKind.VACUUM:
-            _require_dielectric(kind, sigma)
+        if not isinstance(kind, SpectrumKind):
+            raise ValueError(f"no cross product for kind {kind}")
+        if kind is not SpectrumKind.VACUUM and (not 0.0 < sigma < math.inf or sigma == 1.0):
+            raise ValueError(f"sigma must lie in (0,1) or (1,inf), got {sigma}")
     for s in points:
-        _require_damping(s, "sample_curve")
+        if not 0.0 < s < math.inf:
+            raise ValueError(f"sample_curve requires 0 < s < inf, got {s}")
     affinity = getattr(os, "sched_getaffinity", None)
     workers = len(affinity(0)) if affinity else 1
     jobs = []
@@ -391,3 +342,22 @@ def sample_curve(
                 finally:
                     pool.shutdown(cancel_futures=True)
     return [smp for job in jobs for smp in _sample_chunk(job)]
+
+
+def eval_I_vacuum(s: float, rel_tol: float | None = None) -> IntegralSample:
+    """(1/3) Int_0^inf r^3 coth(r) e^{-s r} dr by adaptive quadrature: the
+    one-point vacuum curve of :func:`sample_curve`."""
+    return sample_curve(SpectrumKind.VACUUM, 1.0, [s], rel_tol)[0]
+
+
+def eval_I_dielectric(
+    kind: SpectrumKind,
+    s: float,
+    sigma: float,
+    rel_tol: float | None = None,
+) -> IntegralSample:
+    """The dielectric mode integral of `kind` at damping s (see
+    :func:`_batch`): the one-point curve of :func:`sample_curve`."""
+    if kind is SpectrumKind.VACUUM:
+        raise ValueError("use eval_I_vacuum for the vacuum integral")
+    return sample_curve(kind, sigma, [s], rel_tol)[0]

@@ -142,7 +142,8 @@ def _log_and_ratio(nu, x, sign):
 
 def log_bessel_ik(nu: ArrayLike, x: ArrayLike, t: ArrayLike | None = None):
     """(ln I_nu(x), I_{nu+1}/I_nu at x, ln K_nu(t), K_{nu-1}/K_nu at t) for
-    x, t > 0; t defaults to x.
+    finite nu >= 0 and finite x, t > 0; t defaults to x.  Any other input
+    raises ValueError naming the first value out of range.
 
     The I side is evaluated at x and the K side at t, so that one call gives
     both factors of a cross-product term I_nu(x) K_nu(t).  Each side takes
@@ -155,11 +156,13 @@ def log_bessel_ik(nu: ArrayLike, x: ArrayLike, t: ArrayLike | None = None):
                                    np.asarray(x if t is None else t, dtype=float))
     shape = x.shape
     nu, x, t = nu.ravel(), x.ravel(), t.ravel()
-    if np.any(nu < 0.0):
-        raise ValueError(f"log_bessel_ik requires nu >= 0, got {nu[nu < 0.0][0]}")
+    ok = (nu >= 0.0) & (nu < math.inf)
+    if not ok.all():
+        raise ValueError(f"log_bessel_ik requires finite nu >= 0, got {nu[~ok][0]}")
     for arg in (x, t):
-        if np.any(arg <= 0.0):
-            raise ValueError(f"log_bessel_ik requires arguments > 0, got {arg[arg <= 0.0][0]}")
+        ok = (arg > 0.0) & (arg < math.inf)
+        if not ok.all():
+            raise ValueError(f"log_bessel_ik requires finite arguments > 0, got {arg[~ok][0]}")
     li, q = _log_and_ratio(nu, x, 1.0)
     lk, r = _log_and_ratio(nu, t, -1.0)
     if not shape:

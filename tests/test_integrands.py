@@ -150,6 +150,18 @@ def test_cross_domain_errors(func):
         func(1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         func(1.0, 2.0, -0.5)
+    for y in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"requires finite y > 0"):
+            func(1.0, np.array([2.0, y]), SIGMA)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -0.3, 1.0])
+@pytest.mark.parametrize("func", [dlog_cross_te, dlog_cross_tm])
+def test_cross_rejects_sigma_outside_its_domain(func, sigma):
+    # checked before sigma > 1 is reflected to 1/sigma, so the error names
+    # the value passed in
+    with pytest.raises(ValueError, match=rf"sigma in \(0,1\) or \(1,inf\), got {sigma}$"):
+        func(1.0, 1.0, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def decaying(f, s, upper=None):
     upper defaults to X(s)."""
     x_max = truncation_point(s) if upper is None else upper
     values, errors = _adaptive_gk21(lambda x, owner: f(x) * np.exp(-s * x),
-                                    np.array([x_max]), member_name)
+                                    np.array([x_max]), member_name, VACUUM_REL_TOL)
     return values[0], errors[0]
 
 
@@ -111,7 +111,8 @@ def test_nonfinite_integrand_raises(monkeypatch):
     import casimir_laurent.quadrature as quadrature
 
     monkeypatch.setattr(quadrature, "vacuum_integrand", lambda x: np.full(x.shape, math.nan))
-    with pytest.raises(QuadratureError, match=r"^quadrature: non-finite integrand at x="):
+    with pytest.raises(QuadratureError, match=r"^sample 0 \(s=1\.0\) failed: quadrature: "
+                                              r"non-finite integrand at x="):
         eval_I_vacuum(1.0)
 
 
@@ -322,7 +323,8 @@ def test_dielectric_inner_nonconvergence_raises(kind, monkeypatch):
     import casimir_laurent.quadrature as quadrature
 
     monkeypatch.setattr(quadrature, "MAX_PANELS", 1)
-    with pytest.raises(QuadratureError, match=r"^inner quadrature at nu=\S+ did not converge"):
+    with pytest.raises(QuadratureError, match=r"^sample 0 \(s=0\.5\) failed: inner quadrature "
+                                              r"at nu=\S+ did not converge"):
         eval_I_dielectric(kind, 0.5, SIGMA)
 
 
@@ -451,6 +453,34 @@ def test_dielectric_curve_names_the_chunk_of_a_kernel_error(monkeypatch):
         sample_curve(SpectrumKind.TE, SIGMA, [0.5, 0.6, 0.7])
 
 
+def test_single_points_never_start_a_pool(monkeypatch):
+    # a lone point is one chunk, so min(CPUs, chunks) = 1 worker: sampled
+    # in this process, with no pool to fork
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    cpus(monkeypatch, 2)
+    assert eval_I_dielectric(SpectrumKind.TM, 0.9, SIGMA).value > 0.0
+    assert eval_I_vacuum(0.5).value == pytest.approx(vacuum_closed_form(0.5), rel=1e-9)
+
+
+def test_single_point_kernel_error_names_the_sample(monkeypatch):
+    # the kernel's error at a lone point is a QuadratureError naming it
+    import casimir_laurent.quadrature as quadrature
+    from casimir_laurent.integrands import CrossProductError
+
+    def broken(kind, nu, y, sigma):
+        raise CrossProductError("TM cross product lost its fixed sign at nu=1.0, y=2.0")
+
+    monkeypatch.setattr(quadrature, "dlog_cross", broken)
+    with pytest.raises(QuadratureError, match=r"^sample 0 \(s=0\.5\) failed: "
+                                              r"TM cross product lost its fixed sign"):
+        eval_I_dielectric(SpectrumKind.TM, 0.5, SIGMA)
+
+
 @pytest.mark.parametrize("kind,sigma,grid", [
     (SpectrumKind.TE, 1.0, [0.5, 0.6]),
     (SpectrumKind.TM, 0.0, [0.5, 0.6]),
@@ -473,7 +503,7 @@ def test_dielectric_curve_checks_before_any_sample(kind, sigma, grid, monkeypatc
         raise AssertionError("a sample or a pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    for name in ("eval_I_dielectric", "_sample_chunk", "_dielectric_batch"):
+    for name in ("eval_I_dielectric", "_sample_chunk", "_batch"):
         monkeypatch.setattr(quadrature, name, refuse)
     cpus(monkeypatch, 2)
     with pytest.raises(ValueError, match=r"requires 0 < s < inf|sigma must lie in|no cross"):

@@ -64,8 +64,23 @@ def test_log_bessel_ik_domain():
         log_bessel_ik(1.0, -2.0)
     with pytest.raises(ValueError, match=r"got -2\.0$"):
         log_bessel_ik(np.array([1.0, 2.0, 3.0]), np.array([1.0, -2.0, 0.0]))
-    with pytest.raises(ValueError, match=r"requires nu >= 0, got -0\.5$"):
+    with pytest.raises(ValueError, match=r"requires finite nu >= 0, got -0\.5$"):
         log_bessel_ik(-0.5, 1.0)
+
+
+@pytest.mark.parametrize("nu,x,t,bad", [
+    (math.nan, 1.0, None, "nu >= 0, got nan"),
+    (math.inf, 1.0, None, "nu >= 0, got inf"),
+    (1.0, math.nan, None, "arguments > 0, got nan"),
+    (1.0, math.inf, None, "arguments > 0, got inf"),
+    (1.0, 1.0, math.nan, "arguments > 0, got nan"),
+    (1.0, 1.0, math.inf, "arguments > 0, got inf"),
+    (np.array([1.0, 2.0]), np.array([1.0, math.nan]), None, "arguments > 0, got nan"),
+], ids=["nu-nan", "nu-inf", "x-nan", "x-inf", "t-nan", "t-inf", "x-array-nan"])
+def test_log_bessel_ik_rejects_non_finite_input(nu, x, t, bad):
+    # each is rejected by name before any branch sees it
+    with pytest.raises(ValueError, match=rf"requires finite {bad}$"):
+        log_bessel_ik(nu, x, t)
 
 
 def test_k_series_stops_at_the_last_positive_order():
