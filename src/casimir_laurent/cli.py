@@ -7,11 +7,12 @@ Commands:
     sensitivity --vary <k> --values <list>
                                     vacuum pipeline swept over one parameter
 
-Common flags mirror the config-file keys of the same name; flags override
-file values.  Config files are flat `key = value` lines with `#` comments.
-Every value is checked before the first sample, and out_dir is created only
-once every curve of the command has been sampled and regularized, so a failed
-run leaves no directory and no partial artifacts.
+Common flags mirror the config-file keys of the same name and share their
+parsers, as sweep values do; flags override file values.  Config files are
+flat `key = value` lines with `#` comments.  Every value is checked before
+the first sample, and out_dir is created only once every curve of the command
+has been sampled and regularized, so a failed run leaves no directory and no
+partial artifacts.
 Exit codes: 0 success, 2 configuration error, 3 quadrature failure,
 4 regularization failure.
 """
@@ -55,8 +56,8 @@ def parse_sigma(text: str) -> Fraction | float:
 
 
 def _setting(default, parse, flag_help: str | None = None, sweep: str | None = None):
-    """A RunConfig field: its default, the parser of its config-file value,
-    the help of its --flag (None: config file only) and its sweep key."""
+    """A RunConfig field: its default, the parser of its text (flag, config
+    or sweep value), its --flag help (None: no common flag) and sweep key."""
     return field(default=default, metadata={"parse": parse, "help": flag_help, "sweep": sweep})
 
 
@@ -115,6 +116,8 @@ def plan_run(cfg: RunConfig, kind: SpectrumKind) -> RunPlan:
     if cfg.spacing not in ("linear", "log"):
         raise ConfigError(f"spacing must be linear or log, got {cfg.spacing!r}")
     dielectric = kind is not SpectrumKind.VACUUM
+    if dielectric and cfg.sigma is None:
+        raise ConfigError("sigma is required: pass --sigma or set the config key sigma")
     sigma = float(cfg.sigma) if dielectric else 1.0
     if dielectric and sigma == 1.0:
         raise ConfigError(f"sigma must lie in (0,1) or (1,inf), got {cfg.sigma}")
@@ -138,14 +141,6 @@ def plan_run(cfg: RunConfig, kind: SpectrumKind) -> RunPlan:
     return plan
 
 
-def _whole(value: float) -> int:
-    """A sweep value for an integer field; int() would truncate 200.7 and
-    raise on nan or inf."""
-    if not (math.isfinite(value) and value == int(value)):
-        raise ConfigError(f"sweep value {value:g} is not a whole number")
-    return int(value)
-
-
 def parse_config_file(path: Path) -> dict[str, str]:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -163,21 +158,22 @@ def parse_config_file(path: Path) -> dict[str, str]:
     return data
 
 
+def _parse_setting(name: str, text: str, key: str | None = None):
+    """The value of setting `name` from its text, by the field's parser;
+    a failure is a ConfigError naming `key` (default: the setting's name)."""
+    try:
+        return _SETTINGS[name].metadata["parse"](text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key or name}: {text!r} ({exc})") from exc
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Config-file values, then flags over them; plan_run checks the result."""
-    updates: dict[str, object] = {}
-    if args.config:
-        for key, text in parse_config_file(Path(args.config)).items():
-            try:
-                updates[key] = _SETTINGS[key].metadata["parse"](text)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
-    for name, setting in _SETTINGS.items():
-        if setting.metadata["help"] and getattr(args, name) is not None:
-            updates[name] = getattr(args, name)
-    if getattr(args, "sigma", None) is not None:
-        updates["sigma"] = parse_sigma(args.sigma)
-    return RunConfig(**updates)
+    """Config-file values, then flags over them; every text goes through
+    _parse_setting, and plan_run checks the result."""
+    texts = list(parse_config_file(Path(args.config)).items()) if args.config else []
+    texts += [(name, getattr(args, name)) for name in _SETTINGS
+              if getattr(args, name, None) is not None]
+    return RunConfig(**{name: _parse_setting(name, text) for name, text in texts})
 
 
 # ---------------------------------------------------------------------------
@@ -312,23 +308,23 @@ def run_dielectric(cfg: RunConfig) -> int:
     return 0
 
 
-def dump_sensitivity(cfg: RunConfig, vary: str, values: list[float]) -> int:
+def dump_sensitivity(cfg: RunConfig, vary: str, values: list[str]) -> int:
     """Sweep one parameter over the vacuum pipeline and tabulate c0.
 
-    Every value is checked before the first sample; values that resolve to
-    the same grid and rel_tol share one sampling pass.
+    Each value is parsed by its setting's parser, named by the sweep key, and
+    checked before the first sample; rows carry float(text).  Values that
+    resolve to the same grid and rel_tol share one sampling pass.
     """
     if vary not in _SWEEPS:
         raise ConfigError(f"unknown sweep parameter {vary!r}; "
                           f"choose from {', '.join(_SWEEPS)}")
-    setting = _SWEEPS[vary]
-    parse = _whole if setting.metadata["parse"] is int else float
+    name = _SWEEPS[vary].name
     plan_run(cfg, SpectrumKind.VACUUM)   # the unswept config must hold on its own
-    plans = [plan_run(replace(cfg, **{setting.name: parse(v)}), SpectrumKind.VACUUM)
-             for v in values]
+    plans = [plan_run(replace(cfg, **{name: _parse_setting(name, text, vary)}),
+                      SpectrumKind.VACUUM) for text in values]
     rows, lines = [], ["param,value,pole_order,c0,turning_nhat2,sign_change"]
     taken: dict = {}
-    for value, plan in zip(values, plans):
+    for value, plan in zip(map(float, values), plans):
         [(_, result)] = _curves((SpectrumKind.VACUUM,), plan, taken)
         rows.append((value, result))
         print(f"{vary}={value:g}: {_summary(result)}")
@@ -355,8 +351,7 @@ def dump_sensitivity(cfg: RunConfig, vary: str, values: list[float]) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     for name, setting in _SETTINGS.items():
         if setting.metadata["help"]:
-            p.add_argument("--" + name.replace("_", "-"), type=setting.metadata["parse"],
-                           help=setting.metadata["help"])
+            p.add_argument("--" + name.replace("_", "-"), help=setting.metadata["help"])
     p.add_argument("--config", help="flat key = value config file")
 
 
@@ -370,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_vac)
 
     p_diel = sub.add_parser("dielectric", help="dielectric TE+TM pipelines")
-    p_diel.add_argument("--sigma", required=True,
-                        help="contrast sigma, decimal or fraction (e.g. 8/27)")
+    p_diel.add_argument("--sigma", help="contrast sigma, decimal or fraction (e.g. 8/27)")
     _add_common(p_diel)
 
     p_sens = sub.add_parser("sensitivity", help="vacuum parameter sweep")
@@ -382,14 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_values(text: str) -> list[float]:
+def _parse_values(text: str) -> list[str]:
     items = [t for t in (piece.strip() for piece in text.split(",")) if t]
     if not items:
         raise ConfigError("sensitivity sweep needs a non-empty values list")
-    try:
-        return [float(t) for t in items]
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep value in {text!r}: {exc}") from exc
+    return items
 
 
 def main(argv: list[str] | None = None) -> int:

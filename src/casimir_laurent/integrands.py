@@ -242,21 +242,27 @@ def _dlog_cross(tag: str, nu, y, sigma: float, term, ln_rho_max, d2_max,
     if not 0.0 < sigma < math.inf or sigma == 1.0:
         raise ValueError(
             f"dlog_cross_{tag.lower()} requires sigma in (0,1) or (1,inf), got {sigma}")
+    # the kernel runs at (yk, sk) with sk < 1; errors name the caller's y and sigma
+    yk, sk = y, sigma
     if sigma > 1.0:
         # |P(y, sigma)| = |P(sigma y, 1/sigma)|, and likewise for Q
-        return sigma * _dlog_cross(tag, nu, sigma * y, 1.0 / sigma, term, ln_rho_max,
-                                   d2_max, limit, limit_min_nu)
+        with np.errstate(over="ignore"):
+            yk, sk = sigma * y, 1.0 / sigma
+        ok = yk < math.inf
+        if not ok.all():
+            raise ValueError(f"dlog_cross_{tag.lower()} requires finite sigma*y, got "
+                             f"y={y[~ok][0]}, sigma={sigma}")
     out = np.empty(y.shape)
-    small = (y < Y_SMALL) & (nu >= limit_min_nu)
+    small = (yk < Y_SMALL) & (nu >= limit_min_nu)
     if small.any():
-        out[small] = limit(nu[small], y[small], sigma)
+        out[small] = limit(nu[small], yk[small], sk)
     full = ~small
-    n, v = nu[full], y[full]
-    sv = sigma * v
-    ln_a, d1 = term(n, v, sv, 1.0, sigma)  # d1 becomes the result in place
-    two = np.flatnonzero(~_one_term(n, v, sigma, ln_rho_max(n, v, sigma), d1, d2_max))
+    n, v = nu[full], yk[full]
+    sv = sk * v
+    ln_a, d1 = term(n, v, sv, 1.0, sk)  # d1 becomes the result in place
+    two = np.flatnonzero(~_one_term(n, v, sk, ln_rho_max(n, v, sk), d1, d2_max))
     if two.size:
-        ln_b, d2 = term(n[two], sv[two], v[two], sigma, 1.0)
+        ln_b, d2 = term(n[two], sv[two], v[two], sk, 1.0)
         delta = ln_b - ln_a[two]
         one_m = -np.expm1(delta)
         bad = np.flatnonzero(~(one_m > 0.0))
@@ -266,6 +272,8 @@ def _dlog_cross(tag: str, nu, y, sigma: float, term, ln_rho_max, d2_max,
                                     f"nu={nu.flat[i]}, y={y.flat[i]}, sigma={sigma}")
         d1[two] = (d1[two] - np.exp(delta) * d2) / one_m
     out[full] = d1
+    if sigma > 1.0:
+        out = sigma * out
     return out if out.ndim else float(out)
 
 

@@ -151,6 +151,14 @@ def log_bessel_ik(nu: ArrayLike, x: ArrayLike, t: ArrayLike | None = None):
     arrays in, arrays of that shape out; scalars in, four floats out.  Safe
     over order and argument ranges where the scaled pair leaves IEEE range;
     worst observed deviation vs 40-digit arithmetic is ~4e-12.
+
+    Arguments above about 1.07e9 (2^30) are outside that range: scipy's ive
+    and kve return NaN there.  Below order 200 the ascending series that
+    takes over gives a math domain error, inf or NaN, with a numpy
+    RuntimeWarning; from order 200 the Debye logarithms hold, but the ratios
+    exp(l1 - l0) cancel logs of that size and keep about 7 digits.  Where
+    t/nu passes about 1e154, _eta's z*z overflows.  Sampling reaches such
+    arguments only for s below about 5e-8.
     """
     nu, x, t = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(x, dtype=float),
                                    np.asarray(x if t is None else t, dtype=float))

@@ -205,6 +205,20 @@ def test_config_file_unparsable_value(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--grid-points", "many"],
+                                   ["--config", "bad.cfg", "--grid-points", "64"]])
+def test_unparsable_flag_or_overridden_value(tmp_path, monkeypatch, capsys, flags):
+    # a flag's text goes through the parser of its config key, with its error
+    # form, and a bad file value fails even where a flag overrides it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("grid_points = many\n")
+    out = tmp_path / "out"
+    assert main(["vacuum", "--out-dir", str(out)] + flags) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: bad value for grid_points: 'many' (")
+    assert not out.exists()
+
+
 def test_config_file_malformed_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("eps_s 0.1\n")
@@ -326,7 +340,7 @@ def test_sensitivity_empty_values(tmp_path, capsys):
 def test_sensitivity_bad_value(tmp_path, capsys):
     assert main(["sensitivity", "--vary", "eps_c", "--values", "0.1,oops",
                  "--out-dir", str(tmp_path)]) == 2
-    assert "bad sweep value" in capsys.readouterr().err
+    assert "bad value for eps_c: 'oops'" in capsys.readouterr().err
 
 
 def test_sensitivity_invalid_swept_config(tmp_path):
@@ -372,18 +386,19 @@ def test_fence_wider_than_the_grid_rejected_before_sampling(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("vary,values,bad", [
     ("J", "200,nan", "nan"), ("J", "200,inf", "inf"), ("J", "200,200.7", "200.7"),
-    ("N2", "8,8.5", "8.5"),
+    ("N2", "8,8.5", "8.5"), ("J", "200,2e2", "2e2"), ("J", "200,200.0", "200.0"),
 ])
 def test_sensitivity_integer_keys_reject_non_integers(tmp_path, monkeypatch, capsys,
                                                       vary, values, bad):
-    # J and N2 are integers: nan and inf must not escape as a traceback, and
-    # 200.7 must not run J = 200 under the label 200.7
+    # J and N2 are integers, parsed by int as their flags and keys are: nan
+    # and inf must not escape as a traceback, and 200.7 must not run J = 200
+    # under the label 200.7
     calls = []
     monkeypatch.setattr(cli, "sample_curve", lambda *args: calls.append(args))
     out = tmp_path / "out"
     assert main(["sensitivity", "--vary", vary, "--values", values,
                  "--out-dir", str(out)]) == 2
-    assert f"sweep value {bad} is not a whole number" in capsys.readouterr().err
+    assert f"bad value for {vary}: {bad!r}" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 
@@ -491,10 +506,36 @@ def test_dielectric_rejects_unit_sigma(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
-def test_dielectric_requires_sigma():
-    with pytest.raises(SystemExit) as exc:
-        main(["dielectric"])
-    assert exc.value.code == 2
+def test_dielectric_requires_sigma(tmp_path, monkeypatch, capsys):
+    # neither --sigma nor the config key: plan_run's rule, before any sample
+    calls = []
+    monkeypatch.setattr(cli, "sample_curve", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    assert main(["dielectric", "--grid-points", "16", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: sigma is required")
+    assert calls == []
+    assert not out.exists()
+
+
+def test_sigma_config_key_runs_like_the_flag(tmp_path, monkeypatch):
+    # the config key sigma takes effect, and --sigma overrides it
+    monkeypatch.setattr(cli, "sample_curve", synthetic_sampler)
+
+    def run(name, line, flags):
+        base = tmp_path / name
+        base.mkdir()
+        argv = ["dielectric", "--grid-points", "64", "--out-dir", str(base / "out")] + flags
+        if line:
+            (base / "run.cfg").write_text(line + "\n")
+            argv += ["--config", str(base / "run.cfg")]
+        assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in sorted((base / "out").iterdir())}
+
+    by_flag = run("flag", None, ["--sigma", "8/27"])
+    assert read_json(tmp_path / "flag" / "out" / "report.json")["sigma_exact"] == "8/27"
+    assert run("config", "sigma = 8/27", []) == by_flag
+    assert run("override", "sigma = 0.5", ["--sigma", "8/27"]) == by_flag
+    assert run("other", "sigma = 0.5", []) != by_flag
 
 
 @pytest.mark.parametrize("sigma,scale", [

@@ -10,6 +10,7 @@ here from the same log-form parts the log-derivatives are built from.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -153,6 +154,18 @@ def test_cross_domain_errors(func):
     for y in (math.nan, math.inf):
         with pytest.raises(ValueError, match=r"requires finite y > 0"):
             func(1.0, np.array([2.0, y]), SIGMA)
+
+
+@pytest.mark.parametrize("func", [dlog_cross_te, dlog_cross_tm])
+def test_cross_reflection_overflow_names_the_callers_values(func):
+    # sigma > 1 runs the kernel at sigma*y, which overflows at y = 1e308,
+    # sigma = 4: one named error with the values passed in, no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in (1e308, np.array([2.0, 1e308])):
+            with pytest.raises(ValueError, match=r"requires finite sigma\*y, got "
+                                                 r"y=1e\+308, sigma=4\.0$"):
+                func(1.0, y, 4.0)
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -0.3, 1.0])
@@ -416,15 +429,19 @@ def test_dlog_array_equals_scalar(func, sigma):
 def test_dlog_array_names_first_sign_loss(func, name, monkeypatch):
     # rho = e^delta = 1 makes the cross product vanish: force it at the last
     # two of four points (ln B = ln A, the B call with its arguments swapped);
-    # the error must name the first of them
+    # the error must name the first of them, by the caller's y and sigma also
+    # where sigma > 1 runs the kernel at (sigma y, 1/sigma)
     original = getattr(integrands, name)
+    cut = {}
 
     def forced(nu, x, t, cx, ct):
         ln, d = original(nu, x, t, cx, ct)
         if cx == 1.0:   # A = term(y, sigma y, 1, sigma)
             return ln, d
-        return np.where(t >= 2.0, original(nu, t, x, ct, cx)[0], ln), d
+        return np.where(t >= cut["y"], original(nu, t, x, ct, cx)[0], ln), d
 
     monkeypatch.setattr(integrands, name, forced)
-    with pytest.raises(CrossProductError, match=r"at nu=3\.0, y=2\.0, sigma="):
-        func(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.5, 1.0, 2.0, 3.0]), SIGMA)
+    for sigma, named in [(SIGMA, r"sigma=0\.296"), (27.0 / 8.0, r"sigma=3\.375$")]:
+        cut["y"] = 2.0 * max(sigma, 1.0)    # y = 2 in the kernel's frame
+        with pytest.raises(CrossProductError, match=rf"at nu=3\.0, y=2\.0, {named}"):
+            func(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.5, 1.0, 2.0, 3.0]), sigma)

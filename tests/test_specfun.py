@@ -184,20 +184,35 @@ def test_scaled_pair_product_bound():
         assert li + lk < math.log(1.1 / (2.0 * y))
 
 
+def assert_matches_mpmath(got, nu, t):
+    """log_bessel_ik's four values at (nu, t) against 40-digit mpmath."""
+    li, q, lk, r = got
+    li_ref = float(mp.log(mp.besseli(nu, t)))
+    lk_ref = float(mp.log(mp.besselk(nu, t)))
+    q_ref = float(mp.besseli(nu + 1, t) / mp.besseli(nu, t))
+    r_ref = float(mp.besselk(abs(nu - 1), t) / mp.besselk(nu, t))
+    assert li == pytest.approx(li_ref, rel=1e-10, abs=1e-10), (nu, t)
+    assert lk == pytest.approx(lk_ref, rel=1e-10, abs=1e-10), (nu, t)
+    assert q == pytest.approx(q_ref, rel=1e-10), (nu, t)
+    assert r == pytest.approx(r_ref, rel=1e-10), (nu, t)
+
+
 def test_log_bessel_ik_against_mpmath():
     cases = [(0.3, 1e-3), (1.0, 0.3), (2.5, 4.0), (7.0, 17.0), (20.7, 1e-3),
              (49.9, 0.05), (80.0, 90.0), (150.0, 1.0), (350.0, 0.3),
              (700.0, 4.0), (1000.0, 1.0), (1000.0, 950.0)]
     for nu, t in cases:
-        li, q, lk, r = log_bessel_ik(nu, t)
-        li_ref = float(mp.log(mp.besseli(nu, t)))
-        lk_ref = float(mp.log(mp.besselk(nu, t)))
-        q_ref = float(mp.besseli(nu + 1, t) / mp.besseli(nu, t))
-        r_ref = float(mp.besselk(abs(nu - 1), t) / mp.besselk(nu, t))
-        assert li == pytest.approx(li_ref, rel=1e-10, abs=1e-10), (nu, t)
-        assert lk == pytest.approx(lk_ref, rel=1e-10, abs=1e-10), (nu, t)
-        assert q == pytest.approx(q_ref, rel=1e-10), (nu, t)
-        assert r == pytest.approx(r_ref, rel=1e-10), (nu, t)
+        assert_matches_mpmath(log_bessel_ik(nu, t), nu, t)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "above t ~ 2^30 scipy's ive and kve return NaN: orders below 200 fall back to the "
+    "small-argument series (a math domain error, inf or NaN), and the Debye ratios "
+    "exp(l1 - l0) keep about 7 digits"))
+@pytest.mark.parametrize("nu,t", [(5.0, 3e9), (0.5, 1e10), (150.0, 1e12), (250.0, 3e9)])
+def test_log_bessel_ik_against_mpmath_past_the_scaled_pair(nu, t):
+    # the sampler reaches t > 2^30 only for s below about 5e-8 (y <= X(s) ~ 50/s)
+    assert_matches_mpmath(log_bessel_ik(nu, t), nu, t)
 
 
 def test_log_bessel_ik_survives_extreme_order():
@@ -260,13 +275,6 @@ def test_log_bessel_ik_sides_at_own_arguments():
 
 
 def test_log_bessel_ik_array_against_mpmath():
-    li, q, lk, r = log_bessel_ik(BRANCH_NU, BRANCH_T)
+    got = log_bessel_ik(BRANCH_NU, BRANCH_T)
     for k, (nu, t) in enumerate(zip(BRANCH_NU.tolist(), BRANCH_T.tolist())):
-        li_ref = float(mp.log(mp.besseli(nu, t)))
-        lk_ref = float(mp.log(mp.besselk(nu, t)))
-        q_ref = float(mp.besseli(nu + 1, t) / mp.besseli(nu, t))
-        r_ref = float(mp.besselk(abs(nu - 1), t) / mp.besselk(nu, t))
-        assert li[k] == pytest.approx(li_ref, rel=1e-10, abs=1e-10), (nu, t)
-        assert lk[k] == pytest.approx(lk_ref, rel=1e-10, abs=1e-10), (nu, t)
-        assert q[k] == pytest.approx(q_ref, rel=1e-10), (nu, t)
-        assert r[k] == pytest.approx(r_ref, rel=1e-10), (nu, t)
+        assert_matches_mpmath([part[k] for part in got], nu, t)
