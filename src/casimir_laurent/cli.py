@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 configuration error, 3 quadrature failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -45,14 +46,15 @@ class ConfigError(ValueError):
 
 
 def parse_sigma(text: str) -> Fraction | float:
-    """Accept a decimal or an exact fraction like 8/27."""
+    """Accept a decimal or an exact fraction like 8/27.  The ValueError
+    raised otherwise names the cause only; its caller names the text."""
     text = text.strip()
     try:
-        if "/" in text:
-            return Fraction(text)
-        return float(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"cannot parse sigma value {text!r}: {exc}") from exc
+        return Fraction(text) if "/" in text else float(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
+    except ValueError:
+        raise ValueError("not a decimal or a fraction like 8/27") from None
 
 
 def _setting(default, parse, flag_help: str | None = None, sweep: str | None = None):
@@ -207,18 +209,17 @@ def _write_curve(out: Path, kind: SpectrumKind, samples: list[IntegralSample],
     lines = ["s,I,err"]
     lines += [f"{_fmt(p.s)},{_fmt(p.value)},{_fmt(p.est_error)}" for p in samples]
     _write_text(out / f"samples{suffix}.csv", "\n".join(lines) + "\n")
+    # one window per line, each by the C encoder (indent would force the
+    # pure-Python one); the file parses to {"N1", "N2", "windows": [...]}
     matrix = result.matrix
-    windows = []
-    for (n1, n2) in sorted(matrix.entries):
-        fit = matrix.entries[(n1, n2)]
-        windows.append({
-            "n1": n1, "n2": n2,
-            "coeffs": {str(n): fit.coeffs[n] for n in sorted(fit.coeffs)},
-            "rms_residual": fit.rms_residual,
-            "cond": fit.cond,
-        })
-    _write_json(out / f"matrix{suffix}.json",
-                {"N1": matrix.N1, "N2": matrix.N2, "windows": windows})
+    windows = [json.dumps({"n1": n1, "n2": n2,
+                           "coeffs": {str(n): c for n, c in fit.coeffs.items()},
+                           "rms_residual": fit.rms_residual, "cond": fit.cond},
+                          sort_keys=True)
+               for (n1, n2), fit in sorted(matrix.entries.items())]
+    _write_text(out / f"matrix{suffix}.json",
+                f'{{"N1": {matrix.N1}, "N2": {matrix.N2}, "windows": [\n'
+                + ",\n".join(windows) + "\n]}\n")
     lines = ["nhat2,c0hat"] + [f"{nhat2},{_fmt(c0hat)}" for nhat2, c0hat in result.curve]
     _write_text(out / f"curves{suffix}.csv", "\n".join(lines) + "\n")
     print(f"{kind.value}: {_summary(result)}")
@@ -355,7 +356,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; every caller shares
+    it, and parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="casimir-laurent",
         description="Laurent-regularized Casimir mode integrals")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -116,28 +116,39 @@ class _PowerTable:
                            f"cannot represent it in doubles")
         return cls(n_lo=int(n_lo), table=table, norms=norms, scaled=table / norms)
 
-    def fit(self, rhs: np.ndarray, n1: int, n2: int) -> TruncatedLaurentFit:
-        """Least-squares fit of sum_{n=n1}^{n2} c_n s^n to rhs, one solve."""
-        ncoef = n2 - n1 + 1
-        if len(rhs) <= ncoef:
-            raise FitError(f"{len(rhs)} samples cannot determine {ncoef} coefficients")
-        lo, hi = n1 - self.n_lo, n2 - self.n_lo + 1
-        # the rhs component along the unit first column bypasses the solve and
-        # its roundoff; np.sum, not a BLAS dot, whose bits depend on strides
-        a = self.scaled[:, lo:hi]
-        lead = np.sum(a[:, 0] * rhs)
-        coef_scaled, _, rank, sv = np.linalg.lstsq(a, rhs - lead * a[:, 0], rcond=None)
-        if rank < ncoef:
-            raise FitError(f"rank-deficient window ({n1}, {n2}): rank {rank} < {ncoef}")
-        coef_scaled[0] += lead
-        coef = coef_scaled / self.norms[lo:hi]
-        resid = np.ascontiguousarray(self.table[:, lo:hi]) @ coef - rhs
-        rms = float(np.sqrt(np.mean(resid**2)))
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
-        return TruncatedLaurentFit(
-            n1=int(n1), n2=int(n2),
-            coeffs={n: float(c) for n, c in zip(range(int(n1), int(n2) + 1), coef)},
-            rms_residual=rms, cond=cond)
+    def fit_row(self, rhs: np.ndarray, n1: int, n2s: Iterable[int]
+                ) -> list[TruncatedLaurentFit]:
+        """Least-squares fits of sum_{n=n1}^{n2} c_n s^n to rhs, one solve per
+        n2 of n2s, in that order.
+
+        The rhs component along the unit first column s^n1 bypasses the
+        solves and their roundoff; the row shares it, so each window's fit
+        has the bits of that window fitted alone.
+        """
+        n1, M = int(n1), len(rhs)
+        lo = n1 - self.n_lo
+        # np.sum, not a BLAS dot, whose bits depend on strides
+        lead_col = self.scaled[:, lo]
+        lead = np.sum(lead_col * rhs)
+        reduced = rhs - lead * lead_col
+        fits = []
+        for n2 in map(int, n2s):
+            ncoef = n2 - n1 + 1
+            if M <= ncoef:
+                raise FitError(f"{M} samples cannot determine {ncoef} coefficients")
+            hi = n2 - self.n_lo + 1
+            coef_scaled, _, rank, sv = np.linalg.lstsq(self.scaled[:, lo:hi], reduced,
+                                                       rcond=None)
+            if rank < ncoef:
+                raise FitError(f"rank-deficient window ({n1}, {n2}): rank {rank} < {ncoef}")
+            coef_scaled[0] += lead
+            coef = coef_scaled / self.norms[lo:hi]
+            resid = np.ascontiguousarray(self.table[:, lo:hi]) @ coef - rhs
+            fits.append(TruncatedLaurentFit(
+                n1=n1, n2=n2, coeffs=dict(zip(range(n1, n2 + 1), coef.tolist())),
+                rms_residual=math.sqrt(np.sum(resid**2) / M),
+                cond=float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf))
+        return fits
 
 
 @dataclass(frozen=True)
@@ -214,15 +225,16 @@ def fit_window(samples, n1: int, n2: int) -> TruncatedLaurentFit:
     if n1 >= n2:
         raise FitError(f"window requires n1 < n2, got ({n1}, {n2})")
     s, I = _extract(samples)
-    return _PowerTable.of(s, n1, n2).fit(I, n1, n2)
+    [fit] = _PowerTable.of(s, n1, n2).fit_row(I, n1, [n2])
+    return fit
 
 
 def build_matrix(samples, N1: int = LaurentParams.N1, N2: int = LaurentParams.N2) -> FitMatrix:
     """Complete rectangle of window fits: N1 < n1 <= -1, 1 <= n2 < N2."""
     s, I = _extract(samples)
     powers = _PowerTable.of(s, N1 + 1, N2 - 1)
-    entries = {(n1, n2): powers.fit(I, n1, n2)
-               for n1 in range(N1 + 1, 0) for n2 in range(1, N2)}
+    entries = {(fit.n1, fit.n2): fit for n1 in range(N1 + 1, 0)
+               for fit in powers.fit_row(I, n1, range(1, N2))}
     return FitMatrix(entries=entries, N1=int(N1), N2=int(N2), s=s, I=I)
 
 
@@ -303,8 +315,7 @@ def subtract_and_refit(matrix: FitMatrix, N: int, c_lead: float) -> list[tuple[i
     """
     reduced = matrix.I - c_lead * matrix.s**float(N)
     powers = _PowerTable.of(matrix.s, N, matrix.N2 - 1)
-    return [(nhat2, powers.fit(reduced, N, nhat2).coeffs[0])
-            for nhat2 in range(1, matrix.N2)]
+    return [(fit.n2, fit.coeffs[0]) for fit in powers.fit_row(reduced, N, range(1, matrix.N2))]
 
 
 def _turning(ys: np.ndarray) -> tuple[int, bool]:

@@ -137,20 +137,34 @@ def _qk21(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
     if bad.size:
         i, j = divmod(int(bad[0]), x.shape[1])
         raise QuadratureError(f"{name(owner[i])}: non-finite integrand at x={x[i, j]}")
-    fv1, fv2, fc = fx[:, :10], fx[:, 10:20], fx[:, 20]
+    # node-major copy: node j's values over the panels are row j.  The
+    # node-pair terms are whole (10, panels) arrays, formed in place where a
+    # buffer is free; the sums add them one pair at a time in qk21's order,
+    # Gauss nodes first, so every bit is QUADPACK's
+    ft = np.ascontiguousarray(fx.T)
+    fv1, fv2, fc = ft[:10], ft[10:20], ft[20]
+    w = _WGK[:10, None]
+    fsum = fv1 + fv2
+    wsum = w * fsum
+    wabs = np.abs(fv1)
+    wabs += np.abs(fv2)
+    wabs *= w
     resg = np.zeros_like(fc)
+    for j in (1, 3, 5, 7, 9):
+        resg = resg + _WG[j // 2] * fsum[j]
     resk = _WGK[10] * fc
     resabs = np.abs(resk)
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):   # Gauss nodes first, as qk21
-        fsum = fv1[:, j] + fv2[:, j]
-        if j % 2:
-            resg = resg + _WG[j // 2] * fsum
-        resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        resk = resk + wsum[j]
+        resabs = resabs + wabs[j]
     reskh = resk * 0.5
+    # w * (|fv1 - reskh| + |fv2 - reskh|), in the spent fsum and wsum buffers
+    wdev = np.abs(np.subtract(fv1, reskh, out=wsum), out=wsum)
+    wdev += np.abs(np.subtract(fv2, reskh, out=fsum), out=fsum)
+    wdev *= w
     resasc = _WGK[10] * np.abs(fc - reskh)
     for j in range(10):
-        resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh) + np.abs(fv2[:, j] - reskh))
+        resasc = resasc + wdev[j]
     dhlgth = np.abs(hlgth)
     result = resk * hlgth
     resabs = resabs * dhlgth

@@ -5,6 +5,7 @@ The dielectric command is exercised with a synthetic sampler (the real double
 integral takes minutes per curve and is covered by the acceptance tests).
 """
 
+import argparse
 import json
 import math
 import re
@@ -16,8 +17,7 @@ import pytest
 
 import casimir_laurent.cli as cli
 import casimir_laurent.laurent as laurent
-from casimir_laurent.cli import (C0_EXACT, C0_REFERENCE, ConfigError, main,
-                                 parse_sigma)
+from casimir_laurent.cli import C0_EXACT, C0_REFERENCE, main, parse_sigma
 from casimir_laurent.integrands import SpectrumKind
 from casimir_laurent.laurent import RegularizationError
 from casimir_laurent.quadrature import IntegralSample, QuadratureError
@@ -47,10 +47,26 @@ def test_parse_sigma_decimal():
 
 
 def test_parse_sigma_rejects_garbage():
-    with pytest.raises(ConfigError):
+    # the error names the cause only; the caller names the text
+    with pytest.raises(ValueError, match=r"^not a decimal or a fraction like 8/27$"):
         parse_sigma("abc")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"^zero denominator$"):
         parse_sigma("8/0")
+
+
+@pytest.mark.parametrize("text,cause", [("abc", "not a decimal or a fraction like 8/27"),
+                                        ("8/0", "zero denominator"),
+                                        ("1/x", "not a decimal or a fraction like 8/27")])
+def test_bad_sigma_names_its_text_once(tmp_path, monkeypatch, capsys, text, cause):
+    calls = []
+    monkeypatch.setattr(cli, "sample_curve", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    assert main(["dielectric", "--sigma", text, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: bad value for sigma: {text!r} ({cause})\n"
+    assert err.count(text) == 1
+    assert calls == []
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +111,8 @@ def test_vacuum_curves_schema(vacuum_run):
 
 
 def test_vacuum_matrix_schema(vacuum_run):
-    matrix = read_json(vacuum_run / "matrix.json")
+    text = (vacuum_run / "matrix.json").read_text()
+    matrix = json.loads(text)
     assert matrix["N1"] == -6 and matrix["N2"] == 9
     windows = matrix["windows"]
     assert len(windows) == 40  # n1 in [-5,-1] x n2 in [1,8]
@@ -104,6 +121,18 @@ def test_vacuum_matrix_schema(vacuum_run):
     w = windows[0]
     assert set(w["coeffs"]) == {str(n) for n in range(w["n1"], w["n2"] + 1)}
     assert w["rms_residual"] >= 0.0 and w["cond"] >= 1.0
+    # one window per line, between a header and a closing line
+    lines = text.splitlines()
+    assert len(lines) == 42
+    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == windows
+    # the content is that of the window matrix of the samples the run wrote
+    s, I = np.loadtxt(vacuum_run / "samples.csv", delimiter=",", skiprows=1,
+                      usecols=(0, 1), unpack=True)
+    result = laurent.regularize((s, I))
+    assert matrix == {"N1": result.matrix.N1, "N2": result.matrix.N2, "windows": [
+        {"n1": n1, "n2": n2, "coeffs": {str(n): c for n, c in fit.coeffs.items()},
+         "rms_residual": fit.rms_residual, "cond": fit.cond}
+        for (n1, n2), fit in sorted(result.matrix.entries.items())]}
 
 
 def test_vacuum_report_contents(vacuum_run):
@@ -778,6 +807,29 @@ def test_curve_runner_call_counts(tmp_path, monkeypatch, argv, counts):
     monkeypatch.setattr(cli, "regularize", counting("regularize", cli.regularize))
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
     assert (calls["sample_curve"], calls["regularize"]) == counts
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    # main reuses one parser: a bad command after a good one still gets
+    # argparse's usage line and exit code, and no parser is built for it
+    assert main(["vacuum", "--grid-points", "16", "--out-dir", str(tmp_path / "ok")]) == 0
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["vacuum", "--grid-pionts", "16", "--out-dir", str(tmp_path / "bad")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: casimir-laurent ")
+    assert "unrecognized arguments: --grid-pionts" in err
+    assert built == []
+    assert not (tmp_path / "bad").exists()
 
 
 def test_missing_subcommand():

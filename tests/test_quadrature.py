@@ -14,9 +14,9 @@ from casimir_laurent.integrands import SpectrumKind, dlog_cross, vacuum_integran
 from casimir_laurent.laurent import LaurentParams, Spacing, make_grid, regularize
 from scipy.integrate import _quadpack_py, quad
 
-from casimir_laurent.quadrature import (ABS_TOL, DIELECTRIC_REL_TOL, MAX_PANELS,
-                                        VACUUM_REL_TOL, QuadratureError, _adaptive_gk21,
-                                        eval_I_dielectric, eval_I_vacuum, resolve_rel_tol,
+from casimir_laurent.quadrature import (_WG, _WGK, _XGK, ABS_TOL, DIELECTRIC_REL_TOL,
+                                        MAX_PANELS, VACUUM_REL_TOL, QuadratureError,
+                                        _adaptive_gk21, _qk21, eval_I_dielectric, eval_I_vacuum, resolve_rel_tol,
                                         sample_curve, truncation_point)
 from vacuum_oracles import vacuum_closed_form
 
@@ -206,6 +206,63 @@ def test_batched_rule_matches_scipy_quad(f):
                             limit=MAX_PANELS)
         assert value == pytest.approx(ref, rel=1e-15)
         assert err == pytest.approx(ref_err, rel=1e-12, abs=1e-15 * ref)
+
+
+def qk21_reference(fx, hlgth):
+    """QUADPACK qk21's sums, one node pair at a time, on the (panels, 21)
+    values fx at the nodes _qk21 lays out: (result, abserr, resasc)."""
+    eps, uflow = np.finfo(float).eps, np.finfo(float).tiny
+    fv1, fv2, fc = fx[:, :10], fx[:, 10:20], fx[:, 20]
+    resg = np.zeros_like(fc)
+    resk = _WGK[10] * fc
+    resabs = np.abs(resk)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):   # Gauss nodes first, as qk21
+        fsum = fv1[:, j] + fv2[:, j]
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * np.abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh) + np.abs(fv2[:, j] - reskh))
+    dhlgth = np.abs(hlgth)
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    m = (resasc != 0.0) & (abserr != 0.0)
+    abserr[m] = resasc[m] * np.minimum(1.0, (200.0 * abserr[m] / resasc[m]) ** 1.5)
+    m = resabs > uflow / (50.0 * eps)
+    abserr[m] = np.maximum((eps * 50.0) * resabs[m], abserr[m])
+    return result, abserr, resasc
+
+
+@pytest.mark.parametrize("panels", [1, 7, 84, 700, 2500])
+def test_qk21_sums_in_quadpack_order(panels):
+    # the node-pair sums are formed as whole arrays; every bit must still be
+    # that of QUADPACK's loop, on values spanning 60 decades, both signs,
+    # zeros, constant and zero panels, and panels of tiny values
+    rng = np.random.default_rng(panels)
+    a = rng.uniform(-5.0, 5.0, panels)
+    b = a + rng.uniform(1e-6, 10.0, panels)
+    fx = rng.standard_normal((panels, 21)) * 10.0 ** rng.uniform(-30.0, 30.0, (panels, 21))
+    fx[rng.random((panels, 21)) < 0.05] = 0.0
+    fx[::5] = fx[::5, :1]
+    fx[1::5] = 0.0
+    fx[2::5] *= 1e-300
+    seen = []
+
+    def f(x, owner):
+        seen.append(x)
+        return fx
+
+    got = _qk21(f, a, b, np.arange(panels), member_name)
+    hlgth = 0.5 * (b - a)
+    assert np.array_equal(seen[0][:, 20], 0.5 * (a + b))
+    assert np.array_equal(seen[0][:, :10], 0.5 * (a + b)[:, None] - hlgth[:, None] * _XGK[:10])
+    for mine, ref in zip(got, qk21_reference(fx, hlgth)):
+        assert np.array_equal(mine, ref) and np.array_equal(np.signbit(mine), np.signbit(ref))
 
 
 def test_batched_rule_grows_its_tables():
