@@ -377,6 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sens.add_argument("--values", required=True,
                         help="comma-separated sweep values")
     _add_common(p_sens)
+    # main reports a flag its subcommand does not take with that subcommand's usage
+    for p in (p_vac, p_diel, p_sens):
+        p.set_defaults(subparser=p)
     return parser
 
 
@@ -388,8 +391,9 @@ def _parse_values(text: str) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = build_config(args)
         if args.command == "vacuum":

@@ -222,10 +222,20 @@ def _one_term(nu, y, sigma: float, ln_rho, d1, d2_max):
     is evaluated only where ln_rho is already below the cut."""
     one = ln_rho < _ONE_TERM_LN_RHO
     near = np.flatnonzero(one)
-    with np.errstate(divide="ignore"):
-        one[near] = (ln_rho[near] + np.log(d2_max(nu[near], y[near], sigma)) + _LN2
-                     < np.log(np.abs(d1[near])) + _ONE_TERM_LN_RATIO)
+    if near.size:
+        with np.errstate(divide="ignore"):
+            one[near] = (ln_rho[near] + np.log(d2_max(nu[near], y[near], sigma)) + _LN2
+                         < np.log(np.abs(d1[near])) + _ONE_TERM_LN_RATIO)
     return one
+
+
+def _flat(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """a broadcast to shape, flat and contiguous: a copy where a is broadcast."""
+    if a.shape == shape:
+        return a.ravel()
+    full = np.empty(shape)
+    full[...] = a
+    return full.ravel()
 
 
 def _dlog_cross(tag: str, nu, y, sigma: float, term, ln_rho_max, d2_max,
@@ -235,9 +245,12 @@ def _dlog_cross(tag: str, nu, y, sigma: float, term, ln_rho_max, d2_max,
     y; the closed small-y limit below Y_SMALL for nu >= limit_min_nu.  B is
     evaluated only where the bounds ln_rho_max and d2_max leave rho d2 able
     to change the rounded result."""
-    nu, y = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(y, dtype=float))
-    ok = (y > 0.0) & (y < math.inf)
-    if not ok.all():
+    nu, y = np.asarray(nu, dtype=float), np.asarray(y, dtype=float)
+    shape = np.broadcast(nu, y).shape
+    # flat and contiguous from here on; the result takes the broadcast shape
+    nu, y = _flat(nu, shape), _flat(y, shape)
+    if y.size and not (y.min() > 0.0 and y.max() < math.inf):
+        ok = (y > 0.0) & (y < math.inf)
         raise ValueError(f"dlog_cross_{tag.lower()} requires finite y > 0, got {y[~ok][0]}")
     if not 0.0 < sigma < math.inf or sigma == 1.0:
         raise ValueError(
@@ -252,11 +265,10 @@ def _dlog_cross(tag: str, nu, y, sigma: float, term, ln_rho_max, d2_max,
         if not ok.all():
             raise ValueError(f"dlog_cross_{tag.lower()} requires finite sigma*y, got "
                              f"y={y[~ok][0]}, sigma={sigma}")
-    out = np.empty(y.shape)
     small = (yk < Y_SMALL) & (nu >= limit_min_nu)
-    if small.any():
-        out[small] = limit(nu[small], yk[small], sk)
-    full = ~small
+    # every element is on the log-form path unless some are small: a slice
+    # then stands for all of them, and nothing is gathered or scattered
+    full = ~small if small.any() else slice(None)
     n, v = nu[full], yk[full]
     sv = sk * v
     ln_a, d1 = term(n, v, sv, 1.0, sk)  # d1 becomes the result in place
@@ -267,14 +279,18 @@ def _dlog_cross(tag: str, nu, y, sigma: float, term, ln_rho_max, d2_max,
         one_m = -np.expm1(delta)
         bad = np.flatnonzero(~(one_m > 0.0))
         if bad.size:
-            i = np.flatnonzero(full)[two[bad[0]]]
+            i = np.arange(y.size)[full][two[bad[0]]]
             raise CrossProductError(f"{tag} cross product lost its fixed sign at "
-                                    f"nu={nu.flat[i]}, y={y.flat[i]}, sigma={sigma}")
+                                    f"nu={nu[i]}, y={y[i]}, sigma={sigma}")
         d1[two] = (d1[two] - np.exp(delta) * d2) / one_m
-    out[full] = d1
+    out = d1
+    if isinstance(full, np.ndarray):
+        out = np.empty(y.shape)
+        out[small] = limit(nu[small], yk[small], sk)
+        out[full] = d1
     if sigma > 1.0:
         out = sigma * out
-    return out if out.ndim else float(out)
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def dlog_cross(kind: SpectrumKind, nu: ArrayLike, y: ArrayLike, sigma: float):

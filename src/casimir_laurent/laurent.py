@@ -207,6 +207,8 @@ def _extract(samples) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError("samples must be an (s, I) pair or IntegralSamples") from None
     if s.shape != I.shape or s.ndim != 1:
         raise ValueError("sample abscissae and values must be 1-D and congruent")
+    if not s.size:
+        raise ValueError("no samples: a fit needs at least one sample point")
     bad = np.flatnonzero(~(np.isfinite(s) & np.isfinite(I)))
     if bad.size:
         j = bad[0]

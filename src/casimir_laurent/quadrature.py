@@ -13,10 +13,14 @@ driver with the 21-point Gauss-Kronrod rule `qk21` (Piessens et al., 1983):
 many integrals advance in lockstep, each bisecting its own largest-error
 panel, with one integrand call per step for all of them.  Every step works
 row by row, so an integral's bits do not depend on what else is in its
-batch.  A batch (:func:`_batch`) has a member per damping s: a vacuum
-member is one integral; the outer nu integrals of dielectric members
-advance together, and every nu node an outer step asks for, of every
-member, starts an inner y integral, and those advance together as well.
+batch.  The per-step cost beside the integrand is a few whole-array
+operations: qk21's four sums are running sums down stacked node-major
+rows, in QUADPACK's order of addition, and the panel tables are one array,
+read and written once per step, in place while every integral is active.
+A batch (:func:`_batch`) has a member per damping s: a vacuum member is
+one integral; the outer nu integrals of dielectric members advance
+together, and every nu node an outer step asks for, of every member,
+starts an inner y integral, and those advance together as well.
 
 :func:`sample_curve` is the one way in.  It checks every kind, sigma, s
 and rel_tol before the first sample, and :func:`_sample_chunk` builds and
@@ -90,6 +94,16 @@ _WG = np.array([
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338])
+# qk21 sums its node pairs Gauss nodes first.  _PAIR_ORDER lists the pairs
+# in that order; _NODES picks the centre, then the left and then the right
+# node of each pair in that order, from the 21 nodes as _qk21 lays them out;
+# _WGK_PAIRS and _WG_PAIRS are the pairs' weights in that order, and
+# _PAIR_OF_NODE[j] is the position of pair j in it.
+_PAIR_ORDER = np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 8])
+_NODES = np.concatenate([[20], _PAIR_ORDER, 10 + _PAIR_ORDER])
+_WGK_PAIRS = _WGK[_PAIR_ORDER, None]
+_WG_PAIRS = _WG[:, None]
+_PAIR_OF_NODE = np.argsort(_PAIR_ORDER)
 _EPMACH = float(np.finfo(float).eps)
 _UFLOW = float(np.finfo(float).tiny)
 
@@ -122,6 +136,15 @@ def truncation_point(s: float) -> float:
     return (-math.log(TAIL_TOL) + 20.0) / s
 
 
+def _running_sum(rows: np.ndarray) -> np.ndarray:
+    """rows[j] += rows[j - 1] for j = 1, 2, ... in turn, in place: each
+    element of the last row is then the sum of its column in QUADPACK's
+    order (np.add.reduce would add a contiguous column pairwise)."""
+    for prev, row in zip(rows[:-1], rows[1:]):
+        row += prev
+    return rows
+
+
 def _qk21(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
           name: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """QUADPACK qk21 on the panels [a_i, b_i] of the integrals owner_i, with
@@ -130,50 +153,60 @@ def _qk21(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
     QuadratureError naming the integral of the first non-finite value."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    absc = hlgth[:, None] * _XGK[:10]
-    x = np.concatenate([centr[:, None] - absc, centr[:, None] + absc, centr[:, None]], axis=1)
+    # the nodes are laid out node-major, each node's panels one contiguous
+    # row, and f sees the (panels, 21) transpose
+    xt = np.empty((21, a.size))
+    absc = np.multiply(_XGK[:10, None], hlgth, out=xt[10:20])
+    np.subtract(centr, absc, out=xt[:10])
+    absc += centr
+    xt[20] = centr
+    x = xt.T
     fx = f(x, owner)
-    bad = np.flatnonzero(~np.isfinite(fx))
-    if bad.size:
-        i, j = divmod(int(bad[0]), x.shape[1])
+    if not np.isfinite(fx).all():
+        i, j = divmod(int(np.flatnonzero(~np.isfinite(fx))[0]), x.shape[1])
         raise QuadratureError(f"{name(owner[i])}: non-finite integrand at x={x[i, j]}")
-    # node-major copy: node j's values over the panels are row j.  The
-    # node-pair terms are whole (10, panels) arrays, formed in place where a
-    # buffer is free; the sums add them one pair at a time in qk21's order,
-    # Gauss nodes first, so every bit is QUADPACK's
-    ft = np.ascontiguousarray(fx.T)
-    fv1, fv2, fc = ft[:10], ft[10:20], ft[20]
-    w = _WGK[:10, None]
-    fsum = fv1 + fv2
-    wsum = w * fsum
-    wabs = np.abs(fv1)
-    wabs += np.abs(fv2)
-    wabs *= w
-    resg = np.zeros_like(fc)
-    for j in (1, 3, 5, 7, 9):
-        resg = resg + _WG[j // 2] * fsum[j]
-    resk = _WGK[10] * fc
-    resabs = np.abs(resk)
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
-        resk = resk + wsum[j]
-        resabs = resabs + wabs[j]
+    # node-major copy, node pairs in qk21's order (Gauss nodes first): row 0
+    # is the centre, rows 1-10 and 11-20 the two nodes of each pair
+    ft = fx.T[_NODES]
+    fc, fv1, fv2 = ft[0], ft[1:11], ft[11:]
+    # the Kronrod, |f| and Gauss terms side by side, each summed down the
+    # rows in qk21's order; resg starts from +0
+    sums = np.empty((11, 3, fc.size))
+    np.multiply(_WGK[10], fc, out=sums[0, 0])
+    np.abs(sums[0, 0], out=sums[0, 1])
+    sums[0, 2] = 0.0
+    fsum = np.add(fv1, fv2, out=sums[1:, 0])
+    np.multiply(_WG_PAIRS, fsum[:5], out=sums[1:6, 2])
+    sums[6:, 2] = 0.0
+    fsum *= _WGK_PAIRS
+    np.abs(fv1, out=sums[1:, 1])
+    sums[1:, 1] += np.abs(fv2)
+    sums[1:, 1] *= _WGK_PAIRS
+    _running_sum(sums)
+    resk, resabs, resg = sums[10, 0], sums[10, 1], sums[5, 2]
     reskh = resk * 0.5
-    # w * (|fv1 - reskh| + |fv2 - reskh|), in the spent fsum and wsum buffers
-    wdev = np.abs(np.subtract(fv1, reskh, out=wsum), out=wsum)
-    wdev += np.abs(np.subtract(fv2, reskh, out=fsum), out=fsum)
-    wdev *= w
-    resasc = _WGK[10] * np.abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + wdev[j]
+    # resasc adds w * (|fv1 - reskh| + |fv2 - reskh|) in node order instead
+    dev = np.abs(np.subtract(fv1, reskh, out=fv1), out=fv1)
+    dev += np.abs(np.subtract(fv2, reskh, out=fv2), out=fv2)
+    dev *= _WGK_PAIRS
+    asc = np.empty((11, fc.size))
+    np.multiply(_WGK[10], np.abs(fc - reskh), out=asc[0])
+    np.take(dev, _PAIR_OF_NODE, axis=0, out=asc[1:])
+    resasc = _running_sum(asc)[10]
     dhlgth = np.abs(hlgth)
     result = resk * hlgth
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth
     abserr = np.abs((resk - resg) * hlgth)
+    # qk21's rescaling where resasc and abserr are non-zero, then its floor
     m = (resasc != 0.0) & (abserr != 0.0)
-    abserr[m] = resasc[m] * np.minimum(1.0, (200.0 * abserr[m] / resasc[m]) ** 1.5)
-    m = resabs > _UFLOW / (50.0 * _EPMACH)
-    abserr[m] = np.maximum((_EPMACH * 50.0) * resabs[m], abserr[m])
+    scaled = np.divide(200.0 * abserr, resasc, out=np.zeros_like(abserr), where=m)
+    scaled **= 1.5
+    np.minimum(1.0, scaled, out=scaled)
+    scaled *= resasc
+    np.copyto(abserr, scaled, where=m)
+    np.maximum((_EPMACH * 50.0) * resabs, abserr, out=abserr,
+               where=resabs > _UFLOW / (50.0 * _EPMACH))
     return result, abserr, resasc
 
 
@@ -196,43 +229,46 @@ def _adaptive_gk21(f: Callable, upper: np.ndarray, name: Callable[[int], str],
     limit = MAX_PANELS
     n = upper.size
     rows = np.arange(n)
-    # panel tables, one row per integral, widened by doubling as they fill
-    a, b, res = np.zeros((n, 1)), np.zeros((n, 1)), np.zeros((n, 1))
-    err = np.full((n, 1), -np.inf)              # empty slots are never bisected
-    b[:, 0] = upper
-    res[:, 0], err[:, 0], resasc = _qk21(f, a[:, 0], upper, rows, name)
-    area, errsum = res[:, 0].copy(), err[:, 0].copy()
+    # panel table: left end, right end, result and error of each slot of each
+    # integral, widened by doubling as it fills; empty slots have error -inf
+    # and are never bisected
+    table = np.zeros((4, n, 1))
+    table[1, :, 0] = upper
+    table[2, :, 0], table[3, :, 0], resasc = _qk21(f, table[0, :, 0], upper, rows, name)
+    area, errsum = table[2, :, 0].copy(), table[3, :, 0].copy()
     last = np.ones(n, dtype=int)
     done = (((errsum <= np.maximum(ABS_TOL, rel_tol * np.abs(area)))
              & (errsum != resasc)) | (errsum == 0.0))
     while not done.all():
         act = np.flatnonzero(~done)
-        full = act[last[act] >= limit]
-        if full.size:
-            raise QuadratureError(f"{name(full[0])} did not converge: "
+        # a slice while every integral is active, so the per-integral
+        # arrays are read and written in place
+        live = act if act.size < n else slice(None)
+        new = last[live]
+        if new.max() >= limit:
+            raise QuadratureError(f"{name(act[np.argmax(new >= limit)])} did not converge: "
                                   f"the maximum number of subdivisions ({limit}) was reached")
-        if last[act].max() == a.shape[1]:
-            extra = min(a.shape[1], limit - a.shape[1])
-            a, b, res, err = (np.concatenate([t, np.full((n, extra), fill)], axis=1)
-                              for t, fill in ((a, 0.0), (b, 0.0), (res, 0.0), (err, -np.inf)))
-        m = np.argmax(err[act], axis=1)
-        lo, hi = a[act, m], b[act, m]
+        if new.max() == table.shape[2]:
+            grow = np.zeros((4, n, min(table.shape[2], limit - table.shape[2])))
+            grow[3] = -np.inf
+            table = np.concatenate([table, grow], axis=2)
+        m = np.argmax(table[3, live], axis=1)
+        lo, hi, r0, e0 = table[:, act, m]
         mid = 0.5 * (lo + hi)
-        r, e, _ = _qk21(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
-                        np.concatenate([act, act]), name)
-        r1, r2, e1, e2 = r[:act.size], r[act.size:], e[:act.size], e[act.size:]
-        errsum[act] = errsum[act] + (e1 + e2) - err[act, m]
-        area[act] = area[act] + (r1 + r2) - res[act, m]
+        ends = np.concatenate([lo, mid, hi])
+        k = act.size
+        r, e, _ = _qk21(f, ends[:2 * k], ends[k:], np.concatenate([act, act]), name)
+        r1, r2, e1, e2 = r[:k], r[k:], e[:k], e[k:]
+        errsum[live] = errsum[live] + (e1 + e2) - e0
+        area[live] = area[live] + (r1 + r2) - r0
         # the half with the larger error takes the bisected panel's slot
         swap = e2 > e1
-        new = last[act]
-        a[act, m], b[act, m] = np.where(swap, mid, lo), np.where(swap, hi, mid)
-        res[act, m], err[act, m] = np.where(swap, r2, r1), np.where(swap, e2, e1)
-        a[act, new], b[act, new] = np.where(swap, lo, mid), np.where(swap, mid, hi)
-        res[act, new], err[act, new] = np.where(swap, r1, r2), np.where(swap, e1, e2)
-        last[act] += 1
-        done[act] = errsum[act] <= np.maximum(ABS_TOL, rel_tol * np.abs(area[act]))
-    return np.cumsum(res, axis=1)[rows, last - 1], errsum
+        left, right = np.array([lo, mid, r1, e1]), np.array([mid, hi, r2, e2])
+        table[:, act, m] = np.where(swap, right, left)
+        table[:, act, new] = np.where(swap, left, right)
+        last[live] = new + 1
+        done[live] = errsum[live] <= np.maximum(ABS_TOL, rel_tol * np.abs(area[live]))
+    return np.cumsum(table[2], axis=1)[rows, last - 1], errsum
 
 
 def _batch(kind: SpectrumKind, sigma: float, points: Sequence[float], rel_tol: float,
@@ -249,11 +285,10 @@ def _batch(kind: SpectrumKind, sigma: float, points: Sequence[float], rel_tol: f
                               r_max, lambda i: f"{label(i)}quadrature", rel_tol)
 
     def inner(nu: np.ndarray, member: np.ndarray) -> np.ndarray:
-        owner = np.broadcast_to(member[:, None], nu.shape)   # the member of each node
         g = nu if kind is SpectrumKind.TE else np.hypot(nu, 1.0)
         out = np.zeros(nu.shape)
-        live = g < r_max[owner]
-        nu_l, g_l, owner = nu[live], g[live], owner[live]
+        live = g < r_max[member, None]
+        nu_l, g_l, owner = nu[live], g[live], member[np.nonzero(live)[0]]
         r_l, s_l = r_max[owner], s[owner]
 
         def integrand(y, i):

@@ -28,13 +28,25 @@ from scipy.special import ive, kve
 # ive or kve and the series, flips the odd Debye terms and gives the
 # neighbour order |nu + sign| (K_{-nu} = K_nu).  The branch seam is
 # controlled by the predicted exponent gap t - nu*eta(t/nu) = -log(ive) and
-# kicks in before ive/kve degrade.  The scipy and Debye branches run on
-# whole arrays; the series, needed only where an order below 200 meets a
-# tiny argument, is summed element by element.  Orders are >= 0.
+# kicks in before ive/kve degrade.  Orders are >= 0.
+#
+# A call costs little more than its ive/kve work where no element falls
+# back, the common case: the scaled pair runs on the whole arrays and the
+# logs and ratios are formed in place, with no index gathered.  The ranges
+# that validate the input also bound the gap, which grows with the order
+# and falls with the argument, so that where the bound is well inside the
+# limit the gap is not evaluated at all.  Only the elements that fall back
+# are gathered; the Debye branch runs on them as arrays, and the series,
+# needed only where an order below 200 meets a tiny argument, is summed
+# element by element.
 # ---------------------------------------------------------------------------
 
 _GAP_LIMIT = 620.0
 _DEBYE_MIN_ORDER = 200.0
+# A box of orders and arguments whose largest gap, computed as one scalar,
+# is below _GAP_PROVEN lies wholly inside the limit (:func:`_gap_below_limit`).
+_GAP_PROVEN = 600.0
+_BOX_MAX = 2.0**30
 
 
 def _debye_u(p):
@@ -53,11 +65,29 @@ def _eta(z):
 
 
 def _gap(nu, t):
-    """t - nu * eta(t/nu) where nu > 0, t where nu = 0."""
-    gap = t.copy()
-    pos = nu > 0.0
-    gap[pos] = t[pos] - nu[pos] * _eta(t[pos] / nu[pos])
-    return gap
+    """t - nu * eta(t/nu) where nu > 0, t where nu = 0 (t - 0 * eta(1))."""
+    return t - nu * _eta(np.divide(t, nu, out=np.ones_like(t), where=nu > 0.0))
+
+
+def _gap_below_limit(nu_lo: float, nu_hi: float, t_lo: float, t_hi: float) -> bool:
+    """Whether every order in [nu_lo, nu_hi] and argument in [t_lo, t_hi] is
+    proven to have its computed gap below _GAP_LIMIT without evaluating it.
+
+    For nu > 0 the gap grows with nu and falls with t (d/dnu = -ln(z/(1+w))
+    and d/dt = 1 - w/z, with z = t/nu and w = sqrt(1 + z^2)), so the gap at
+    (nu_hi, t_lo) bounds the box.  Up to 2^30 in order and argument, and
+    with every z = t/nu in [1e-150, 1e150], so that z*z neither overflows
+    nor underflows, the computed gap is far within 1 of the exact one, and
+    a bound below _GAP_PROVEN leaves every elementwise branch decision as it
+    would be."""
+    if not (0.0 < nu_lo and nu_hi <= _BOX_MAX and t_hi <= _BOX_MAX
+            and t_hi <= 1e150 * nu_lo):
+        return False
+    z = t_lo / nu_hi
+    if not z >= 1e-150:
+        return False
+    w = math.sqrt(1.0 + z * z)
+    return t_lo - nu_hi * (w + math.log(z / (1.0 + w))) < _GAP_PROVEN
 
 
 def _log_debye(nu, t, sign):
@@ -116,26 +146,31 @@ def _log(nu, t, sign):
     return out
 
 
-def _log_and_ratio(nu, x, sign):
+def _log_and_ratio(nu, x, sign, inside: bool):
     """(ln F_nu(x), F_|nu+sign|(x) / F_nu(x)) for F = I (sign +1) or F = K
     (sign -1): the scaled scipy pair where the exponent gap allows and both
     values are finite with v0 > 0, v1 >= 0, :func:`_log` at both orders
-    elsewhere."""
-    ln, ratio = np.empty_like(x), np.empty_like(x)
-    pair = np.flatnonzero(_gap(nu, x) < _GAP_LIMIT)
-    n, xp = nu[pair], x[pair]
+    elsewhere.  `inside` says the gap is proven below the limit everywhere,
+    so that it need not be evaluated.
+
+    The pair runs on the whole arrays, also past the gap limit, where its
+    values are cheap and discarded: scipy's ufuncs do not honour a `where`
+    mask.  Only the elements that fall back are gathered."""
     scaled = ive if sign > 0.0 else kve
-    v0, v1 = scaled(n, xp), scaled(np.abs(n + sign), xp)
+    v0, v1 = scaled(nu, x), scaled(np.abs(nu + sign), x)
     good = np.isfinite(v0) & np.isfinite(v1) & (v0 > 0.0) & (v1 >= 0.0)
-    done = pair[good]
-    ln[done] = np.log(v0[good]) + sign * xp[good]
-    ratio[done] = v1[good] / v0[good]
-    if done.size < x.size:
-        rest = np.ones(x.shape, dtype=bool)
-        rest[done] = False
+    if not inside:
+        good &= _gap(nu, x) < _GAP_LIMIT
+    done = True if good.all() else good
+    ratio = np.divide(v1, v0, out=v1, where=done)
+    ln = np.log(v0, out=v0, where=done)
+    (np.add if sign > 0.0 else np.subtract)(ln, x, out=ln, where=done)
+    if done is not True:
+        rest = ~good
         n, xr = nu[rest], x[rest]
-        l0 = _log(n, xr, sign)
-        l1 = _log(np.abs(n + sign), xr, sign)
+        # both orders in one evaluation
+        l0, l1 = np.split(_log(np.concatenate([n, np.abs(n + sign)]), np.concatenate([xr, xr]),
+                               sign), 2)
         ln[rest], ratio[rest] = l0, np.exp(l1 - l0)
     return ln, ratio
 
@@ -160,19 +195,31 @@ def log_bessel_ik(nu: ArrayLike, x: ArrayLike, t: ArrayLike | None = None):
     t/nu passes about 1e154, _eta's z*z overflows.  Sampling reaches such
     arguments only for s below about 5e-8.
     """
-    nu, x, t = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(x, dtype=float),
-                                   np.asarray(x if t is None else t, dtype=float))
+    nu, x, t = (np.asarray(a, dtype=float) for a in (nu, x, x if t is None else t))
+    if not nu.shape == x.shape == t.shape:
+        nu, x, t = np.broadcast_arrays(nu, x, t)
     shape = x.shape
     nu, x, t = nu.ravel(), x.ravel(), t.ravel()
-    ok = (nu >= 0.0) & (nu < math.inf)
-    if not ok.all():
-        raise ValueError(f"log_bessel_ik requires finite nu >= 0, got {nu[~ok][0]}")
-    for arg in (x, t):
-        ok = (arg > 0.0) & (arg < math.inf)
-        if not ok.all():
-            raise ValueError(f"log_bessel_ik requires finite arguments > 0, got {arg[~ok][0]}")
-    li, q = _log_and_ratio(nu, x, 1.0)
-    lk, r = _log_and_ratio(nu, t, -1.0)
+    # each check is one pass for the least and one for the greatest value,
+    # NaN included (it propagates through both); the ranges also bound the gap
+    nu_lo, nu_hi = _range(nu, "finite nu >= 0", True)
+    x_lo, x_hi = _range(x, "finite arguments > 0", False)
+    t_lo, t_hi = _range(t, "finite arguments > 0", False)
+    li, q = _log_and_ratio(nu, x, 1.0, _gap_below_limit(nu_lo, nu_hi, x_lo, x_hi))
+    lk, r = _log_and_ratio(nu, t, -1.0, _gap_below_limit(nu_lo, nu_hi, t_lo, t_hi))
     if not shape:
         return float(li[0]), float(q[0]), float(lk[0]), float(r[0])
     return li.reshape(shape), q.reshape(shape), lk.reshape(shape), r.reshape(shape)
+
+
+def _range(values, what: str, zero_ok: bool) -> tuple[float, float]:
+    """(min, max) of values, which must be finite and > 0, or >= 0 with
+    zero_ok; raises ValueError naming `what` and the first value out of
+    range.  (inf, -inf) for no values."""
+    if not values.size:
+        return math.inf, -math.inf
+    lo, hi = float(np.minimum.reduce(values)), float(np.maximum.reduce(values))
+    if (lo >= 0.0 if zero_ok else lo > 0.0) and hi < math.inf:
+        return lo, hi
+    ok = (values >= 0.0 if zero_ok else values > 0.0) & (values < math.inf)
+    raise ValueError(f"log_bessel_ik requires {what}, got {values[~ok][0]}")

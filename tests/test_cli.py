@@ -832,6 +832,23 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("argv,flags", [
+    (["vacuum", "--grid-pionts", "16"], "--grid-pionts 16"),
+    (["dielectric", "--sigma", "8/27", "--sigmaa", "2"], "--sigmaa 2"),
+    (["sensitivity", "--vary", "J", "--values", "100", "--valeus", "1"], "--valeus 1"),
+], ids=["vacuum", "dielectric", "sensitivity"])
+def test_misspelt_flag_shows_the_subcommand_usage(argv, flags, tmp_path, capsys):
+    # the usage line of the subcommand, with the flags it does take
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: casimir-laurent {argv[0]} [-h]")
+    assert "--grid-points" in err.split(": error:")[0]
+    assert err.rstrip().endswith(f"error: unrecognized arguments: {flags}")
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])

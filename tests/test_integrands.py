@@ -23,6 +23,7 @@ from casimir_laurent.integrands import (Y_SMALL, CrossProductError, SpectrumKind
                                         dlog_cross_te, dlog_cross_tm,
                                         vacuum_integrand)
 from casimir_laurent.quadrature import sample_curve
+from casimir_laurent.specfun import _GAP_LIMIT, _gap
 
 mp.mp.dps = 40
 
@@ -411,6 +412,12 @@ ARRAY_NU = np.array([0.0, 0.3, 0.6, 1.0, 2.5, 40.0, 250.0])
 ARRAY_Y = np.array([1e-6, 2e-5, 5e-5, 9.9e-5, 1e-4, 2e-4, 0.3, 5.0, 60.0])
 
 
+# every point on the whole-array path: nu > 0, no y below Y_SMALL after the
+# reflection, and every Bessel factor inside the exponent gap
+MAIN_NU = np.array([0.3, 1.0, 2.5, 7.0, 20.0])
+MAIN_Y = np.array([1e-3, 0.05, 0.3, 5.0, 60.0])
+
+
 @pytest.mark.parametrize("func", [dlog_cross_te, dlog_cross_tm])
 @pytest.mark.parametrize("sigma", [SIGMA, 27.0 / 8.0])
 def test_dlog_array_equals_scalar(func, sigma):
@@ -420,6 +427,16 @@ def test_dlog_array_equals_scalar(func, sigma):
     got = func(nu, y, sigma)
     assert got.shape == nu.shape
     ref = np.array([[func(float(n), float(v), sigma) for v in ARRAY_Y] for n in ARRAY_NU])
+    assert np.isfinite(ref).all()
+    np.testing.assert_array_equal(got, ref)
+    # the same on a grid where no element falls back
+    nu, y = np.meshgrid(MAIN_NU, MAIN_Y, indexing="ij")
+    assert (max(sigma, 1.0) * y >= Y_SMALL).all()
+    # the gap grows with the order (mu >= nu) and falls with the argument,
+    # the least of which is min(sigma, 1) y
+    assert (_gap(np.hypot(nu, 1.0), min(sigma, 1.0) * y) < _GAP_LIMIT).all()
+    got = func(nu, y, sigma)
+    ref = np.array([[func(float(n), float(v), sigma) for v in MAIN_Y] for n in MAIN_NU])
     assert np.isfinite(ref).all()
     np.testing.assert_array_equal(got, ref)
 

@@ -657,6 +657,17 @@ def test_regularize_rejects_non_finite_samples(s_bad, I_bad):
     assert exc.value.stage == "fit"
 
 
+@pytest.mark.parametrize("samples", [(np.array([]), np.array([])), ([], []), []],
+                         ids=["arrays", "lists", "no-samples"])
+def test_empty_sample_set_is_named(samples):
+    # rejected before a power table is built over a grid with no points
+    with pytest.raises(ValueError, match=r"^no samples: a fit needs at least one sample point$"):
+        fit_window(samples, -4, 2)
+    with pytest.raises(RegularizationError, match=r"no samples: a fit needs") as exc:
+        regularize(samples)
+    assert exc.value.stage == "fit"
+
+
 @pytest.mark.parametrize("eps_s,norm", [(1e-70, "inf"), (1e40, "0")])
 def test_regularize_rejects_a_grid_the_monomials_cannot_represent(monkeypatch, eps_s, norm):
     # s^-5 overflows on the first grid and its square underflows on the

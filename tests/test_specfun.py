@@ -13,10 +13,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import jv, jvp, kv, yv, yvp
+from scipy.special import ive, jv, jvp, kv, kve, yv, yvp
 
 from casimir_laurent.integrands import _tm_i_factor, _tm_k_factor
-from casimir_laurent.specfun import _GAP_LIMIT, _gap, log_bessel_ik
+from casimir_laurent.specfun import _GAP_LIMIT, _gap, _gap_below_limit, log_bessel_ik
 from vacuum_oracles import polygamma3
 
 mp.mp.dps = 40
@@ -236,6 +236,11 @@ BRANCH_T = np.array([1e-3, 700.0, 1e-5, 3.0, 0.5, 600.0, 2.0, 1e-4,
                      0.5, 1.0, 1e-3, 0.8, 2.0, 0.3, 1.0])
 
 
+# (nu, t) on the main branch only: 0 < nu <= 50 and t >= 1e-3
+MAIN_NU = np.array([0.3, 1.0, 2.5, 7.0, 20.7, 49.9, 12.0, 3.3])
+MAIN_T = np.array([1e-3, 0.3, 4.0, 17.0, 1e-3, 0.05, 300.0, 900.0])
+
+
 def test_log_bessel_ik_array_equals_scalar():
     beyond = _gap(BRANCH_NU, BRANCH_T) >= _GAP_LIMIT
     assert (~beyond & (BRANCH_NU == 0.0)).any()
@@ -248,6 +253,48 @@ def test_log_bessel_ik_array_equals_scalar():
     for g, r in zip(got, ref):
         assert g.shape == BRANCH_NU.shape
         np.testing.assert_array_equal(g, r)
+    # the whole-array path, where no element falls back: nu > 0, the box of
+    # orders and arguments proven inside the gap, both scaled values in range
+    assert _gap_below_limit(MAIN_NU.min(), MAIN_NU.max(), MAIN_T.min(), MAIN_T.max())
+    for scaled, neighbour in ((ive, MAIN_NU + 1.0), (kve, np.abs(MAIN_NU - 1.0))):
+        for order in (MAIN_NU, neighbour):
+            v = scaled(order, MAIN_T)
+            assert ((v > 0.0) & (v < math.inf)).all()
+    got = log_bessel_ik(MAIN_NU, MAIN_T)
+    ref = np.array([log_bessel_ik(float(nu), float(t)) for nu, t in zip(MAIN_NU, MAIN_T)]).T
+    for g, r in zip(got, ref):
+        np.testing.assert_array_equal(g, r)
+
+
+def test_gap_bound_proves_only_what_the_gap_shows():
+    # the box 0 < nu <= 50, t >= 1e-3 is inside, with room to spare
+    assert _gap(np.array([50.0]), np.array([1e-3]))[0] < 527.0
+    assert _gap_below_limit(1e-3, 50.0, 1e-3, 1e3)
+    # no proof with an order 0 (gap t there), past 2^30, or outside the gap
+    assert not _gap_below_limit(0.0, 50.0, 1e-3, 1e3)
+    assert not _gap_below_limit(1.0, 50.0, 1e-3, 2.0**31)
+    assert not _gap_below_limit(1.0, 1000.0, 1.0, 2.0)
+    # nor where some t/nu overflows the gap's z*z: that point's gap is NaN,
+    # and it must fall back in an array as it does alone
+    assert not _gap_below_limit(1e-300, 1.0, 1.0, 1.0)
+    nu, t = np.array([1e-300, 1.0]), np.array([1.0, 1.0])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        got = log_bessel_ik(nu, t)
+        ref = np.array([log_bessel_ik(n, x) for n, x in zip(nu, t)]).T
+    for g, r in zip(got, ref):
+        np.testing.assert_array_equal(g, r)
+    # wherever a random box is proven, the gap of every point in it is below
+    # the limit; the boxes straddle the limit so that both answers occur
+    rng = np.random.default_rng(5)
+    proven = 0
+    for _ in range(400):
+        nu = np.sort(np.exp(rng.uniform(math.log(1e-6), math.log(2e3), 2)))
+        t = np.sort(np.exp(rng.uniform(math.log(1e-8), math.log(1e6), 2)))
+        if _gap_below_limit(nu[0], nu[1], t[0], t[1]):
+            proven += 1
+            grid_nu, grid_t = np.meshgrid(np.geomspace(*nu, 9), np.geomspace(*t, 9))
+            assert (_gap(grid_nu, grid_t) < _GAP_LIMIT).all()
+    assert 50 < proven < 350
 
 
 def test_log_bessel_ik_broadcasts():
