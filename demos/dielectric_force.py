@@ -4,8 +4,8 @@ Runs both polarizations at contrast sigma = 8/27 and converts the
 regularized coefficients into SI force numbers for a 1 mm x 1 mm plate
 pair separated by one micron.
 
-Both 200-point curves are sampled in one call, on one pool of worker
-processes; expect about 20 s on 2 CPUs.
+Both 200-point curves are sampled in one call, on a team of forked helper
+processes, one per CPU; expect about 20 s on 2 CPUs.
 """
 
 import time

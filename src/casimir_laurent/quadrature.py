@@ -25,15 +25,25 @@ starts an inner y integral, and those advance together as well.
 :func:`sample_curve` is the one way in.  It checks every kind, sigma, s
 and rel_tol before the first sample, and :func:`_sample_chunk` builds and
 labels every sample.  :func:`eval_I_dielectric` is the batch of one, a
-one-point curve, as is :func:`eval_I_vacuum`; neither starts a pool.
-sample_curve cuts a dielectric curve into contiguous chunks, one per CPU
-this process may run on (``os.sched_getaffinity``) and at most MAX_CHUNK
-points, and samples each chunk as one batch.  The chunks of all
-the curves of one call, TE and TM for a dielectric command, are shared out
-among one pool of forked worker processes, one per CPU, that closes with
-the call.  A sample's value and error estimate are therefore the same bits
-whatever the worker count; ``taskset -c 0`` gives a serial run in this
-process.
+one-point curve, as is :func:`eval_I_vacuum`.  sample_curve cuts a
+dielectric curve into contiguous chunks, one per CPU this process may run
+on (``os.sched_getaffinity``) and at most MAX_CHUNK points, and samples
+each chunk as one batch.
+
+On two or more CPUs, where the platform can fork, dielectric work goes to
+this process's team of forked helper processes, one per CPU.  The team
+starts at the first dielectric call that needs it, serves every later call
+and closes at interpreter exit (:func:`_close_team`); a helper also ends
+when this process dies, on the end of its pipe.  A call with several
+chunks, such as the TE and TM curves of a dielectric command, hands whole
+chunks to the helpers.  A call with one chunk, such as a lone point, runs
+its outer nu integrals here and sends each outer step's inner y integrals
+to the helpers in interleaved parts.  Vacuum batches stay in this process.
+A sample's value and error estimate are the same bits whatever the CPU
+count; ``taskset -c 0`` gives a serial run in this process, which starts
+no other.  Helpers run the module state as it was when they were forked:
+a module attribute changed later (a kernel or MAX_PANELS, say) reaches
+them only once the team is closed and the next call forks a new one.
 
 The dielectric integrand is y * dlog_cross weighted by the damping
 exp(-s * sqrt(g^2 + y^2)) with g = nu (TE) or g = sqrt(nu^2 + 1) (TM):
@@ -45,8 +55,10 @@ changes the pole order of I(s) from -4 to -3).
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
+import signal
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -69,8 +81,8 @@ TAIL_TOL = 1e-13
 # The most points one dielectric batch holds.  Measured on a 2-CPU host,
 # the default 200-point TE + TM curves (three runs each) sampled in a median
 # 19.5 s with chunks of 25 points, 20.3 s with 10 and 22.4 s with 100 (one
-# chunk per worker and kind, whose slower small-s half leaves a worker idle
-# at the end), with a worker peak RSS of 51, 44 and 77 MB.
+# chunk per process and kind, whose slower small-s half leaves a process
+# idle at the end), with a peak RSS per sampling process of 51, 44 and 77 MB.
 MAX_CHUNK = 25
 
 # QUADPACK qk21: the 21-point Kronrod abscissae on [0, 1] (descending, the
@@ -271,13 +283,29 @@ def _adaptive_gk21(f: Callable, upper: np.ndarray, name: Callable[[int], str],
     return np.cumsum(table[2], axis=1)[rows, last - 1], errsum
 
 
+def _inner(kind: SpectrumKind, sigma: float, rel_tol: float, nu: np.ndarray, g: np.ndarray,
+           s: np.ndarray, r_max: np.ndarray, name: Callable[[int], str]) -> np.ndarray:
+    """The inner y integrals of `kind` at the orders nu, each with its mode
+    threshold g, damping s and radius r_max, as one batch of
+    :func:`_adaptive_gk21`: Int_0^sqrt(r_max^2 - g^2) y dlog_cross(nu, y)
+    e^{-s sqrt(g^2 + y^2)} dy.  A failure of integral i is named `name(i)`."""
+    def integrand(y, i):
+        damping = np.exp(-s[i, None] * np.hypot(g[i, None], y))
+        return y * dlog_cross(kind, nu[i, None], y, sigma) * damping
+
+    return _adaptive_gk21(integrand, np.sqrt(r_max * r_max - g * g), name, rel_tol)[0]
+
+
 def _batch(kind: SpectrumKind, sigma: float, points: Sequence[float], rel_tol: float,
-           label: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+           label: Callable[[int], str], team: list | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
     """The integrals of `kind` at every s of points, as one batch of
     :func:`_adaptive_gk21`: (1/3) Int_0^X(s) r^3 coth(r) e^{-s r} dr for
     vacuum; for TE and TM, outer nu integrals over [0, X(s)] of inner y
-    integrals over [0, sqrt(X(s)^2 - g^2)].  A failure of member i is named
-    `label(i)` plus the failing integral.  Returns (values, est_errors)."""
+    integrals over [0, sqrt(X(s)^2 - g^2)], those of each outer step split
+    across the helper team where one is given (:func:`_split_inner`).  A
+    failure of member i is named `label(i)` plus the failing integral.
+    Returns (values, est_errors)."""
     s = np.asarray(points, dtype=float)
     r_max = truncation_point(s)
     if kind is SpectrumKind.VACUUM:
@@ -288,35 +316,30 @@ def _batch(kind: SpectrumKind, sigma: float, points: Sequence[float], rel_tol: f
         g = nu if kind is SpectrumKind.TE else np.hypot(nu, 1.0)
         out = np.zeros(nu.shape)
         live = g < r_max[member, None]
-        nu_l, g_l, owner = nu[live], g[live], member[np.nonzero(live)[0]]
-        r_l, s_l = r_max[owner], s[owner]
-
-        def integrand(y, i):
-            n, gg = nu_l[i, None], g_l[i, None]
-            return y * dlog_cross(kind, n, y, sigma) * np.exp(-s_l[i, None] * np.hypot(gg, y))
-
-        out[live] = _adaptive_gk21(
-            integrand, np.sqrt(r_l * r_l - g_l * g_l),
-            lambda i: f"{label(owner[i])}inner quadrature at nu={nu_l[i]}", rel_tol)[0]
+        nu_l, owner = nu[live], member[np.nonzero(live)[0]]
+        rows = (kind, sigma, rel_tol, nu_l, g[live], s[owner], r_max[owner],
+                lambda i: f"{label(owner[i])}inner quadrature at nu={nu_l[i]}")
+        out[live] = _split_inner(team, *rows) if team else _inner(*rows)
         return out
 
     return _adaptive_gk21(lambda nu, member: nu * inner(nu, member), r_max,
                           lambda i: f"{label(i)}outer quadrature", rel_tol)
 
 
-def _sample_chunk(job: tuple[SpectrumKind, float, int, list[float], float]
-                  ) -> list[IntegralSample]:
+def _sample_chunk(job: tuple[SpectrumKind, float, int, list[float], float],
+                  team: list | None = None) -> list[IntegralSample]:
     """The samples of one chunk of a curve, as one batch: the chunk is the
     kind, sigma, the grid index of its first point, its points and rel_tol.
     Every sample is built here, and every failure named.  Module-level, so
-    that a pool can send it to its workers."""
+    that it can be sent to a helper; a helper samples its chunk alone, this
+    process with the inner integrals split across `team`, if given."""
     kind, sigma, first, points, rel_tol = job
 
     def label(i: int) -> str:
         return f"sample {first + i} (s={points[i]}) failed: "
 
     try:
-        values, errors = _batch(kind, sigma, points, rel_tol, label)
+        values, errors = _batch(kind, sigma, points, rel_tol, label, team)
     except QuadratureError:
         raise
     except ArithmeticError as exc:   # the kernel's, raised for the batch as a whole
@@ -328,6 +351,194 @@ def _sample_chunk(job: tuple[SpectrumKind, float, int, list[float], float]
             for s, v, e in zip(points, values, errors)]
 
 
+# ---------------------------------------------------------------------------
+# The helper team: one forked process per CPU, kept for the life of this
+# process.  Each helper owns one end of a pipe, over which it receives
+# (function, args) tasks and returns (True, result) or (False, exception).
+# The helpers are plain forks, unknown to multiprocessing, whose exit
+# handler would stop them from any forked child that exits normally.
+# ---------------------------------------------------------------------------
+
+# This process's helpers, as (connection, pid) pairs; [] when closed.
+_team: list = []
+
+
+def _serve(conn) -> None:
+    """A helper's loop: run each task received on conn and send back its
+    result or exception, until this helper's pipe reaches its end.  SIGINT
+    is ignored: the parent handles it for the team."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            task, args = conn.recv()
+        except EOFError:   # the team was closed, or the parent died
+            return
+        try:
+            reply = (True, task(*args))
+        except BaseException as exc:   # the parent raises it
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except OSError:   # the parent has gone
+            return
+
+
+def _helpers(count: int) -> list:
+    """This process's helper team, `count` helpers forked at the first call
+    after it was closed; [] where the platform cannot fork."""
+    if not _team and hasattr(os, "fork"):
+        # imported here: the multiprocessing modules cost ~10 ms, which only a
+        # dielectric call on more than one CPU should pay
+        from multiprocessing import Pipe
+
+        try:
+            for _ in range(count):
+                here, there = Pipe()
+                pid = os.fork()
+                if pid == 0:
+                    # _forget_team has closed the other helpers' parent
+                    # ends; with this one closed too, EOF ends the helper
+                    # when the parent closes the team or dies.  Whatever
+                    # happens, the helper never returns into its caller
+                    try:
+                        here.close()
+                        _serve(there)
+                    finally:
+                        os._exit(0)
+                there.close()
+                _team.append((here, pid))
+        except BaseException:
+            _close_team()
+            raise
+    return _team
+
+
+def _reply(conn) -> tuple[bool, object]:
+    """A helper's next reply on conn: (True, result) or (False, exception)."""
+    try:
+        return conn.recv()
+    except EOFError:
+        raise RuntimeError("a sampling helper process ended before it replied") from None
+
+
+def _forget_team() -> list:
+    """Drop this process's helper team and close its pipe ends; returns the
+    team.  Runs in every process just forked, helpers included, where the
+    team is the parent's: its helpers must still see EOF when the parent
+    dies, and nothing there may stop them."""
+    global _team
+    team, _team = _team, []
+    for conn, _ in team:
+        conn.close()
+    return team
+
+
+def _close_team() -> None:
+    """Close this process's helper team, if it has one: its pipe ends, then
+    its helpers, stopped and reaped.  The next dielectric call that needs a
+    team forks a new one.  Runs at interpreter exit."""
+    for _, pid in _forget_team():
+        try:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):   # reaped elsewhere
+            pass
+
+
+atexit.register(_close_team)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_team)
+
+
+def _share_chunks(team: list, jobs: list, chunks: list[int]) -> dict[int, tuple[bool, object]]:
+    """Sample the chunks jobs[i], i in chunks, on the helpers of team, one
+    chunk per idle helper, TM chunks first, because a TM sample costs more.
+    Once a chunk has failed, no chunk after it in curve order is handed out,
+    and the chunks running are waited for; every chunk before the first
+    failure in curve order is still sampled, so that it is the first failing
+    chunk whatever the helper count.  Returns {i: (True, samples) or
+    (False, exception)} for each chunk sampled.  Any other exception, an
+    interrupt say, closes the team, so that no pipe is left out of step."""
+    from multiprocessing.connection import wait
+
+    queue = sorted(chunks, key=lambda i: jobs[i][0] is not SpectrumKind.TM)
+    idle = [conn for conn, _ in team]
+    running: dict = {}
+    done: dict[int, tuple[bool, object]] = {}
+    first_failure = len(jobs)
+    try:
+        while True:
+            while queue and idle:
+                i = queue.pop(0)
+                if i < first_failure:
+                    idle[-1].send((_sample_chunk, (jobs[i],)))
+                    running[idle.pop()] = i
+            if not running:
+                return done
+            for conn in wait(list(running)):
+                i = running.pop(conn)
+                done[i] = _reply(conn)
+                idle.append(conn)
+                if not done[i][0]:
+                    first_failure = min(first_failure, i)
+    except BaseException:
+        _close_team()
+        raise
+
+
+def _inner_part(kind: SpectrumKind, sigma: float, rel_tol: float, nu: np.ndarray,
+                g: np.ndarray, s: np.ndarray, r_max: np.ndarray):
+    """A helper's part of an inner batch (:func:`_split_inner`): its values,
+    or (i, text) for its integral i that failed, with `text` the error
+    message that follows the integral's name."""
+    failed = []
+
+    def name(i: int) -> str:
+        failed.append(i)
+        return ""
+
+    try:
+        return _inner(kind, sigma, rel_tol, nu, g, s, r_max, name)
+    except QuadratureError as exc:
+        return failed[-1], str(exc)
+
+
+def _split_inner(team: list, kind: SpectrumKind, sigma: float, rel_tol: float,
+                 nu: np.ndarray, g: np.ndarray, s: np.ndarray, r_max: np.ndarray,
+                 name: Callable[[int], str]) -> np.ndarray:
+    """:func:`_inner` on the helpers of team: row j goes to helper j mod W,
+    W helpers in all, and each helper integrates its rows as one batch, so
+    every value has the bits of the unsplit batch.  A part that fails
+    returns its failing row, which `name` labels here as the unsplit batch
+    would; where several parts fail, the lowest row wins, and an exception
+    raised for a part as a whole counts as its first row's.  Any other
+    exception, an interrupt say, closes the team, so that no pipe is left
+    out of step."""
+    width = len(team)
+    conns = [conn for conn, _ in team[:nu.size]]
+    try:
+        for j, conn in enumerate(conns):
+            conn.send((_inner_part, (kind, sigma, rel_tol, nu[j::width], g[j::width],
+                                     s[j::width], r_max[j::width])))
+        replies = [_reply(conn) for conn in conns]
+    except BaseException:
+        _close_team()
+        raise
+    out = np.empty(nu.size)
+    failures = []
+    for j, (ok, result) in enumerate(replies):
+        if not ok:
+            failures.append((j, result))
+        elif isinstance(result, tuple):
+            row = j + width * result[0]
+            failures.append((row, QuadratureError(name(row) + result[1])))
+        else:
+            out[j::width] = result
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return out
+
+
 def sample_curve(
     kinds: SpectrumKind | tuple[SpectrumKind, ...],
     sigma: float,
@@ -337,16 +548,18 @@ def sample_curve(
     """One IntegralSample per kind and grid point: the curve of each kind in
     the order given, each in grid order.
 
-    Every kind, sigma, s and rel_tol is checked before any sample or pool
-    starts.  A vacuum curve is one batch.  A dielectric curve is cut into
-    contiguous chunks, one per CPU in this process's affinity mask and at
-    most MAX_CHUNK points long, and each chunk is one batch.  With more than
-    one chunk and CPU, and where the platform can fork, the chunks of every
-    curve share one pool of forked worker processes, one per CPU; otherwise
-    they are sampled one after another in this process.  Either way each
-    sample is the one-point curve at its s, bit for bit.  The error raised
-    is that of the first failing chunk in curve order, and names the first
-    of its samples to fail, which need not be its lowest failing index.
+    Every kind, sigma, s and rel_tol is checked before any sample or helper
+    starts.  A vacuum curve is one batch, sampled in this process.  A
+    dielectric curve is cut into contiguous chunks, one per CPU in this
+    process's affinity mask and at most MAX_CHUNK points long, and each
+    chunk is one batch.  On more than one CPU, and where the platform can
+    fork, the helper team takes the dielectric work: whole chunks where
+    there are several (:func:`_share_chunks`), the inner integrals of the
+    one chunk otherwise (:func:`_split_inner`).  On one CPU the chunks are
+    sampled one after another in this process.  Either way each sample is
+    the one-point curve at its s, bit for bit.  The error raised is that of
+    the first failing chunk in curve order, and names the first of its
+    samples to fail, which need not be its lowest failing index.
     """
     points = [float(s) for s in getattr(grid, "points", grid)]
     kinds = kinds if isinstance(kinds, tuple) else (kinds,)
@@ -359,43 +572,33 @@ def sample_curve(
         if not 0.0 < s < math.inf:
             raise ValueError(f"sample_curve requires 0 < s < inf, got {s}")
     affinity = getattr(os, "sched_getaffinity", None)
-    workers = len(affinity(0)) if affinity else 1
+    cpus = len(affinity(0)) if affinity else 1
     jobs = []
     for kind in kinds:
         rel = resolve_rel_tol(kind, rel_tol)
         if kind is SpectrumKind.VACUUM:
             jobs.append((kind, 1.0, 0, points, rel))
             continue
-        size = max(1, min(MAX_CHUNK, -(-len(points) // workers)))
+        size = max(1, min(MAX_CHUNK, -(-len(points) // cpus)))
         jobs += [(kind, sigma, j, points[j:j + size], rel)
                  for j in range(0, len(points), size)]
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        # imported here: the pool modules cost ~8 ms, which only a
-        # dielectric command with more than one worker should pay
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            # forked workers need no import and see this process's module
-            # state.  The chunks are submitted TM first, because a TM
-            # sample costs more, and collected in curve order; on the way
-            # out, a failure cancels the chunks not yet handed to a worker
-            # and waits for the running ones
-            order = sorted(range(len(jobs)), key=lambda i: jobs[i][0] is not SpectrumKind.TM)
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")
-                                     ) as pool:
-                futures = {i: pool.submit(_sample_chunk, jobs[i]) for i in order}
-                try:
-                    return [smp for i in range(len(jobs)) for smp in futures[i].result()]
-                finally:
-                    pool.shutdown(cancel_futures=True)
-    return [smp for job in jobs for smp in _sample_chunk(job)]
+    chunks = [i for i, job in enumerate(jobs) if job[0] is not SpectrumKind.VACUUM]
+    team = _helpers(cpus) if chunks and cpus > 1 else []
+    done = _share_chunks(team, jobs, chunks) if team and len(chunks) > 1 else {}
+    samples = []
+    for i, job in enumerate(jobs):
+        # in curve order, so that the first failure raised is the first in it
+        ok, result = done[i] if i in done else (True, _sample_chunk(job, team))
+        if not ok:
+            raise result
+        samples += result
+    return samples
 
 
 def eval_I_vacuum(s: float, rel_tol: float | None = None) -> IntegralSample:
     """(1/3) Int_0^inf r^3 coth(r) e^{-s r} dr by adaptive quadrature: the
-    one-point vacuum curve of :func:`sample_curve`."""
+    one-point vacuum curve of :func:`sample_curve`, sampled in this
+    process."""
     return sample_curve(SpectrumKind.VACUUM, 1.0, [s], rel_tol)[0]
 
 
@@ -406,7 +609,9 @@ def eval_I_dielectric(
     rel_tol: float | None = None,
 ) -> IntegralSample:
     """The dielectric mode integral of `kind` at damping s (see
-    :func:`_batch`): the one-point curve of :func:`sample_curve`."""
+    :func:`_batch`): the one-point curve of :func:`sample_curve`.  On more
+    than one CPU its outer integral runs in this process and its inner
+    integrals on the helper team, with the bits of a serial run."""
     if kind is SpectrumKind.VACUUM:
         raise ValueError("use eval_I_vacuum for the vacuum integral")
     return sample_curve(kind, sigma, [s], rel_tol)[0]

@@ -65,8 +65,12 @@ def _eta(z):
 
 
 def _gap(nu, t):
-    """t - nu * eta(t/nu) where nu > 0, t where nu = 0 (t - 0 * eta(1))."""
-    return t - nu * _eta(np.divide(t, nu, out=np.ones_like(t), where=nu > 0.0))
+    """t - nu * eta(t/nu) where nu > 0, t where nu = 0 (t - 0 * eta(1)).
+    Its sqrt(1 + z^2) is hypot(1, z), which stays finite where z = t/nu
+    passes 1e154 and z*z would overflow."""
+    z = np.divide(t, nu, out=np.ones_like(t), where=nu > 0.0)
+    w = np.hypot(1.0, z)
+    return t - nu * (w + np.log(z / (1.0 + w)))
 
 
 def _gap_below_limit(nu_lo: float, nu_hi: float, t_lo: float, t_hi: float) -> bool:
@@ -191,9 +195,10 @@ def log_bessel_ik(nu: ArrayLike, x: ArrayLike, t: ArrayLike | None = None):
     and kve return NaN there.  Below order 200 the ascending series that
     takes over gives a math domain error, inf or NaN, with a numpy
     RuntimeWarning; from order 200 the Debye logarithms hold, but the ratios
-    exp(l1 - l0) cancel logs of that size and keep about 7 digits.  Where
-    t/nu passes about 1e154, _eta's z*z overflows.  Sampling reaches such
-    arguments only for s below about 5e-8.
+    exp(l1 - l0) cancel logs of that size and keep about 7 digits.  Sampling
+    reaches such arguments only for s below about 5e-8.  At subnormal orders,
+    where t/nu overflows, the K side falls back to the truncated series and
+    is wrong; sampling never reaches them.
     """
     nu, x, t = (np.asarray(a, dtype=float) for a in (nu, x, x if t is None else t))
     if not nu.shape == x.shape == t.shape:

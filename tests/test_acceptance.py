@@ -60,7 +60,7 @@ def dielectric_runs():
     grid = make_grid(0.05, 1.0, 200)
     kinds = (SpectrumKind.TE, SpectrumKind.TM)
     t0 = time.perf_counter()
-    samples = sample_curve(kinds, SIGMA, grid)   # one pool for both, as the CLI samples them
+    samples = sample_curve(kinds, SIGMA, grid)   # in one call, as the CLI samples them
     out = {kind: regularize([p for p in samples if p.kind is kind]) for kind in kinds}
     return out, time.perf_counter() - t0
 

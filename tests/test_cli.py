@@ -514,7 +514,7 @@ def test_dielectric_stdout(tmp_path, monkeypatch, capsys):
 
 def test_dielectric_run_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys):
     # one CPU samples each curve as one chunk in this process, two CPUs as
-    # chunks of 8 points on forked workers: the same bytes either way
+    # chunks of 8 points on the forked helper team: the same bytes either way
     import casimir_laurent.quadrature as quadrature
 
     runs = []
@@ -631,8 +631,8 @@ def test_quadrature_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_dielectric_failure_through_the_pool_exits_3(tmp_path, monkeypatch, capsys):
-    # forked workers inherit the patched panel limit; the pool (two CPUs)
-    # reports the failure the serial run (one CPU) reports
+    # the helper team, forked after the patch, runs the patched panel limit;
+    # on two CPUs it reports the failure the serial run (one CPU) reports
     import casimir_laurent.quadrature as quadrature
 
     monkeypatch.setattr(quadrature, "MAX_PANELS", 1)

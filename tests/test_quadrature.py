@@ -376,13 +376,21 @@ def test_dielectric_sigma_above_one_against_brute():
 
 @pytest.mark.parametrize("kind", [SpectrumKind.TE, SpectrumKind.TM])
 def test_dielectric_inner_nonconvergence_raises(kind, monkeypatch):
-    # one panel cannot meet the budget; the inner integral must say so
+    # one panel cannot meet the budget; the inner integral must say so, in
+    # the same words in this process (one CPU) and on the helper team (two
+    # CPUs), which is forked after the patch
     import casimir_laurent.quadrature as quadrature
 
     monkeypatch.setattr(quadrature, "MAX_PANELS", 1)
-    with pytest.raises(QuadratureError, match=r"^sample 0 \(s=0\.5\) failed: inner quadrature "
-                                              r"at nu=\S+ did not converge"):
-        eval_I_dielectric(kind, 0.5, SIGMA)
+    errors = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        with pytest.raises(QuadratureError, match=r"^sample 0 \(s=0\.5\) failed: inner "
+                                                  r"quadrature at nu=\S+ did not converge") as exc:
+            eval_I_dielectric(kind, 0.5, SIGMA)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert len(quadrature._team) == 2
 
 
 def test_dielectric_domain():
@@ -441,8 +449,8 @@ def cpus(monkeypatch, count):
 @pytest.mark.parametrize("kind", [SpectrumKind.TE, SpectrumKind.TM])
 def test_dielectric_curve_equals_single_points(kind, sigma, monkeypatch):
     # both kinds in one call, `kind` first: five points make chunks of 3 and
-    # 2 on two CPUs and of 5 on one, and the pool (two workers) and the
-    # serial route return each sample bit for bit, in the order asked for
+    # 2 on two CPUs and of 5 on one, and the helper team (two helpers) and
+    # the serial route return each sample bit for bit, in the order asked for
     other = SpectrumKind.TM if kind is SpectrumKind.TE else SpectrumKind.TE
     grid = [0.7, 0.775, 0.85, 0.925, 1.0]
     alone = [eval_I_dielectric(k, s, sigma) for k in (kind, other) for s in grid]
@@ -453,14 +461,13 @@ def test_dielectric_curve_equals_single_points(kind, sigma, monkeypatch):
 
 
 def test_dielectric_curve_names_first_failing_index(monkeypatch, tmp_path):
-    # two workers and chunks of two points: 15 chunks for 30 points.  The
+    # two helpers and chunks of two points: 15 chunks for 30 points.  The
     # kernel is a cheap stand-in that sees a chunk start on its first call,
     # which holds every member's first outer nodes, and is NaN at sample 5
     # after 0.5 s and at sample 7 at once; every other chunk starts 0.25 s
     # late.  The error names sample 5, the second member of the third chunk,
-    # although its chunk failed after sample 7's; it was raised in a worker
-    # and cancels the chunks not yet handed to a worker (at most ~10 of the
-    # 15 start by then)
+    # although its chunk failed after sample 7's; it was raised in a helper,
+    # and once the fourth chunk has failed no later chunk is handed out
     import os
     import time
 
@@ -510,22 +517,55 @@ def test_dielectric_curve_names_the_chunk_of_a_kernel_error(monkeypatch):
         sample_curve(SpectrumKind.TE, SIGMA, [0.5, 0.6, 0.7])
 
 
-def test_single_points_never_start_a_pool(monkeypatch):
-    # a lone point is one chunk, so min(CPUs, chunks) = 1 worker: sampled
-    # in this process, with no pool to fork
-    import concurrent.futures
+def test_single_point_on_two_cpus_equals_one_cpu(monkeypatch):
+    # on one CPU a lone point is sampled in this process and starts no
+    # other, nor does a vacuum point on two; on two CPUs the helper team
+    # takes its inner integrals, and every field keeps its bits
+    import os
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a pool was started")
+    import casimir_laurent.quadrature as quadrature
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    def refuse():
+        raise AssertionError("a process was started")
+
+    cases = [(kind, sigma) for kind in (SpectrumKind.TE, SpectrumKind.TM)
+             for sigma in (8.0 / 27.0, 27.0 / 8.0)]
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", refuse)
+        cpus(patch, 1)
+        alone = [eval_I_dielectric(kind, 0.9, sigma) for kind, sigma in cases]
+        cpus(patch, 2)
+        assert eval_I_vacuum(0.5).value == pytest.approx(vacuum_closed_form(0.5), rel=1e-9)
     cpus(monkeypatch, 2)
-    assert eval_I_dielectric(SpectrumKind.TM, 0.9, SIGMA).value > 0.0
-    assert eval_I_vacuum(0.5).value == pytest.approx(vacuum_closed_form(0.5), rel=1e-9)
+    # dataclass equality: s, value, est_error, kind and sigma, each exactly
+    assert [eval_I_dielectric(kind, 0.9, sigma) for kind, sigma in cases] == alone
+    assert len(quadrature._team) == 2
+
+
+def test_a_helper_that_ends_mid_sample_closes_the_team(monkeypatch):
+    # a helper that ends before it replies (killed, say) is named, and the
+    # team is closed, so that the next call forks a new one
+    import os
+
+    import casimir_laurent.quadrature as quadrature
+
+    parent = os.getpid()
+
+    def ending(kind, nu, y, sigma):
+        if os.getpid() != parent:
+            os._exit(1)
+        return dlog_cross(kind, nu, y, sigma)
+
+    monkeypatch.setattr(quadrature, "dlog_cross", ending)
+    cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"^a sampling helper process ended before it replied"):
+        eval_I_dielectric(SpectrumKind.TE, 1.0, SIGMA)
+    assert quadrature._team == []
 
 
 def test_single_point_kernel_error_names_the_sample(monkeypatch):
-    # the kernel's error at a lone point is a QuadratureError naming it
+    # the kernel's error at a lone point is a QuadratureError naming it, in
+    # the same words on one CPU and, raised in a helper, on two
     import casimir_laurent.quadrature as quadrature
     from casimir_laurent.integrands import CrossProductError
 
@@ -533,9 +573,15 @@ def test_single_point_kernel_error_names_the_sample(monkeypatch):
         raise CrossProductError("TM cross product lost its fixed sign at nu=1.0, y=2.0")
 
     monkeypatch.setattr(quadrature, "dlog_cross", broken)
-    with pytest.raises(QuadratureError, match=r"^sample 0 \(s=0\.5\) failed: "
-                                              r"TM cross product lost its fixed sign"):
-        eval_I_dielectric(SpectrumKind.TM, 0.5, SIGMA)
+    errors = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        with pytest.raises(QuadratureError, match=r"^sample 0 \(s=0\.5\) failed: "
+                                                  r"TM cross product lost its fixed sign") as exc:
+            eval_I_dielectric(SpectrumKind.TM, 0.5, SIGMA)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert len(quadrature._team) == 2
 
 
 @pytest.mark.parametrize("kind,sigma,grid", [
@@ -552,15 +598,12 @@ def test_single_point_kernel_error_names_the_sample(monkeypatch):
 ], ids=["sigma-1", "sigma-0", "sigma-nan", "sigma-inf", "s-nan", "s-inf", "s-0", "kind",
         "second-kind", "both-kinds-s"])
 def test_dielectric_curve_checks_before_any_sample(kind, sigma, grid, monkeypatch):
-    import concurrent.futures
-
     import casimir_laurent.quadrature as quadrature
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a sample or a pool was started")
+        raise AssertionError("a sample or the helper team was started")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    for name in ("eval_I_dielectric", "_sample_chunk", "_batch"):
+    for name in ("eval_I_dielectric", "_sample_chunk", "_batch", "_helpers"):
         monkeypatch.setattr(quadrature, name, refuse)
     cpus(monkeypatch, 2)
     with pytest.raises(ValueError, match=r"requires 0 < s < inf|sigma must lie in|no cross"):

@@ -215,6 +215,22 @@ def test_log_bessel_ik_against_mpmath_past_the_scaled_pair(nu, t):
     assert_matches_mpmath(log_bessel_ik(nu, t), nu, t)
 
 
+@pytest.mark.parametrize("nu", [1e-160, 1e-200, 1e-300])
+def test_log_bessel_ik_at_tiny_orders(nu):
+    # t/nu is past 1e154, where z*z would overflow in the exponent gap; the
+    # gap must stay finite, so that the K side takes the scaled pair and not
+    # the small-argument series, which keeps only the (2/t)^nu part.  ln I
+    # is near 0 at t = 1e-3, hence the absolute tolerance there
+    with mp.workdps(30):
+        for t in (1e-3, 1.0, 30.0):
+            li, q, lk, r = log_bessel_ik(nu, t)
+            i0, k0 = mp.besseli(nu, t), mp.besselk(nu, t)
+            assert li == pytest.approx(float(mp.log(i0)), rel=1e-15, abs=1e-15), t
+            assert q == pytest.approx(float(mp.besseli(nu + 1, t) / i0), rel=1e-15), t
+            assert lk == pytest.approx(float(mp.log(k0)), rel=1e-15), t
+            assert r == pytest.approx(float(mp.besselk(1 - nu, t) / k0), rel=1e-15), t
+
+
 def test_log_bessel_ik_survives_extreme_order():
     # nu >> t underflows the scaled pair itself; the log form must not.
     li, q, lk, r = log_bessel_ik(1000.0, 1.0)
@@ -274,13 +290,12 @@ def test_gap_bound_proves_only_what_the_gap_shows():
     assert not _gap_below_limit(0.0, 50.0, 1e-3, 1e3)
     assert not _gap_below_limit(1.0, 50.0, 1e-3, 2.0**31)
     assert not _gap_below_limit(1.0, 1000.0, 1.0, 2.0)
-    # nor where some t/nu overflows the gap's z*z: that point's gap is NaN,
-    # and it must fall back in an array as it does alone
+    # nor where some t/nu is past 1e150, where the bound's scalar z*z may
+    # overflow: that point must take the branch in an array it takes alone
     assert not _gap_below_limit(1e-300, 1.0, 1.0, 1.0)
     nu, t = np.array([1e-300, 1.0]), np.array([1.0, 1.0])
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        got = log_bessel_ik(nu, t)
-        ref = np.array([log_bessel_ik(n, x) for n, x in zip(nu, t)]).T
+    got = log_bessel_ik(nu, t)
+    ref = np.array([log_bessel_ik(n, x) for n, x in zip(nu, t)]).T
     for g, r in zip(got, ref):
         np.testing.assert_array_equal(g, r)
     # wherever a random box is proven, the gap of every point in it is below
