@@ -27,6 +27,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .integrands import SpectrumKind
@@ -183,10 +184,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.16e}"
-
-
 def _write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
@@ -202,26 +199,33 @@ def _summary(result: RegularizationResult) -> str:
             f"nhat2={result.diagnostics['turning_nhat2']}")
 
 
+def _csv(header: str, row: str, rows: list[tuple]) -> str:
+    """A CSV text: header, then `row` filled from each tuple of rows, all in
+    one %-format pass; %.16e prints a float as f"{x:.16e}" does."""
+    return f"{header}\n" + ((row + "\n") * len(rows)) % tuple(chain.from_iterable(rows))
+
+
 def _write_curve(out: Path, kind: SpectrumKind, samples: list[IntegralSample],
                  result: RegularizationResult) -> None:
     """Write one curve's samples, window matrix and c0 curve; print its line."""
     suffix = "" if kind is SpectrumKind.VACUUM else f"_{kind.value}"
-    lines = ["s,I,err"]
-    lines += [f"{_fmt(p.s)},{_fmt(p.value)},{_fmt(p.est_error)}" for p in samples]
-    _write_text(out / f"samples{suffix}.csv", "\n".join(lines) + "\n")
-    # one window per line, each by the C encoder (indent would force the
-    # pure-Python one); the file parses to {"N1", "N2", "windows": [...]}
+    _write_text(out / f"samples{suffix}.csv",
+                _csv("s,I,err", "%.16e,%.16e,%.16e",
+                     [(p.s, p.value, p.est_error) for p in samples]))
+    # every window by one C-encoder call (indent would force the pure-Python
+    # encoder), one window per line: a window's only inner object, coeffs,
+    # is followed by ', "cond"', so "}, {" occurs only between windows.  The
+    # file parses to {"N1", "N2", "windows": [...]}
     matrix = result.matrix
-    windows = [json.dumps({"n1": n1, "n2": n2,
+    windows = json.dumps([{"n1": n1, "n2": n2,
                            "coeffs": {str(n): c for n, c in fit.coeffs.items()},
-                           "rms_residual": fit.rms_residual, "cond": fit.cond},
-                          sort_keys=True)
-               for (n1, n2), fit in sorted(matrix.entries.items())]
+                           "rms_residual": fit.rms_residual, "cond": fit.cond}
+                          for (n1, n2), fit in sorted(matrix.entries.items())],
+                         sort_keys=True)
     _write_text(out / f"matrix{suffix}.json",
                 f'{{"N1": {matrix.N1}, "N2": {matrix.N2}, "windows": [\n'
-                + ",\n".join(windows) + "\n]}\n")
-    lines = ["nhat2,c0hat"] + [f"{nhat2},{_fmt(c0hat)}" for nhat2, c0hat in result.curve]
-    _write_text(out / f"curves{suffix}.csv", "\n".join(lines) + "\n")
+                + windows[1:-1].replace("}, {", "},\n{") + "\n]}\n")
+    _write_text(out / f"curves{suffix}.csv", _csv("nhat2,c0hat", "%s,%.16e", result.curve))
     print(f"{kind.value}: {_summary(result)}")
 
 
@@ -323,18 +327,20 @@ def dump_sensitivity(cfg: RunConfig, vary: str, values: list[str]) -> int:
     plan_run(cfg, SpectrumKind.VACUUM)   # the unswept config must hold on its own
     plans = [plan_run(replace(cfg, **{name: _parse_setting(name, text, vary)}),
                       SpectrumKind.VACUUM) for text in values]
-    rows, lines = [], ["param,value,pole_order,c0,turning_nhat2,sign_change"]
+    rows, table = [], []
     taken: dict = {}
     for value, plan in zip(map(float, values), plans):
         [(_, result)] = _curves((SpectrumKind.VACUUM,), plan, taken)
         rows.append((value, result))
         print(f"{vary}={value:g}: {_summary(result)}")
         diag = result.diagnostics
-        lines.append(f"{vary},{value:g},{result.pole_order},{_fmt(result.c0)},"
-                     f"{diag['turning_nhat2']},{json.dumps(diag['sign_change'])}")
+        table.append((vary, f"{value:g}", result.pole_order, result.c0,
+                      diag["turning_nhat2"], json.dumps(diag["sign_change"])))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "sensitivity.csv", "\n".join(lines) + "\n")
+    _write_text(out / "sensitivity.csv",
+                _csv("param,value,pole_order,c0,turning_nhat2,sign_change",
+                     "%s,%s,%s,%.16e,%s,%s", table))
     _write_json(out / "sensitivity.json", {
         "vary": vary,
         "rows": [{"value": v, "pole_order": r.pole_order, "c0": r.c0,

@@ -54,17 +54,19 @@ class CrossProductError(ArithmeticError):
 def vacuum_integrand(r: ArrayLike):
     """(1/3) r^3 coth(r), elementwise; series below r = 1e-2 for a clean r -> 0 limit."""
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
-        raise ValueError(f"vacuum_integrand requires r >= 0, got {r[r < 0.0][0]}")
-    out = np.empty(r.shape)
-    small = r < 1e-2
-    r2 = r[small] * r[small]
-    # (1/3) r^3 coth r = r^2/3 + r^4/9 - r^6/135 + 2 r^8/2835 + O(r^10)
-    out[small] = r2 / 3.0 + r2 * r2 / 9.0 - r2 * r2 * r2 / 135.0 + 2.0 * r2**4 / 2835.0
-    big = r[~small]
-    with np.errstate(over="ignore"):   # inf past r ~ 5e102; the quadrature reports it
-        out[~small] = (big**3 / 3.0) / np.tanh(big)
-    return out if out.ndim else float(out)
+    x = r if r.ndim else r.reshape(1)
+    # one pass over every point; the series then replaces it below 1e-2,
+    # where r = 0 gave 0/0.  inf past r ~ 5e102: the quadrature reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (x**3 / 3.0) / np.tanh(x)
+    small = x < 1e-2
+    if small.any():
+        if (x < 0.0).any():
+            raise ValueError(f"vacuum_integrand requires r >= 0, got {x[x < 0.0][0]}")
+        r2 = x[small] * x[small]
+        # (1/3) r^3 coth r = r^2/3 + r^4/9 - r^6/135 + 2 r^8/2835 + O(r^10)
+        out[small] = r2 / 3.0 + r2 * r2 / 9.0 - r2 * r2 * r2 / 135.0 + 2.0 * r2**4 / 2835.0
+    return out if r.ndim else float(out[0])
 
 
 # ---------------------------------------------------------------------------

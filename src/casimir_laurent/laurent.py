@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -123,7 +124,11 @@ class _PowerTable:
 
         The rhs component along the unit first column s^n1 bypasses the
         solves and their roundoff; the row shares it, so each window's fit
-        has the bits of that window fitted alone.
+        has the bits of that window fitted alone.  Beside the solves, the
+        row is worked as arrays of its windows: every operation is
+        elementwise or, for the residual sums, a reduction along each
+        window's own contiguous row, so each value has the bits of a lone
+        window's.
         """
         n1, M = int(n1), len(rhs)
         lo = n1 - self.n_lo
@@ -131,24 +136,37 @@ class _PowerTable:
         lead_col = self.scaled[:, lo]
         lead = np.sum(lead_col * rhs)
         reduced = rhs - lead * lead_col
-        fits = []
-        for n2 in map(int, n2s):
-            ncoef = n2 - n1 + 1
+        n2s = [int(n2) for n2 in n2s]
+        sizes = [n2 - n1 + 1 for n2 in n2s]
+        # row j: window j's scaled coefficients, zero-padded; ends[j]: the
+        # largest and smallest singular values of its equilibrated basis
+        coef = np.zeros((len(n2s), max(sizes, default=0)))
+        ends = np.empty((len(n2s), 2))
+        for j, (n2, ncoef) in enumerate(zip(n2s, sizes)):
             if M <= ncoef:
                 raise FitError(f"{M} samples cannot determine {ncoef} coefficients")
-            hi = n2 - self.n_lo + 1
-            coef_scaled, _, rank, sv = np.linalg.lstsq(self.scaled[:, lo:hi], reduced,
-                                                       rcond=None)
+            # checked at each solve, so that a rank-deficient window stops the
+            # row before a later window is solved, as it stops a lone fit
+            coef[j, :ncoef], _, rank, sv = np.linalg.lstsq(
+                self.scaled[:, lo:lo + ncoef], reduced, rcond=None)
             if rank < ncoef:
                 raise FitError(f"rank-deficient window ({n1}, {n2}): rank {rank} < {ncoef}")
-            coef_scaled[0] += lead
-            coef = coef_scaled / self.norms[lo:hi]
-            resid = np.ascontiguousarray(self.table[:, lo:hi]) @ coef - rhs
-            fits.append(TruncatedLaurentFit(
-                n1=n1, n2=n2, coeffs=dict(zip(range(n1, n2 + 1), coef.tolist())),
-                rms_residual=math.sqrt(np.sum(resid**2) / M),
-                cond=float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf))
-        return fits
+            ends[j] = sv[0], sv[-1]
+        coef[:, 0] += lead
+        coef /= self.norms[lo:lo + coef.shape[1]]
+        # each window's fitted values by a matrix-vector product on a
+        # C-contiguous copy of its columns, as a lone fit forms them
+        resid = np.empty((len(n2s), M))
+        for j, ncoef in enumerate(sizes):
+            np.matmul(np.ascontiguousarray(self.table[:, lo:lo + ncoef]), coef[j, :ncoef],
+                      out=resid[j])
+        resid -= rhs
+        rms = np.sqrt(np.sum(np.square(resid, out=resid), axis=-1) / M)
+        cond = np.divide(ends[:, 0], ends[:, 1], out=np.full(len(n2s), math.inf),
+                         where=ends[:, 1] > 0.0)
+        return [TruncatedLaurentFit(n1=n1, n2=n2, coeffs=dict(zip(range(n1, n2 + 1), c)),
+                                    rms_residual=r, cond=k)
+                for n2, c, r, k in zip(n2s, coef.tolist(), rms.tolist(), cond.tolist())]
 
 
 @dataclass(frozen=True)
@@ -246,21 +264,29 @@ def prune(matrix: FitMatrix, eps_c: float = LaurentParams.eps_c) -> PruneReport:
 
     M_n is |sum of the window's own principal coefficients| / |n|, or their
     mean magnitude where the signed sum cancels below AVERAGE_CANCEL_GUARD.
+    Each window row is worked as one array with a row per window: the signed
+    sums are the builtin sum of each window's coefficients in exponent order
+    and the means np.mean along each array row, so every M_n has the bits of
+    its window taken alone.
     """
     if eps_c < 0.0:
         raise ValueError(f"eps_c must be non-negative, got {eps_c}")
+    rows: dict[int, list[int]] = {}
+    for n1, n2 in matrix.entries:
+        rows.setdefault(n1, []).append(n2)
     kept: set[tuple[int, int, int]] = set()
     averages: dict[tuple[int, int, int], float] = {}
-    for (n1, n2), fit in matrix.entries.items():
-        own = [fit.coeffs[j] for j in range(n1, 0)]
-        total = abs(sum(own))
-        mean_abs = float(np.mean([abs(c) for c in own]))
-        for n in range(n1, 0):
-            signed = total / abs(n)
-            m = mean_abs if signed < AVERAGE_CANCEL_GUARD * mean_abs else signed
-            averages[(n, n1, n2)] = m
-            if m > 0.0 and abs(fit.coeffs[n]) / m > eps_c:
-                kept.add((n, n1, n2))
+    for n1, n2s in rows.items():
+        own = [[matrix.entries[(n1, n2)].coeffs[n] for n in range(n1, 0)] for n2 in n2s]
+        magnitude = np.abs(own)
+        total = np.array([abs(sum(c)) for c in own])
+        mean_abs = np.mean(magnitude, axis=-1)[:, None]
+        signed = total[:, None] / np.arange(-n1, 0, -1)
+        m = np.where(signed < AVERAGE_CANCEL_GUARD * mean_abs, mean_abs, signed)
+        ratio = np.divide(magnitude, m, out=np.zeros(m.shape), where=m > 0.0)
+        keys = [(n, n1, n2) for n2 in n2s for n in range(n1, 0)]
+        averages.update(zip(keys, m.ravel().tolist()))
+        kept.update(compress(keys, (ratio > eps_c).ravel().tolist()))
     return PruneReport(kept=frozenset(kept), averages=averages, N1=matrix.N1, N2=matrix.N2)
 
 

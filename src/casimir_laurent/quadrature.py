@@ -59,11 +59,12 @@ import atexit
 import math
 import os
 import signal
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import specfun
 from .integrands import SpectrumKind, dlog_cross, vacuum_integrand
 
 # Default relative budgets: the vacuum integral is cheap and feeds a
@@ -124,8 +125,9 @@ class QuadratureError(ArithmeticError):
     """Quadrature failed to converge or the integrand returned non-finite values."""
 
 
-@dataclass(frozen=True)
-class IntegralSample:
+class IntegralSample(NamedTuple):
+    """One I(s) sample: its damping s, value, error estimate, kind and
+    sigma (1 for vacuum).  Immutable, and as cheap to build as a tuple."""
     s: float
     value: float
     est_error: float
@@ -347,8 +349,8 @@ def _sample_chunk(job: tuple[SpectrumKind, float, int, list[float], float],
             f"one of samples {first} to {first + len(points) - 1} "
             f"(s={points[0]} to {points[-1]}) failed: ")
         raise QuadratureError(f"{where}{exc}") from exc
-    return [IntegralSample(s=s, value=float(v), est_error=float(e), kind=kind, sigma=sigma)
-            for s, v, e in zip(points, values, errors)]
+    return list(map(IntegralSample, points, values.tolist(), errors.tolist(),
+                    repeat(kind), repeat(sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +393,8 @@ def _helpers(count: int) -> list:
         # dielectric call on more than one CPU should pay
         from multiprocessing import Pipe
 
+        # loaded before the forks, so that every helper shares its pages
+        specfun.scaled_bessel()
         try:
             for _ in range(count):
                 here, there = Pipe()

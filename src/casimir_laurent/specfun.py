@@ -14,7 +14,21 @@ import math
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.special import ive, kve
+
+# scipy's exponentially scaled pair ive, kve, bound at the first Bessel
+# evaluation (:func:`scaled_bessel`): importing scipy.special is most of the
+# package's import time, and a vacuum run evaluates no Bessel function.
+_ive = _kve = None
+
+
+def scaled_bessel():
+    """scipy's (ive, kve): scipy.special is imported at the first call and
+    the pair bound for the rest of the process."""
+    global _ive, _kve
+    if _ive is None:
+        from scipy.special import ive, kve
+        _ive, _kve = ive, kve
+    return _ive, _kve
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +61,13 @@ _DEBYE_MIN_ORDER = 200.0
 # is below _GAP_PROVEN lies wholly inside the limit (:func:`_gap_below_limit`).
 _GAP_PROVEN = 600.0
 _BOX_MAX = 2.0**30
+# Orders in (0, _TINY_ORDER) are evaluated at _TINY_ORDER, whose I_nu, K_nu
+# and neighbour ratios they share in doubles (ln I_nu and the ratios move by
+# O(nu K_0/I_0), the even ln K_nu by O(nu^2 ln^2 t)).  Below about 6e-300,
+# t/nu, which the exponent gap needs, would overflow for arguments up to
+# _BOX_MAX.  Not 0: order 0 takes its ratios past t = _GAP_LIMIT from
+# exp(l1 - l0), which keeps fewer digits.
+_TINY_ORDER = 1e-290
 
 
 def _debye_u(p):
@@ -138,7 +159,7 @@ def _log(nu, t, sign):
     out = np.empty_like(t)
     rest = np.ones(t.shape, dtype=bool)
     pair = np.flatnonzero((nu == 0.0) | (_gap(nu, t) < _GAP_LIMIT))
-    v = (ive if sign > 0.0 else kve)(nu[pair], t[pair])
+    v = (_ive if sign > 0.0 else _kve)(nu[pair], t[pair])
     ok = v > 0.0
     out[pair[ok]] = np.log(v[ok]) + sign * t[pair[ok]]
     rest[pair[ok]] = False
@@ -160,7 +181,7 @@ def _log_and_ratio(nu, x, sign, inside: bool):
     The pair runs on the whole arrays, also past the gap limit, where its
     values are cheap and discarded: scipy's ufuncs do not honour a `where`
     mask.  Only the elements that fall back are gathered."""
-    scaled = ive if sign > 0.0 else kve
+    scaled = _ive if sign > 0.0 else _kve
     v0, v1 = scaled(nu, x), scaled(np.abs(nu + sign), x)
     good = np.isfinite(v0) & np.isfinite(v1) & (v0 > 0.0) & (v1 >= 0.0)
     if not inside:
@@ -196,9 +217,8 @@ def log_bessel_ik(nu: ArrayLike, x: ArrayLike, t: ArrayLike | None = None):
     takes over gives a math domain error, inf or NaN, with a numpy
     RuntimeWarning; from order 200 the Debye logarithms hold, but the ratios
     exp(l1 - l0) cancel logs of that size and keep about 7 digits.  Sampling
-    reaches such arguments only for s below about 5e-8.  At subnormal orders,
-    where t/nu overflows, the K side falls back to the truncated series and
-    is wrong; sampling never reaches them.
+    reaches such arguments only for s below about 5e-8.  Orders in (0, 1e-290)
+    are evaluated at 1e-290, whose values they have in doubles.
     """
     nu, x, t = (np.asarray(a, dtype=float) for a in (nu, x, x if t is None else t))
     if not nu.shape == x.shape == t.shape:
@@ -210,6 +230,10 @@ def log_bessel_ik(nu: ArrayLike, x: ArrayLike, t: ArrayLike | None = None):
     nu_lo, nu_hi = _range(nu, "finite nu >= 0", True)
     x_lo, x_hi = _range(x, "finite arguments > 0", False)
     t_lo, t_hi = _range(t, "finite arguments > 0", False)
+    if nu_lo < _TINY_ORDER and nu_hi > 0.0:
+        nu = np.where((nu > 0.0) & (nu < _TINY_ORDER), _TINY_ORDER, nu)
+        nu_lo, nu_hi = float(nu.min()), float(nu.max())
+    scaled_bessel()
     li, q = _log_and_ratio(nu, x, 1.0, _gap_below_limit(nu_lo, nu_hi, x_lo, x_hi))
     lk, r = _log_and_ratio(nu, t, -1.0, _gap_below_limit(nu_lo, nu_hi, t_lo, t_hi))
     if not shape:

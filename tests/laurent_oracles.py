@@ -6,14 +6,17 @@ refit window [N, nhat2], so by linearity of least squares each refit has the
 constant term of the matrix window (N, nhat2) in exact arithmetic;
 `regularize` reads its curve off those windows and refits nothing.  This
 module keeps the per-n2 route, built on `fit_window`, so the tests can check
-that claim, and `turning_point`, the pipeline's turning rule on a bare curve.
+that claim, `turning_point`, the pipeline's turning rule on a bare curve,
+and `prune_by_window`, the pruning rule one window and one coefficient at a
+time, which `prune` must match exactly.
 """
 
 from typing import Sequence
 
 import numpy as np
 
-from casimir_laurent.laurent import FitMatrix, _turning, fit_window
+from casimir_laurent.laurent import (AVERAGE_CANCEL_GUARD, FitMatrix, PruneReport, _turning,
+                                     fit_window)
 
 
 def turning_point(curve: Sequence) -> float:
@@ -41,3 +44,21 @@ def per_n2_turning_values(result) -> dict[int, float]:
     """n2 -> turning value of that n2's refit curve, for a RegularizationResult."""
     return {n2: turning_point(curve)
             for n2, curve in per_n2_curves(result.matrix, result.pole_order).items()}
+
+
+def prune_by_window(matrix: FitMatrix, eps_c: float) -> PruneReport:
+    """`prune`, window by window: M_n from the builtin sum and np.mean of the
+    window's own principal coefficients, then the ratio test per coefficient."""
+    kept: set[tuple[int, int, int]] = set()
+    averages: dict[tuple[int, int, int], float] = {}
+    for (n1, n2), fit in matrix.entries.items():
+        own = [fit.coeffs[j] for j in range(n1, 0)]
+        total = abs(sum(own))
+        mean_abs = float(np.mean([abs(c) for c in own]))
+        for n in range(n1, 0):
+            signed = total / abs(n)
+            m = mean_abs if signed < AVERAGE_CANCEL_GUARD * mean_abs else signed
+            averages[(n, n1, n2)] = m
+            if m > 0.0 and abs(fit.coeffs[n]) / m > eps_c:
+                kept.add((n, n1, n2))
+    return PruneReport(kept=frozenset(kept), averages=averages, N1=matrix.N1, N2=matrix.N2)

@@ -8,12 +8,20 @@ integral takes minutes per curve and is covered by the acceptance tests).
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import casimir_laurent.cli as cli
 import casimir_laurent.laurent as laurent
@@ -108,6 +116,70 @@ def test_vacuum_curves_schema(vacuum_run):
     assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 9))
     for line in lines[1:]:
         assert FLOAT_16E.match(line.split(",")[1]), line
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                max_size=12))
+@example([5e-324, -5e-324, 2.225073858507201e-308, 0.0, -0.0, math.inf, -math.inf,
+          math.nan, 1e308, -1e308, 0.1, 1.0 / 3.0])
+def test_csv_pass_prints_floats_as_fstrings(xs):
+    # one %-format pass per file gives each line of the old f-string join
+    rows = [(x, -x, x / 3.0) for x in xs]
+    assert cli._csv("s,I,err", "%.16e,%.16e,%.16e", rows) == "".join(
+        f"{line}\n" for line in ["s,I,err"] + [f"{a:.16e},{b:.16e},{c:.16e}" for a, b, c in rows])
+    curve = list(enumerate(xs, 1))
+    assert cli._csv("nhat2,c0hat", "%s,%.16e", curve) == "".join(
+        f"{line}\n" for line in ["nhat2,c0hat"] + [f"{n},{c:.16e}" for n, c in curve])
+
+
+def _matrix_text_by_window(matrix) -> str:
+    """matrix.json as one encoder call per window writes it."""
+    windows = [json.dumps({"n1": n1, "n2": n2,
+                           "coeffs": {str(n): c for n, c in fit.coeffs.items()},
+                           "rms_residual": fit.rms_residual, "cond": fit.cond},
+                          sort_keys=True)
+               for (n1, n2), fit in sorted(matrix.entries.items())]
+    return (f'{{"N1": {matrix.N1}, "N2": {matrix.N2}, "windows": [\n'
+            + ",\n".join(windows) + "\n]}\n")
+
+
+def test_matrix_json_is_the_window_by_window_text(vacuum_run, tmp_path):
+    # one encoder call for all windows, split into lines, gives the bytes of
+    # one call per window: here with two-digit exponents, whose keys sort as
+    # text, and Infinity, -Infinity and NaN among the values
+    s, I = np.loadtxt(vacuum_run / "samples.csv", delimiter=",", skiprows=1,
+                      usecols=(0, 1), unpack=True)
+    result = laurent.regularize((s, I), laurent.LaurentParams(N2=12))
+    matrix = result.matrix
+    odd = {(-5, 11): dict(cond=math.inf, rms_residual=math.nan),
+           (-1, 1): dict(coeffs={-1: -math.inf, 0: math.nan, 1: 5e-324})}
+    entries = {w: replace(fit, **odd.get(w, {})) for w, fit in matrix.entries.items()}
+    for m in (matrix, replace(matrix, entries=entries)):
+        cli._write_curve(tmp_path, SpectrumKind.VACUUM, [], replace(result, matrix=m))
+        assert (tmp_path / "matrix.json").read_text() == _matrix_text_by_window(m)
+    assert (vacuum_run / "matrix.json").read_text() == _matrix_text_by_window(
+        laurent.build_matrix((s, I)))
+
+
+def test_a_vacuum_run_leaves_scipy_special_unimported(tmp_path):
+    # importing scipy.special is most of the cold start; a vacuum command
+    # evaluates no Bessel function, and a lone TE point imports it
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    code = textwrap.dedent("""
+        import sys
+        from casimir_laurent.cli import main
+        from casimir_laurent.integrands import SpectrumKind
+        from casimir_laurent.quadrature import eval_I_dielectric
+        assert main(["vacuum", "--out-dir", sys.argv[1]]) == 0
+        print("scipy.special" in sys.modules)
+        eval_I_dielectric(SpectrumKind.TE, 1.0, 8.0 / 27.0)
+        print("scipy.special" in sys.modules)
+    """)
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-2:] == ["False", "True"]
 
 
 def test_vacuum_matrix_schema(vacuum_run):

@@ -24,6 +24,7 @@ from casimir_laurent.integrands import (Y_SMALL, CrossProductError, SpectrumKind
                                         vacuum_integrand)
 from casimir_laurent.quadrature import sample_curve
 from casimir_laurent.specfun import _GAP_LIMIT, _gap
+from vacuum_oracles import vacuum_integrand_by_branch
 
 mp.mp.dps = 40
 
@@ -103,6 +104,28 @@ def test_vacuum_domain():
         vacuum_integrand(-0.1)
     with pytest.raises(ValueError):
         vacuum_integrand(np.array([0.5, -0.1]))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_vacuum_integrand_has_the_bits_of_each_branch_alone():
+    # one pass over every point, the series written over it below 1e-2: the
+    # values of each branch evaluated on its own points, for any layout
+    edges = [0.0, 5e-324, 1e-300, 1e-8, math.nextafter(1e-2, 0.0), 1e-2,
+             math.nextafter(1e-2, 1.0), 1.0, 700.0, 1e102, 1e103, math.inf]
+    r = np.concatenate([edges, 10.0 ** np.random.default_rng(7).uniform(-7.0, 3.0, 2000)])
+    grid = r.reshape(-1, 4)
+    for x in (r, grid, np.asfortranarray(grid), grid.T, r[::3], grid[:, 1:3]):
+        out = vacuum_integrand(x)
+        assert out.shape == x.shape
+        assert _bits(out) == _bits(vacuum_integrand_by_branch(x))
+    for x in edges + [3e-3, 0.2]:
+        for arg in (x, np.float64(x), np.array(x)):
+            value = vacuum_integrand(arg)
+            assert type(value) is float
+            assert value.hex() == vacuum_integrand_by_branch(arg).hex(), x
 
 
 def test_vacuum_array_equals_scalar():

@@ -25,7 +25,8 @@ from casimir_laurent.laurent import (AVERAGE_CANCEL_GUARD, DetectionError,
                                      detect_pole_order, fit_window, make_grid,
                                      prune, regularize, subtract_and_refit)
 from casimir_laurent.quadrature import IntegralSample, sample_curve
-from laurent_oracles import per_n2_curves, per_n2_turning_values, turning_point
+from laurent_oracles import (per_n2_curves, per_n2_turning_values, prune_by_window,
+                             turning_point)
 from vacuum_oracles import vacuum_closed_form
 
 C0_VACUUM_EXACT = math.pi**4 / 360.0
@@ -214,6 +215,49 @@ def test_prune_cancellation_guard():
     assert signed < AVERAGE_CANCEL_GUARD * mean_abs
     assert report.averages[(-2, -2, 1)] == pytest.approx(mean_abs, rel=1e-12)
     assert (-2, -2, 1) in report.kept
+
+
+def _random_matrix(rng, N1: int, N2: int, kind: str) -> FitMatrix:
+    """The window rectangle of (N1, N2) with random coefficients over 24
+    decades and both signs.  kind "cancel": each window's last principal
+    coefficient nearly cancels the others, its sum left on either side of
+    the AVERAGE_CANCEL_GUARD threshold; "zero": every second window has an
+    all-zero principal part."""
+    entries = {}
+    for n1 in range(N1 + 1, 0):
+        for n2 in range(1, N2):
+            c = rng.standard_normal(n2 - n1 + 1) * 10.0 ** rng.integers(-12, 12, n2 - n1 + 1)
+            principal = c[:-n1]
+            if kind == "cancel" and principal.size > 1:
+                rest = principal[:-1]
+                principal[-1] = -rest.sum() + np.abs(rest).mean() * 10.0 ** rng.uniform(-7, 0)
+            if kind == "zero" and (n1 + n2) % 2:
+                principal[:] = 0.0
+            entries[(n1, n2)] = TruncatedLaurentFit(
+                n1, n2, dict(zip(range(n1, n2 + 1), c.tolist())), 0.0, 1.0)
+    return _hand_matrix(entries, N1, N2)
+
+
+@pytest.mark.parametrize("kind", ["random", "cancel", "zero"])
+@pytest.mark.parametrize("eps_c", [0.0, 1e-3, 0.3])
+def test_prune_equals_the_window_by_window_rule(kind, eps_c):
+    # rows of up to 5, 9 and 13 principal coefficients: numpy's pairwise
+    # summation unrolls from 8 values on
+    rng = np.random.default_rng(["random", "cancel", "zero"].index(kind))
+    for N1 in (-6, -10, -14):
+        matrix = _random_matrix(rng, N1, 9, kind)
+        got, want = prune(matrix, eps_c), prune_by_window(matrix, eps_c)
+        assert got.kept == want.kept
+        assert list(got.averages) == list(want.averages)
+        assert [v.hex() for v in got.averages.values()] == \
+            [v.hex() for v in want.averages.values()]
+
+
+def test_prune_of_a_fitted_matrix_equals_the_window_by_window_rule(vacuum_samples):
+    matrix = build_matrix(vacuum_samples)
+    for eps_c in (0.0, 1e-3):
+        got, want = prune(matrix, eps_c), prune_by_window(matrix, eps_c)
+        assert got.kept == want.kept and got.averages == want.averages
 
 
 # ---------------------------------------------------------------------------

@@ -215,14 +215,16 @@ def test_log_bessel_ik_against_mpmath_past_the_scaled_pair(nu, t):
     assert_matches_mpmath(log_bessel_ik(nu, t), nu, t)
 
 
-@pytest.mark.parametrize("nu", [1e-160, 1e-200, 1e-300])
+@pytest.mark.parametrize("nu", [1e-160, 1e-200, 1e-300, 1e-307, 1e-310, 5e-324])
 def test_log_bessel_ik_at_tiny_orders(nu):
-    # t/nu is past 1e154, where z*z would overflow in the exponent gap; the
-    # gap must stay finite, so that the K side takes the scaled pair and not
-    # the small-argument series, which keeps only the (2/t)^nu part.  ln I
+    # t/nu is past 1e154, where z*z would overflow in the exponent gap, and
+    # at the subnormal orders t/nu itself overflows; the gap must stay
+    # finite, so that the K side takes the scaled pair and not the
+    # small-argument series, which keeps only the (2/t)^nu part, and the I
+    # side not the series, which its 400 terms cut short at t = 700.  ln I
     # is near 0 at t = 1e-3, hence the absolute tolerance there
     with mp.workdps(30):
-        for t in (1e-3, 1.0, 30.0):
+        for t in (1e-3, 1.0, 30.0, 700.0):
             li, q, lk, r = log_bessel_ik(nu, t)
             i0, k0 = mp.besseli(nu, t), mp.besselk(nu, t)
             assert li == pytest.approx(float(mp.log(i0)), rel=1e-15, abs=1e-15), t
