@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
-from .integrands import SpectrumKind
+from .integrands import SpectrumKind, check_sigma
 from .laurent import (LaurentParams, RegularizationError, RegularizationResult,
                       SGrid, make_grid, regularize)
 from .physics import DielectricSpec, PlateGeometry, force_report
@@ -122,9 +122,9 @@ def plan_run(cfg: RunConfig, kind: SpectrumKind) -> RunPlan:
     if dielectric and cfg.sigma is None:
         raise ConfigError("sigma is required: pass --sigma or set the config key sigma")
     sigma = float(cfg.sigma) if dielectric else 1.0
-    if dielectric and sigma == 1.0:
-        raise ConfigError(f"sigma must lie in (0,1) or (1,inf), got {cfg.sigma}")
     try:
+        if dielectric:
+            check_sigma(cfg.sigma)
         spec = DielectricSpec.from_sigma(sigma) if dielectric else None
         scale = abs(math.log(sigma) / math.log(GRID_SIGMA)) if dielectric else 1.0
         eps_s = DEFAULT_EPS_S * scale if cfg.eps_s is None else cfg.eps_s

@@ -51,6 +51,14 @@ class CrossProductError(ArithmeticError):
     """The cross product lost its fixed sign (unexpected imaginary-axis root)."""
 
 
+def check_sigma(sigma, lead: str = "sigma must lie in") -> None:
+    """Raise ValueError, `lead` followed by the domain and sigma as given (a
+    float or a Fraction), unless the contrast sigma lies in (0,1) or
+    (1,inf): at sigma = 1 both cross products vanish."""
+    if not 0.0 < sigma < math.inf or sigma == 1.0:
+        raise ValueError(f"{lead} (0,1) or (1,inf), got {sigma}")
+
+
 def vacuum_integrand(r: ArrayLike):
     """(1/3) r^3 coth(r), elementwise; series below r = 1e-2 for a clean r -> 0 limit."""
     r = np.asarray(r, dtype=float)
@@ -231,15 +239,6 @@ def _one_term(nu, y, sigma: float, ln_rho, d1, d2_max):
     return one
 
 
-def _flat(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """a broadcast to shape, flat and contiguous: a copy where a is broadcast."""
-    if a.shape == shape:
-        return a.ravel()
-    full = np.empty(shape)
-    full[...] = a
-    return full.ravel()
-
-
 def _dlog_cross(tag: str, nu, y, sigma: float, term, ln_rho_max, d2_max,
                 limit, limit_min_nu: float):
     """(d1 - rho d2) / (1 - rho) from the log-form terms A = term(y, sigma y)
@@ -247,16 +246,14 @@ def _dlog_cross(tag: str, nu, y, sigma: float, term, ln_rho_max, d2_max,
     y; the closed small-y limit below Y_SMALL for nu >= limit_min_nu.  B is
     evaluated only where the bounds ln_rho_max and d2_max leave rho d2 able
     to change the rounded result."""
-    nu, y = np.asarray(nu, dtype=float), np.asarray(y, dtype=float)
-    shape = np.broadcast(nu, y).shape
-    # flat and contiguous from here on; the result takes the broadcast shape
-    nu, y = _flat(nu, shape), _flat(y, shape)
+    nu, y = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(y, dtype=float))
+    shape = y.shape
+    # flat from here on (a copy where broadcast); the result takes the broadcast shape
+    nu, y = nu.ravel(), y.ravel()
     if y.size and not (y.min() > 0.0 and y.max() < math.inf):
         ok = (y > 0.0) & (y < math.inf)
         raise ValueError(f"dlog_cross_{tag.lower()} requires finite y > 0, got {y[~ok][0]}")
-    if not 0.0 < sigma < math.inf or sigma == 1.0:
-        raise ValueError(
-            f"dlog_cross_{tag.lower()} requires sigma in (0,1) or (1,inf), got {sigma}")
+    check_sigma(sigma, f"dlog_cross_{tag.lower()} requires sigma in")
     # the kernel runs at (yk, sk) with sk < 1; errors name the caller's y and sigma
     yk, sk = y, sigma
     if sigma > 1.0:

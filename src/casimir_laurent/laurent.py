@@ -290,15 +290,6 @@ def prune(matrix: FitMatrix, eps_c: float = LaurentParams.eps_c) -> PruneReport:
     return PruneReport(kept=frozenset(kept), averages=averages, N1=matrix.N1, N2=matrix.N2)
 
 
-def _most_singular_kept(report: PruneReport) -> dict[tuple[int, int], int]:
-    """Window -> its most singular kept exponent; windows keeping none are absent."""
-    msk: dict[tuple[int, int], int] = {}
-    for n, n1, n2 in report.kept:
-        if (n1, n2) not in msk or n < msk[(n1, n2)]:
-            msk[(n1, n2)] = n
-    return msk
-
-
 def detect_pole_order(report: PruneReport) -> tuple[int, frozenset[tuple[int, int]]]:
     """Pole order N and the largest window rectangle agreeing on it.
 
@@ -306,16 +297,21 @@ def detect_pole_order(report: PruneReport) -> tuple[int, frozenset[tuple[int, in
     the more singular exponent, then toward the first rectangle in the scan
     order (row start, row end, column start, column end).
     """
-    msk = _most_singular_kept(report)
     rows = range(report.N1 + 1, 0)
     cols = range(1, report.N2)
-    labels = sorted(set(msk.values()))
-    if not labels:
+    # grid[i][j]: the most singular exponent window (rows[i], cols[j]) keeps,
+    # 0 (above every principal-part exponent) where it keeps none
+    grid = [[0] * len(cols) for _ in rows]
+    for n, n1, n2 in report.kept:
+        row = grid[n1 - rows.start]
+        row[n2 - 1] = min(row[n2 - 1], n)
+    grid = np.array(grid, dtype=int)
+    labels = np.unique(grid[grid < 0])
+    if not labels.size:
         raise DetectionError("no pole order is stable across any 2 x 2 window rectangle")
     # prefix[l, i, j]: windows labelled labels[l] among the first i rows and j columns
     prefix = np.zeros((len(labels), len(rows) + 1, len(cols) + 1), dtype=int)
-    prefix[:, 1:, 1:] = np.array([[[msk.get((r, c)) == lab for c in cols] for r in rows]
-                                  for lab in labels]).cumsum(1).cumsum(2)
+    prefix[:, 1:, 1:] = (grid == labels[:, None, None]).cumsum(1).cumsum(2)
     # count[l, i0, i1, j0, j1]: windows labelled labels[l] in rows i0..i1, columns j0..j1
     ri, ci = np.arange(len(rows)), np.arange(len(cols))
     band = prefix[:, ri[None, :] + 1] - prefix[:, ri[:, None]]
@@ -331,7 +327,7 @@ def detect_pole_order(report: PruneReport) -> tuple[int, frozenset[tuple[int, in
     lab, b_i0, b_i1, b_j0, b_j1 = (int(k) for k in best)
     cells = frozenset((rows[i], cols[j])
                       for i in range(b_i0, b_i1 + 1) for j in range(b_j0, b_j1 + 1))
-    return labels[lab], cells
+    return int(labels[lab]), cells
 
 
 def subtract_and_refit(matrix: FitMatrix, N: int, c_lead: float) -> list[tuple[int, float]]:

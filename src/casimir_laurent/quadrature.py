@@ -65,7 +65,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import specfun
-from .integrands import SpectrumKind, dlog_cross, vacuum_integrand
+from .integrands import SpectrumKind, check_sigma, dlog_cross, vacuum_integrand
 
 # Default relative budgets: the vacuum integral is cheap and feeds a
 # 7-significant-figure comparison; the dielectric double integral is
@@ -417,14 +417,6 @@ def _helpers(count: int) -> list:
     return _team
 
 
-def _reply(conn) -> tuple[bool, object]:
-    """A helper's next reply on conn: (True, result) or (False, exception)."""
-    try:
-        return conn.recv()
-    except EOFError:
-        raise RuntimeError("a sampling helper process ended before it replied") from None
-
-
 def _forget_team() -> list:
     """Drop this process's helper team and close its pipe ends; returns the
     team.  Runs in every process just forked, helpers included, where the
@@ -454,37 +446,44 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_team)
 
 
-def _share_chunks(team: list, jobs: list, chunks: list[int]) -> dict[int, tuple[bool, object]]:
-    """Sample the chunks jobs[i], i in chunks, on the helpers of team, one
-    chunk per idle helper, TM chunks first, because a TM sample costs more.
-    Once a chunk has failed, no chunk after it in curve order is handed out,
-    and the chunks running are waited for; every chunk before the first
-    failure in curve order is still sampled, so that it is the first failing
-    chunk whatever the helper count.  Returns {i: (True, samples) or
-    (False, exception)} for each chunk sampled.  Any other exception, an
-    interrupt say, closes the team, so that no pipe is left out of step."""
+def _on_team(team: list, tasks: list, order: Sequence[int]) -> dict[int, tuple[bool, object]]:
+    """Run tasks[i] = (function, args), i in order, on the helpers of team,
+    one task per idle helper, handed out in that order.  Once a task has
+    failed, no task after it in index order is handed out, and the tasks
+    running are waited for; every task before the first failure in index
+    order still runs, so that it is the first failing task whatever the
+    helper count.  Once every task is out, the replies are read in turn.
+    Returns {i: (True, result) or (False, exception)} for each task run.
+    A helper that ends before it replies raises RuntimeError; that or any
+    other exception, an interrupt say, closes the team, so that no pipe is
+    left out of step."""
     from multiprocessing.connection import wait
 
-    queue = sorted(chunks, key=lambda i: jobs[i][0] is not SpectrumKind.TM)
+    queue = list(order)
     idle = [conn for conn, _ in team]
     running: dict = {}
-    done: dict[int, tuple[bool, object]] = {}
-    first_failure = len(jobs)
+    replies: dict[int, tuple[bool, object]] = {}
+    first_failure = len(tasks)
     try:
-        while True:
+        while queue or running:
             while queue and idle:
                 i = queue.pop(0)
                 if i < first_failure:
-                    idle[-1].send((_sample_chunk, (jobs[i],)))
+                    idle[-1].send(tasks[i])
                     running[idle.pop()] = i
-            if not running:
-                return done
-            for conn in wait(list(running)):
+            # with tasks still queued every helper is busy: take the first to reply
+            ready = wait(list(running)) if queue else list(running)
+            for conn in ready:
                 i = running.pop(conn)
-                done[i] = _reply(conn)
+                try:
+                    replies[i] = conn.recv()
+                except EOFError:
+                    raise RuntimeError("a sampling helper process ended before it replied"
+                                       ) from None
                 idle.append(conn)
-                if not done[i][0]:
+                if not replies[i][0]:
                     first_failure = min(first_failure, i)
+        return replies
     except BaseException:
         _close_team()
         raise
@@ -510,27 +509,18 @@ def _inner_part(kind: SpectrumKind, sigma: float, rel_tol: float, nu: np.ndarray
 def _split_inner(team: list, kind: SpectrumKind, sigma: float, rel_tol: float,
                  nu: np.ndarray, g: np.ndarray, s: np.ndarray, r_max: np.ndarray,
                  name: Callable[[int], str]) -> np.ndarray:
-    """:func:`_inner` on the helpers of team: row j goes to helper j mod W,
-    W helpers in all, and each helper integrates its rows as one batch, so
+    """:func:`_inner` on the helpers of team: row j goes to part j mod W,
+    W helpers in all, and each helper integrates one part as one batch, so
     every value has the bits of the unsplit batch.  A part that fails
     returns its failing row, which `name` labels here as the unsplit batch
     would; where several parts fail, the lowest row wins, and an exception
-    raised for a part as a whole counts as its first row's.  Any other
-    exception, an interrupt say, closes the team, so that no pipe is left
-    out of step."""
+    raised for a part as a whole counts as its first row's."""
     width = len(team)
-    conns = [conn for conn, _ in team[:nu.size]]
-    try:
-        for j, conn in enumerate(conns):
-            conn.send((_inner_part, (kind, sigma, rel_tol, nu[j::width], g[j::width],
-                                     s[j::width], r_max[j::width])))
-        replies = [_reply(conn) for conn in conns]
-    except BaseException:
-        _close_team()
-        raise
+    parts = [(_inner_part, (kind, sigma, rel_tol, nu[j::width], g[j::width], s[j::width],
+                            r_max[j::width])) for j in range(min(width, nu.size))]
     out = np.empty(nu.size)
     failures = []
-    for j, (ok, result) in enumerate(replies):
+    for j, (ok, result) in _on_team(team, parts, range(len(parts))).items():
         if not ok:
             failures.append((j, result))
         elif isinstance(result, tuple):
@@ -558,7 +548,7 @@ def sample_curve(
     process's affinity mask and at most MAX_CHUNK points long, and each
     chunk is one batch.  On more than one CPU, and where the platform can
     fork, the helper team takes the dielectric work: whole chunks where
-    there are several (:func:`_share_chunks`), the inner integrals of the
+    there are several (:func:`_on_team`), the inner integrals of the
     one chunk otherwise (:func:`_split_inner`).  On one CPU the chunks are
     sampled one after another in this process.  Either way each sample is
     the one-point curve at its s, bit for bit.  The error raised is that of
@@ -570,8 +560,8 @@ def sample_curve(
     for kind in kinds:
         if not isinstance(kind, SpectrumKind):
             raise ValueError(f"no cross product for kind {kind}")
-        if kind is not SpectrumKind.VACUUM and (not 0.0 < sigma < math.inf or sigma == 1.0):
-            raise ValueError(f"sigma must lie in (0,1) or (1,inf), got {sigma}")
+        if kind is not SpectrumKind.VACUUM:
+            check_sigma(sigma)
     for s in points:
         if not 0.0 < s < math.inf:
             raise ValueError(f"sample_curve requires 0 < s < inf, got {s}")
@@ -588,7 +578,10 @@ def sample_curve(
                  for j in range(0, len(points), size)]
     chunks = [i for i, job in enumerate(jobs) if job[0] is not SpectrumKind.VACUUM]
     team = _helpers(cpus) if chunks and cpus > 1 else []
-    done = _share_chunks(team, jobs, chunks) if team and len(chunks) > 1 else {}
+    # whole chunks on the team, TM chunks first, because a TM sample costs more
+    done = _on_team(team, [(_sample_chunk, (job,)) for job in jobs],
+                    sorted(chunks, key=lambda i: jobs[i][0] is not SpectrumKind.TM)
+                    ) if team and len(chunks) > 1 else {}
     samples = []
     for i, job in enumerate(jobs):
         # in curve order, so that the first failure raised is the first in it

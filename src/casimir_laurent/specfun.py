@@ -65,8 +65,9 @@ _BOX_MAX = 2.0**30
 # and neighbour ratios they share in doubles (ln I_nu and the ratios move by
 # O(nu K_0/I_0), the even ln K_nu by O(nu^2 ln^2 t)).  Below about 6e-300,
 # t/nu, which the exponent gap needs, would overflow for arguments up to
-# _BOX_MAX.  Not 0: order 0 takes its ratios past t = _GAP_LIMIT from
-# exp(l1 - l0), which keeps fewer digits.
+# _BOX_MAX.  Not 0: scipy's kve takes another route at order 0, whose last
+# bit differs at some arguments, and the tiny orders take the values of the
+# orders just above them.
 _TINY_ORDER = 1e-290
 
 
@@ -86,12 +87,13 @@ def _eta(z):
 
 
 def _gap(nu, t):
-    """t - nu * eta(t/nu) where nu > 0, t where nu = 0 (t - 0 * eta(1)).
-    Its sqrt(1 + z^2) is hypot(1, z), which stays finite where z = t/nu
-    passes 1e154 and z*z would overflow."""
-    z = np.divide(t, nu, out=np.ones_like(t), where=nu > 0.0)
+    """t - nu * eta(t/nu) where nu > 0, and its limit 0 as nu -> 0 where
+    nu = 0.  Its sqrt(1 + z^2) is hypot(1, z), which stays finite where
+    z = t/nu passes 1e154 and z*z would overflow."""
+    pos = nu > 0.0
+    z = np.divide(t, nu, out=np.ones_like(t), where=pos)
     w = np.hypot(1.0, z)
-    return t - nu * (w + np.log(z / (1.0 + w)))
+    return np.subtract(t, nu * (w + np.log(z / (1.0 + w))), out=np.zeros_like(t), where=pos)
 
 
 def _gap_below_limit(nu_lo: float, nu_hi: float, t_lo: float, t_hi: float) -> bool:
@@ -158,7 +160,7 @@ def _log(nu, t, sign):
     where nu >= 200, the ascending series below that."""
     out = np.empty_like(t)
     rest = np.ones(t.shape, dtype=bool)
-    pair = np.flatnonzero((nu == 0.0) | (_gap(nu, t) < _GAP_LIMIT))
+    pair = np.flatnonzero(_gap(nu, t) < _GAP_LIMIT)
     v = (_ive if sign > 0.0 else _kve)(nu[pair], t[pair])
     ok = v > 0.0
     out[pair[ok]] = np.log(v[ok]) + sign * t[pair[ok]]
@@ -217,8 +219,10 @@ def log_bessel_ik(nu: ArrayLike, x: ArrayLike, t: ArrayLike | None = None):
     takes over gives a math domain error, inf or NaN, with a numpy
     RuntimeWarning; from order 200 the Debye logarithms hold, but the ratios
     exp(l1 - l0) cancel logs of that size and keep about 7 digits.  Sampling
-    reaches such arguments only for s below about 5e-8.  Orders in (0, 1e-290)
-    are evaluated at 1e-290, whose values they have in doubles.
+    reaches such arguments only for s below about 5e-8.  Order 0, whose
+    exponent gap is 0, takes the scaled pair at every argument below that.
+    Orders in (0, 1e-290) are evaluated at 1e-290, whose values they have in
+    doubles.
     """
     nu, x, t = (np.asarray(a, dtype=float) for a in (nu, x, x if t is None else t))
     if not nu.shape == x.shape == t.shape:

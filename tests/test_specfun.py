@@ -215,16 +215,19 @@ def test_log_bessel_ik_against_mpmath_past_the_scaled_pair(nu, t):
     assert_matches_mpmath(log_bessel_ik(nu, t), nu, t)
 
 
-@pytest.mark.parametrize("nu", [1e-160, 1e-200, 1e-300, 1e-307, 1e-310, 5e-324])
+@pytest.mark.parametrize("nu", [0.0, 1e-160, 1e-200, 1e-300, 1e-307, 1e-310, 5e-324])
 def test_log_bessel_ik_at_tiny_orders(nu):
     # t/nu is past 1e154, where z*z would overflow in the exponent gap, and
     # at the subnormal orders t/nu itself overflows; the gap must stay
     # finite, so that the K side takes the scaled pair and not the
     # small-argument series, which keeps only the (2/t)^nu part, and the I
-    # side not the series, which its 400 terms cut short at t = 700.  ln I
-    # is near 0 at t = 1e-3, hence the absolute tolerance there
+    # side not the series, which its 400 terms cut short at t = 700.  At
+    # order 0 the gap is its limit 0, so that the ratios past t = 620 come
+    # from the scaled pair and not from exp(l1 - l0), which misses them by
+    # ~1e-11 at t = 1e5, past approx's default absolute tolerance 1e-12.
+    # ln I is near 0 at t = 1e-3, hence the absolute tolerance there
     with mp.workdps(30):
-        for t in (1e-3, 1.0, 30.0, 700.0):
+        for t in (1e-3, 1.0, 30.0, 700.0, 1e5):
             li, q, lk, r = log_bessel_ik(nu, t)
             i0, k0 = mp.besseli(nu, t), mp.besselk(nu, t)
             assert li == pytest.approx(float(mp.log(i0)), rel=1e-15, abs=1e-15), t
@@ -288,7 +291,7 @@ def test_gap_bound_proves_only_what_the_gap_shows():
     # the box 0 < nu <= 50, t >= 1e-3 is inside, with room to spare
     assert _gap(np.array([50.0]), np.array([1e-3]))[0] < 527.0
     assert _gap_below_limit(1e-3, 50.0, 1e-3, 1e3)
-    # no proof with an order 0 (gap t there), past 2^30, or outside the gap
+    # no proof with an order 0, past 2^30, or outside the gap
     assert not _gap_below_limit(0.0, 50.0, 1e-3, 1e3)
     assert not _gap_below_limit(1.0, 50.0, 1e-3, 2.0**31)
     assert not _gap_below_limit(1.0, 1000.0, 1.0, 2.0)
