@@ -111,8 +111,9 @@ def plan_run(cfg: RunConfig, kind: SpectrumKind) -> RunPlan:
     file write; TE stands for both dielectric kinds, which share every rule.
 
     The range rules live in make_grid, LaurentParams, resolve_rel_tol,
-    DielectricSpec and PlateGeometry; their ValueError becomes a ConfigError.
-    Only the rules no constructor holds are written here.
+    DielectricSpec and PlateGeometry; their ValueError becomes a ConfigError,
+    as does a sigma too large for a float.  Only the rules no constructor
+    holds are written here.
     """
     if cfg.grid_points < 16:
         raise ConfigError(f"grid_points must be >= 16, got {cfg.grid_points}")
@@ -121,10 +122,11 @@ def plan_run(cfg: RunConfig, kind: SpectrumKind) -> RunPlan:
     dielectric = kind is not SpectrumKind.VACUUM
     if dielectric and cfg.sigma is None:
         raise ConfigError("sigma is required: pass --sigma or set the config key sigma")
-    sigma = float(cfg.sigma) if dielectric else 1.0
     try:
+        # the float sampled with is checked: an exact sigma can round to 1
+        sigma = float(cfg.sigma) if dielectric else 1.0
         if dielectric:
-            check_sigma(cfg.sigma)
+            check_sigma(sigma)
         spec = DielectricSpec.from_sigma(sigma) if dielectric else None
         scale = abs(math.log(sigma) / math.log(GRID_SIGMA)) if dielectric else 1.0
         eps_s = DEFAULT_EPS_S * scale if cfg.eps_s is None else cfg.eps_s
@@ -136,7 +138,7 @@ def plan_run(cfg: RunConfig, kind: SpectrumKind) -> RunPlan:
             rel_tol=resolve_rel_tol(kind, cfg.rel_tol),
             sigma=sigma, spec=spec,
             geom=PlateGeometry(*box) if dielectric and box != (1.0, 1.0, 1.0) else None)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.grid_points <= cfg.n2 - cfg.n1 - 1:    # coefficients of window (n1 + 1, n2 - 1)
         raise ConfigError(f"grid_points must exceed the {cfg.n2 - cfg.n1 - 1} coefficients of "

@@ -52,9 +52,9 @@ class CrossProductError(ArithmeticError):
 
 
 def check_sigma(sigma, lead: str = "sigma must lie in") -> None:
-    """Raise ValueError, `lead` followed by the domain and sigma as given (a
-    float or a Fraction), unless the contrast sigma lies in (0,1) or
-    (1,inf): at sigma = 1 both cross products vanish."""
+    """Raise ValueError, `lead` followed by the domain and sigma, unless the
+    contrast sigma lies in (0,1) or (1,inf): at sigma = 1 both cross
+    products vanish."""
     if not 0.0 < sigma < math.inf or sigma == 1.0:
         raise ValueError(f"{lead} (0,1) or (1,inf), got {sigma}")
 

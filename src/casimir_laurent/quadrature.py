@@ -23,12 +23,14 @@ together, and every nu node an outer step asks for, of every member,
 starts an inner y integral, and those advance together as well.
 
 :func:`sample_curve` is the one way in.  It checks every kind, sigma, s
-and rel_tol before the first sample, and :func:`_sample_chunk` builds and
-labels every sample.  :func:`eval_I_dielectric` is the batch of one, a
-one-point curve, as is :func:`eval_I_vacuum`.  sample_curve cuts a
-dielectric curve into contiguous chunks, one per CPU this process may run
-on (``os.sched_getaffinity``) and at most MAX_CHUNK points, and samples
-each chunk as one batch.
+and rel_tol before the first sample.  :func:`eval_I_dielectric` is the
+batch of one, a one-point curve, as is :func:`eval_I_vacuum`.  sample_curve
+cuts a dielectric curve into contiguous chunks, one per CPU this process may
+run on (``os.sched_getaffinity``) and at most MAX_CHUNK points, and samples
+each chunk as one batch in :func:`_sample_chunk`, which builds every sample
+and names every failure.  An integral that fails, here or in a helper,
+raises only its index in its batch and what went wrong (:class:`_Failed`);
+its name and its member are added on the way out, where they are known.
 
 On two or more CPUs, where the platform can fork, dielectric work goes to
 this process's team of forked helper processes, one per CPU.  The team
@@ -125,6 +127,15 @@ class QuadratureError(ArithmeticError):
     """Quadrature failed to converge or the integrand returned non-finite values."""
 
 
+class _Failed(QuadratureError):
+    """Integral `index` of a batch failed: `text`, after the integral's
+    `name` once a caller gives it.  Picklable, to cross a helper's pipe."""
+
+    def __init__(self, index: int, text: str, name: str = "") -> None:
+        super().__init__(index, text, name)
+        self.index, self.text, self.name = index, text, name
+
+
 class IntegralSample(NamedTuple):
     """One I(s) sample: its damping s, value, error estimate, kind and
     sigma (1 for vacuum).  Immutable, and as cheap to build as a tuple."""
@@ -159,12 +170,12 @@ def _running_sum(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _qk21(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
-          name: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _qk21(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """QUADPACK qk21 on the panels [a_i, b_i] of the integrals owner_i, with
     one call f(x, owner) on the (panels, 21) node array: (result, abserr,
-    resasc) per panel, in QUADPACK's order of operations.  Raises
-    QuadratureError naming the integral of the first non-finite value."""
+    resasc) per panel, in QUADPACK's order of operations.  Raises _Failed
+    for the integral of the first non-finite value."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     # the nodes are laid out node-major, each node's panels one contiguous
@@ -178,7 +189,7 @@ def _qk21(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
     fx = f(x, owner)
     if not np.isfinite(fx).all():
         i, j = divmod(int(np.flatnonzero(~np.isfinite(fx))[0]), x.shape[1])
-        raise QuadratureError(f"{name(owner[i])}: non-finite integrand at x={x[i, j]}")
+        raise _Failed(int(owner[i]), f": non-finite integrand at x={x[i, j]}")
     # node-major copy, node pairs in qk21's order (Gauss nodes first): row 0
     # is the centre, rows 1-10 and 11-20 the two nodes of each pair
     ft = fx.T[_NODES]
@@ -224,8 +235,8 @@ def _qk21(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
     return result, abserr, resasc
 
 
-def _adaptive_gk21(f: Callable, upper: np.ndarray, name: Callable[[int], str],
-                   rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _adaptive_gk21(f: Callable, upper: np.ndarray, rel_tol: float,
+                   name: str = "") -> tuple[np.ndarray, np.ndarray]:
     """Integrals i of f over (0, upper[i]), advanced in lockstep by QUADPACK's
     qag rule: each step bisects every unconverged integral's largest-error
     panel, and one f call evaluates the new panels of all of them.
@@ -234,12 +245,10 @@ def _adaptive_gk21(f: Callable, upper: np.ndarray, name: Callable[[int], str],
     panel to integrand values.  Integral i stops once its error sum is at most
     max(ABS_TOL, rel_tol * |value|) (after one panel, also unless qk21's error
     estimate is saturated).  The value is the sum of its panel list in
-    QUADPACK's order.  Returns (values, est_errors).  Raises ValueError for
-    rel_tol outside (0, 1), and QuadratureError naming `name(i)` for the
-    first integral still short of its budget at MAX_PANELS panels.
+    QUADPACK's order.  Returns (values, est_errors).  Raises _Failed for the
+    first integral still short of its budget at MAX_PANELS panels, and names
+    it, and any failure f left unnamed, `name`; rel_tol is the caller's to check.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0,1), got {rel_tol}")
     limit = MAX_PANELS
     n = upper.size
     rows = np.arange(n)
@@ -248,84 +257,90 @@ def _adaptive_gk21(f: Callable, upper: np.ndarray, name: Callable[[int], str],
     # and are never bisected
     table = np.zeros((4, n, 1))
     table[1, :, 0] = upper
-    table[2, :, 0], table[3, :, 0], resasc = _qk21(f, table[0, :, 0], upper, rows, name)
-    area, errsum = table[2, :, 0].copy(), table[3, :, 0].copy()
-    last = np.ones(n, dtype=int)
-    done = (((errsum <= np.maximum(ABS_TOL, rel_tol * np.abs(area)))
-             & (errsum != resasc)) | (errsum == 0.0))
-    while not done.all():
-        act = np.flatnonzero(~done)
-        # a slice while every integral is active, so the per-integral
-        # arrays are read and written in place
-        live = act if act.size < n else slice(None)
-        new = last[live]
-        if new.max() >= limit:
-            raise QuadratureError(f"{name(act[np.argmax(new >= limit)])} did not converge: "
-                                  f"the maximum number of subdivisions ({limit}) was reached")
-        if new.max() == table.shape[2]:
-            grow = np.zeros((4, n, min(table.shape[2], limit - table.shape[2])))
-            grow[3] = -np.inf
-            table = np.concatenate([table, grow], axis=2)
-        m = np.argmax(table[3, live], axis=1)
-        lo, hi, r0, e0 = table[:, act, m]
-        mid = 0.5 * (lo + hi)
-        ends = np.concatenate([lo, mid, hi])
-        k = act.size
-        r, e, _ = _qk21(f, ends[:2 * k], ends[k:], np.concatenate([act, act]), name)
-        r1, r2, e1, e2 = r[:k], r[k:], e[:k], e[k:]
-        errsum[live] = errsum[live] + (e1 + e2) - e0
-        area[live] = area[live] + (r1 + r2) - r0
-        # the half with the larger error takes the bisected panel's slot
-        swap = e2 > e1
-        left, right = np.array([lo, mid, r1, e1]), np.array([mid, hi, r2, e2])
-        table[:, act, m] = np.where(swap, right, left)
-        table[:, act, new] = np.where(swap, left, right)
-        last[live] = new + 1
-        done[live] = errsum[live] <= np.maximum(ABS_TOL, rel_tol * np.abs(area[live]))
-    return np.cumsum(table[2], axis=1)[rows, last - 1], errsum
+    try:
+        table[2, :, 0], table[3, :, 0], resasc = _qk21(f, table[0, :, 0], upper, rows)
+        area, errsum = table[2, :, 0].copy(), table[3, :, 0].copy()
+        last = np.ones(n, dtype=int)
+        done = (((errsum <= np.maximum(ABS_TOL, rel_tol * np.abs(area)))
+                 & (errsum != resasc)) | (errsum == 0.0))
+        while not done.all():
+            act = np.flatnonzero(~done)
+            # a slice while every integral is active, so the per-integral
+            # arrays are read and written in place
+            live = act if act.size < n else slice(None)
+            new = last[live]
+            if new.max() >= limit:
+                raise _Failed(int(act[np.argmax(new >= limit)]), " did not converge: the maximum "
+                              f"number of subdivisions ({limit}) was reached")
+            if new.max() == table.shape[2]:
+                grow = np.zeros((4, n, min(table.shape[2], limit - table.shape[2])))
+                grow[3] = -np.inf
+                table = np.concatenate([table, grow], axis=2)
+            m = np.argmax(table[3, live], axis=1)
+            lo, hi, r0, e0 = table[:, act, m]
+            mid = 0.5 * (lo + hi)
+            ends = np.concatenate([lo, mid, hi])
+            k = act.size
+            r, e, _ = _qk21(f, ends[:2 * k], ends[k:], np.concatenate([act, act]))
+            r1, r2, e1, e2 = r[:k], r[k:], e[:k], e[k:]
+            errsum[live] = errsum[live] + (e1 + e2) - e0
+            area[live] = area[live] + (r1 + r2) - r0
+            # the half with the larger error takes the bisected panel's slot
+            swap = e2 > e1
+            left, right = np.array([lo, mid, r1, e1]), np.array([mid, hi, r2, e2])
+            table[:, act, m] = np.where(swap, right, left)
+            table[:, act, new] = np.where(swap, left, right)
+            last[live] = new + 1
+            done[live] = errsum[live] <= np.maximum(ABS_TOL, rel_tol * np.abs(area[live]))
+        return np.cumsum(table[2], axis=1)[rows, last - 1], errsum
+    except _Failed as exc:   # a failure that f raised comes named
+        raise exc if exc.name else _Failed(exc.index, exc.text, name) from None
 
 
 def _inner(kind: SpectrumKind, sigma: float, rel_tol: float, nu: np.ndarray, g: np.ndarray,
-           s: np.ndarray, r_max: np.ndarray, name: Callable[[int], str]) -> np.ndarray:
+           s: np.ndarray, r_max: np.ndarray) -> np.ndarray:
     """The inner y integrals of `kind` at the orders nu, each with its mode
     threshold g, damping s and radius r_max, as one batch of
     :func:`_adaptive_gk21`: Int_0^sqrt(r_max^2 - g^2) y dlog_cross(nu, y)
-    e^{-s sqrt(g^2 + y^2)} dy.  A failure of integral i is named `name(i)`."""
+    e^{-s sqrt(g^2 + y^2)} dy.  Module-level, so that it can be sent to a
+    helper; its failures are unnamed."""
     def integrand(y, i):
         damping = np.exp(-s[i, None] * np.hypot(g[i, None], y))
         return y * dlog_cross(kind, nu[i, None], y, sigma) * damping
 
-    return _adaptive_gk21(integrand, np.sqrt(r_max * r_max - g * g), name, rel_tol)[0]
+    return _adaptive_gk21(integrand, np.sqrt(r_max * r_max - g * g), rel_tol)[0]
 
 
 def _batch(kind: SpectrumKind, sigma: float, points: Sequence[float], rel_tol: float,
-           label: Callable[[int], str], team: list | None = None
-           ) -> tuple[np.ndarray, np.ndarray]:
+           team: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The integrals of `kind` at every s of points, as one batch of
     :func:`_adaptive_gk21`: (1/3) Int_0^X(s) r^3 coth(r) e^{-s r} dr for
     vacuum; for TE and TM, outer nu integrals over [0, X(s)] of inner y
     integrals over [0, sqrt(X(s)^2 - g^2)], those of each outer step split
-    across the helper team where one is given (:func:`_split_inner`).  A
-    failure of member i is named `label(i)` plus the failing integral.
-    Returns (values, est_errors)."""
+    across the helper team where one is given (:func:`_split_inner`).
+    Returns (values, est_errors); a failure is that of its member, and
+    names the member's failing integral."""
     s = np.asarray(points, dtype=float)
     r_max = truncation_point(s)
     if kind is SpectrumKind.VACUUM:
         return _adaptive_gk21(lambda x, owner: vacuum_integrand(x) * np.exp(-s[owner, None] * x),
-                              r_max, lambda i: f"{label(i)}quadrature", rel_tol)
+                              r_max, rel_tol, "quadrature")
 
     def inner(nu: np.ndarray, member: np.ndarray) -> np.ndarray:
         g = nu if kind is SpectrumKind.TE else np.hypot(nu, 1.0)
         out = np.zeros(nu.shape)
         live = g < r_max[member, None]
         nu_l, owner = nu[live], member[np.nonzero(live)[0]]
-        rows = (kind, sigma, rel_tol, nu_l, g[live], s[owner], r_max[owner],
-                lambda i: f"{label(owner[i])}inner quadrature at nu={nu_l[i]}")
-        out[live] = _split_inner(team, *rows) if team else _inner(*rows)
+        rows = (kind, sigma, rel_tol, nu_l, g[live], s[owner], r_max[owner])
+        try:
+            out[live] = _split_inner(team, *rows) if team else _inner(*rows)
+        except _Failed as exc:   # of inner integral i, a row of member owner[i]
+            i = exc.index
+            raise _Failed(int(owner[i]), exc.text, f"inner quadrature at nu={nu_l[i]}") from None
         return out
 
-    return _adaptive_gk21(lambda nu, member: nu * inner(nu, member), r_max,
-                          lambda i: f"{label(i)}outer quadrature", rel_tol)
+    return _adaptive_gk21(lambda nu, member: nu * inner(nu, member), r_max, rel_tol,
+                          "outer quadrature")
 
 
 def _sample_chunk(job: tuple[SpectrumKind, float, int, list[float], float],
@@ -341,9 +356,9 @@ def _sample_chunk(job: tuple[SpectrumKind, float, int, list[float], float],
         return f"sample {first + i} (s={points[i]}) failed: "
 
     try:
-        values, errors = _batch(kind, sigma, points, rel_tol, label, team)
-    except QuadratureError:
-        raise
+        values, errors = _batch(kind, sigma, points, rel_tol, team)
+    except _Failed as exc:
+        raise QuadratureError(f"{label(exc.index)}{exc.name}{exc.text}") from exc
     except ArithmeticError as exc:   # the kernel's, raised for the batch as a whole
         where = label(0) if len(points) == 1 else (
             f"one of samples {first} to {first + len(points) - 1} "
@@ -489,47 +504,29 @@ def _on_team(team: list, tasks: list, order: Sequence[int]) -> dict[int, tuple[b
         raise
 
 
-def _inner_part(kind: SpectrumKind, sigma: float, rel_tol: float, nu: np.ndarray,
-                g: np.ndarray, s: np.ndarray, r_max: np.ndarray):
-    """A helper's part of an inner batch (:func:`_split_inner`): its values,
-    or (i, text) for its integral i that failed, with `text` the error
-    message that follows the integral's name."""
-    failed = []
-
-    def name(i: int) -> str:
-        failed.append(i)
-        return ""
-
-    try:
-        return _inner(kind, sigma, rel_tol, nu, g, s, r_max, name)
-    except QuadratureError as exc:
-        return failed[-1], str(exc)
-
-
 def _split_inner(team: list, kind: SpectrumKind, sigma: float, rel_tol: float,
-                 nu: np.ndarray, g: np.ndarray, s: np.ndarray, r_max: np.ndarray,
-                 name: Callable[[int], str]) -> np.ndarray:
+                 nu: np.ndarray, g: np.ndarray, s: np.ndarray, r_max: np.ndarray) -> np.ndarray:
     """:func:`_inner` on the helpers of team: row j goes to part j mod W,
     W helpers in all, and each helper integrates one part as one batch, so
-    every value has the bits of the unsplit batch.  A part that fails
-    returns its failing row, which `name` labels here as the unsplit batch
-    would; where several parts fail, the lowest row wins, and an exception
-    raised for a part as a whole counts as its first row's."""
+    every value has the bits of the unsplit batch.  A failure of integral i
+    of part j is that of row j + W i.  Where several parts fail, the lowest
+    row wins (the unsplit batch names its first to fail, not always the
+    same), and an exception raised for a part as a whole is its first row's."""
     width = len(team)
-    parts = [(_inner_part, (kind, sigma, rel_tol, nu[j::width], g[j::width], s[j::width],
-                            r_max[j::width])) for j in range(min(width, nu.size))]
+    parts = [(_inner, (kind, sigma, rel_tol, nu[j::width], g[j::width], s[j::width],
+                       r_max[j::width])) for j in range(min(width, nu.size))]
     out = np.empty(nu.size)
-    failures = []
+    failures = {}
     for j, (ok, result) in _on_team(team, parts, range(len(parts))).items():
-        if not ok:
-            failures.append((j, result))
-        elif isinstance(result, tuple):
-            row = j + width * result[0]
-            failures.append((row, QuadratureError(name(row) + result[1])))
-        else:
+        if ok:
             out[j::width] = result
+        elif isinstance(result, _Failed):
+            row = j + width * result.index
+            failures[row] = _Failed(row, result.text, result.name)
+        else:
+            failures[j] = result
     if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        raise failures[min(failures)]
     return out
 
 

@@ -607,6 +607,25 @@ def test_dielectric_rejects_unit_sigma(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma,argv,err", [
+    ("1" + "0" * 400 + "/1", [], r"configuration error: .+\n"),
+    ("99999999999999999999/100000000000000000000", ["--eps-s", "0.05", "--s-max", "1"],
+     r"configuration error: sigma must lie in \(0,1\) or \(1,inf\), got 1\.0\n"),
+], ids=["overflows", "rounds-to-1"])
+def test_exact_sigma_is_checked_as_the_float_sampled(tmp_path, monkeypatch, capsys, sigma,
+                                                     argv, err):
+    # an exact fraction too large for a float, or one that rounds to 1.0,
+    # used to escape plan_run's checks and end in a traceback with exit 1
+    calls = []
+    monkeypatch.setattr(cli, "sample_curve", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    assert main(["dielectric", "--sigma", sigma, *argv, "--grid-points", "16",
+                 "--out-dir", str(out)]) == 2
+    assert re.fullmatch(err, capsys.readouterr().err)
+    assert calls == []
+    assert not out.exists()
+
+
 def test_dielectric_requires_sigma(tmp_path, monkeypatch, capsys):
     # neither --sigma nor the config key: plan_run's rule, before any sample
     calls = []

@@ -6,6 +6,7 @@ geometric panels (dual route, no shared code with the adaptive path).
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from casimir_laurent.laurent import LaurentParams, Spacing, make_grid, regulariz
 from scipy.integrate import _quadpack_py, quad
 
 from casimir_laurent.quadrature import (_WG, _WGK, _XGK, ABS_TOL, DIELECTRIC_REL_TOL,
-                                        MAX_PANELS, VACUUM_REL_TOL, QuadratureError,
+                                        MAX_PANELS, VACUUM_REL_TOL, QuadratureError, _Failed,
                                         _adaptive_gk21, _qk21, eval_I_dielectric, eval_I_vacuum, resolve_rel_tol,
                                         sample_curve, truncation_point)
 from vacuum_oracles import vacuum_closed_form
@@ -54,16 +55,12 @@ def brute_dielectric(kind, s, sigma, n_panels=16, nodes=10):
     return float(np.sum(w_nu * nu * inner_sums))
 
 
-def member_name(i):
-    return f"member {i}"
-
-
 def decaying(f, s, upper=None):
     """Int_0^upper f(x) e^{-s x} dx on the batched rule at the vacuum budget;
     upper defaults to X(s)."""
     x_max = truncation_point(s) if upper is None else upper
     values, errors = _adaptive_gk21(lambda x, owner: f(x) * np.exp(-s * x),
-                                    np.array([x_max]), member_name, VACUUM_REL_TOL)
+                                    np.array([x_max]), VACUUM_REL_TOL)
     return values[0], errors[0]
 
 
@@ -148,8 +145,7 @@ def test_config_validation():
     # every entry point resolves its rel_tol before the first integrand call
     for call in (lambda: eval_I_vacuum(1.0, math.nan),
                  lambda: sample_curve(SpectrumKind.VACUUM, 1.0, [0.5], 0.0),
-                 lambda: eval_I_dielectric(SpectrumKind.TE, 1.0, SIGMA, 2.0),
-                 lambda: _adaptive_gk21(lambda x, owner: x, np.ones(1), member_name, math.nan)):
+                 lambda: eval_I_dielectric(SpectrumKind.TE, 1.0, SIGMA, 2.0)):
         with pytest.raises(ValueError, match=r"rel_tol must lie in \(0,1\)"):
             call()
 
@@ -184,7 +180,7 @@ def damped_cubic(b, s):
 
 def test_batched_rule_matches_closed_forms():
     values, errors = _adaptive_gk21(lambda x, owner: x**3 * np.exp(-0.5 * x),
-                                    BATCH_UPPER, member_name, BATCH_REL_TOL)
+                                    BATCH_UPPER, BATCH_REL_TOL)
     for b, value, err in zip(BATCH_UPPER, values, errors):
         assert value == pytest.approx(damped_cubic(b, 0.5), rel=1e-12)
         assert 0.0 < err <= BATCH_REL_TOL * value
@@ -199,8 +195,7 @@ def test_batched_rule_matches_scipy_quad(f):
     # The same qk21 rule and stopping test: equal values to rounding.  The
     # error estimate is a running sum from which the bisected panels' errors
     # are subtracted, so it matches to rounding of the first estimate.
-    values, errors = _adaptive_gk21(lambda x, owner: f(x), BATCH_UPPER, member_name,
-                                    BATCH_REL_TOL)
+    values, errors = _adaptive_gk21(lambda x, owner: f(x), BATCH_UPPER, BATCH_REL_TOL)
     for b, value, err in zip(BATCH_UPPER, values, errors):
         ref, ref_err = quad(f, 0.0, b, epsabs=ABS_TOL, epsrel=BATCH_REL_TOL,
                             limit=MAX_PANELS)
@@ -257,7 +252,7 @@ def test_qk21_sums_in_quadpack_order(panels):
         seen.append(x)
         return fx
 
-    got = _qk21(f, a, b, np.arange(panels), member_name)
+    got = _qk21(f, a, b, np.arange(panels))
     hlgth = 0.5 * (b - a)
     assert np.array_equal(seen[0][:, 20], 0.5 * (a + b))
     assert np.array_equal(seen[0][:, :10], 0.5 * (a + b)[:, None] - hlgth[:, None] * _XGK[:10])
@@ -278,12 +273,12 @@ def test_batched_rule_grows_its_tables():
             calls.append(x.shape)
             return f(x, np.full(owner.shape, i))
 
-        value, err = _adaptive_gk21(member_i, np.ones(1), member_name, BATCH_REL_TOL)
+        value, err = _adaptive_gk21(member_i, np.ones(1), BATCH_REL_TOL)
         return value[0], err[0], len(calls)   # a lone integral: one call per panel
 
     (v0, e0, panels0), (v1, e1, panels1) = alone(0), alone(1)
     assert panels0 == 1 and panels1 > 16
-    values, errors = _adaptive_gk21(f, np.ones(2), member_name, BATCH_REL_TOL)
+    values, errors = _adaptive_gk21(f, np.ones(2), BATCH_REL_TOL)
     assert (values[0], errors[0], values[1], errors[1]) == (v0, e0, v1, e1)
 
 
@@ -292,16 +287,21 @@ def test_batched_rule_names_the_member_that_cannot_converge():
     def f(x, owner):
         return np.where(owner[:, None] == 1, x**-0.9, x * x)
 
-    with pytest.raises(QuadratureError, match=r"^member 1 did not converge"):
-        _adaptive_gk21(f, np.ones(3), member_name, BATCH_REL_TOL)
+    with pytest.raises(_Failed) as exc:
+        _adaptive_gk21(f, np.ones(3), BATCH_REL_TOL, "member")
+    assert (exc.value.index, exc.value.name) == (1, "member")
+    assert exc.value.text == (" did not converge: the maximum number of subdivisions "
+                              f"({MAX_PANELS}) was reached")
 
 
 def test_batched_rule_rejects_non_finite_values():
     def f(x, owner):
         return np.where((owner[:, None] == 2) & (x > 0.5), math.nan, x)
 
-    with pytest.raises(QuadratureError, match=r"^member 2: non-finite integrand at x=0\.99"):
-        _adaptive_gk21(f, np.ones(3), member_name, BATCH_REL_TOL)
+    with pytest.raises(_Failed) as exc:
+        _adaptive_gk21(f, np.ones(3), BATCH_REL_TOL, "member")
+    assert (exc.value.index, exc.value.name) == (2, "member")
+    assert exc.value.text.startswith(": non-finite integrand at x=0.99")
 
 
 @pytest.mark.parametrize("kind,s,sigma", [(SpectrumKind.TE, 0.3, SIGMA),
@@ -388,6 +388,30 @@ def test_dielectric_inner_nonconvergence_raises(kind, monkeypatch):
         with pytest.raises(QuadratureError, match=r"^sample 0 \(s=0\.5\) failed: inner "
                                                   r"quadrature at nu=\S+ did not converge") as exc:
             eval_I_dielectric(kind, 0.5, SIGMA)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert len(quadrature._team) == 2
+
+
+def test_split_inner_batch_names_a_later_row(monkeypatch):
+    # NaN at one node of the first outer step, whose inner integral is row 3
+    # of 21: on two helpers that is integral 1 of part 1 (rows 1, 3, 5, ...),
+    # and the error must name that node's nu on two CPUs as on one
+    import casimir_laurent.quadrature as quadrature
+
+    half = 0.5 * truncation_point(0.5)
+    node = half - quadrature._XGK[3] * half
+
+    def poisoned(kind, nu, y, sigma):
+        return np.where(nu == node, math.nan, np.ones(np.broadcast(nu, y).shape))
+
+    monkeypatch.setattr(quadrature, "dlog_cross", poisoned)
+    errors = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        with pytest.raises(QuadratureError, match=r"^sample 0 \(s=0\.5\) failed: inner quadrature "
+                           rf"at nu={re.escape(str(node))}: non-finite integrand at x=") as exc:
+            eval_I_dielectric(SpectrumKind.TE, 0.5, SIGMA)
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
     assert len(quadrature._team) == 2
@@ -640,7 +664,7 @@ def test_vacuum_damping_shift_identity():
     def integrand(x, owner):
         return vacuum_integrand(x) * np.exp(-s[owner, None] * np.sqrt(x * x + 1.0))
 
-    shifted, _ = _adaptive_gk21(integrand, truncation_point(s), lambda j: f"s={s[j]}", 1e-11)
+    shifted, _ = _adaptive_gk21(integrand, truncation_point(s), 1e-11)
     diff = shifted - np.array([vacuum_closed_form(float(v)) for v in s])
     result = regularize((s, diff), LaurentParams(N2=12))
     assert result.pole_order == -2

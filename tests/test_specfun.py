@@ -90,8 +90,8 @@ def test_k_series_stops_at_the_last_positive_order():
     _, _, lk, r = log_bessel_ik(1.2, 1e-250)
     nu, t = mp.mpf(1.2), mp.mpf(1e-250)
     k = mp.besselk(nu, t)
-    assert lk == pytest.approx(float(mp.log(k)), rel=1e-15)
-    assert r == pytest.approx(float(mp.besselk(nu - 1, t) / k), rel=1e-12)
+    assert lk == pytest.approx(float(mp.log(k)), rel=1e-15, abs=0)
+    assert r == pytest.approx(float(mp.besselk(nu - 1, t) / k), rel=1e-12, abs=0)
 
 
 def test_i_derivative_recurrence_symmetry():
@@ -231,9 +231,9 @@ def test_log_bessel_ik_at_tiny_orders(nu):
             li, q, lk, r = log_bessel_ik(nu, t)
             i0, k0 = mp.besseli(nu, t), mp.besselk(nu, t)
             assert li == pytest.approx(float(mp.log(i0)), rel=1e-15, abs=1e-15), t
-            assert q == pytest.approx(float(mp.besseli(nu + 1, t) / i0), rel=1e-15), t
-            assert lk == pytest.approx(float(mp.log(k0)), rel=1e-15), t
-            assert r == pytest.approx(float(mp.besselk(1 - nu, t) / k0), rel=1e-15), t
+            assert q == pytest.approx(float(mp.besseli(nu + 1, t) / i0), rel=1e-15, abs=0), t
+            assert lk == pytest.approx(float(mp.log(k0)), rel=1e-15, abs=0), t
+            assert r == pytest.approx(float(mp.besselk(1 - nu, t) / k0), rel=1e-15, abs=0), t
 
 
 def test_log_bessel_ik_survives_extreme_order():
