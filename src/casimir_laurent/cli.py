@@ -34,7 +34,8 @@ from .integrands import SpectrumKind, check_sigma
 from .laurent import (LaurentParams, RegularizationError, RegularizationResult,
                       SGrid, make_grid, regularize)
 from .physics import DielectricSpec, PlateGeometry, force_report
-from .quadrature import IntegralSample, QuadratureError, resolve_rel_tol, sample_curve
+from .quadrature import (IntegralSample, QuadratureError, check_reach, resolve_rel_tol,
+                         sample_curve)
 
 # Vacuum comparison constants: the exact zeta-regularized coefficient and
 # the pipeline regression baseline used by the acceptance tests.
@@ -110,10 +111,10 @@ def plan_run(cfg: RunConfig, kind: SpectrumKind) -> RunPlan:
     """Check every value of cfg for curves of `kind`, before any sampling or
     file write; TE stands for both dielectric kinds, which share every rule.
 
-    The range rules live in make_grid, LaurentParams, resolve_rel_tol,
-    DielectricSpec and PlateGeometry; their ValueError becomes a ConfigError,
-    as does a sigma too large for a float.  Only the rules no constructor
-    holds are written here.
+    The range rules live in check_sigma, check_reach, make_grid,
+    LaurentParams, resolve_rel_tol, DielectricSpec and PlateGeometry; their
+    ValueError becomes a ConfigError, as does a sigma too large for a float.
+    Only the rules no constructor holds are written here.
     """
     if cfg.grid_points < 16:
         raise ConfigError(f"grid_points must be >= 16, got {cfg.grid_points}")
@@ -131,9 +132,12 @@ def plan_run(cfg: RunConfig, kind: SpectrumKind) -> RunPlan:
         scale = abs(math.log(sigma) / math.log(GRID_SIGMA)) if dielectric else 1.0
         eps_s = DEFAULT_EPS_S * scale if cfg.eps_s is None else cfg.eps_s
         s_max = DEFAULT_S_MAX * scale if cfg.s_max is None else cfg.s_max
+        grid = make_grid(eps_s, s_max, cfg.grid_points, cfg.spacing)
+        if dielectric:
+            check_reach(sigma, eps_s)
         box = (cfg.lx, cfg.ly, cfg.lz)
         plan = RunPlan(
-            grid=make_grid(eps_s, s_max, cfg.grid_points, cfg.spacing),
+            grid=grid,
             params=LaurentParams(N1=cfg.n1, N2=cfg.n2, eps_c=cfg.eps_c),
             rel_tol=resolve_rel_tol(kind, cfg.rel_tol),
             sigma=sigma, spec=spec,

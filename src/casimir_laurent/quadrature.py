@@ -14,9 +14,10 @@ many integrals advance in lockstep, each bisecting its own largest-error
 panel, with one integrand call per step for all of them.  Every step works
 row by row, so an integral's bits do not depend on what else is in its
 batch.  The per-step cost beside the integrand is a few whole-array
-operations: qk21's four sums are running sums down stacked node-major
-rows, in QUADPACK's order of addition, and the panel tables are one array,
-read and written once per step, in place while every integral is active.
+operations: qk21's terms are whole-array products over node-major rows, one
+element per panel, added to its four sums a row at a time in QUADPACK's
+order, and the panel tables are one array, read and written once per step,
+in place while every integral is active.
 A batch (:func:`_batch`) has a member per damping s: a vacuum member is
 one integral; the outer nu integrals of dielectric members advance
 together, and every nu node an outer step asks for, of every member,
@@ -42,10 +43,13 @@ chunks to the helpers.  A call with one chunk, such as a lone point, runs
 its outer nu integrals here and sends each outer step's inner y integrals
 to the helpers in interleaved parts.  Vacuum batches stay in this process.
 A sample's value and error estimate are the same bits whatever the CPU
-count; ``taskset -c 0`` gives a serial run in this process, which starts
-no other.  Helpers run the module state as it was when they were forked:
-a module attribute changed later (a kernel or MAX_PANELS, say) reaches
-them only once the team is closed and the next call forks a new one.
+count, and so is a failure: once a helper reports one, no more work is
+handed out, and what has no reply, a failed inner batch included, is run
+again in this process.  ``taskset -c 0`` gives a serial run in this
+process, which starts no other.  Helpers run the module state as it was
+when they were forked: a module attribute changed later (a kernel or
+MAX_PANELS, say) reaches them only once the team is closed and the next
+call forks a new one.
 
 The dielectric integrand is y * dlog_cross weighted by the damping
 exp(-s * sqrt(g^2 + y^2)) with g = nu (TE) or g = sqrt(nu^2 + 1) (TM):
@@ -109,16 +113,8 @@ _WG = np.array([
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338])
-# qk21 sums its node pairs Gauss nodes first.  _PAIR_ORDER lists the pairs
-# in that order; _NODES picks the centre, then the left and then the right
-# node of each pair in that order, from the 21 nodes as _qk21 lays them out;
-# _WGK_PAIRS and _WG_PAIRS are the pairs' weights in that order, and
-# _PAIR_OF_NODE[j] is the position of pair j in it.
-_PAIR_ORDER = np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 8])
-_NODES = np.concatenate([[20], _PAIR_ORDER, 10 + _PAIR_ORDER])
-_WGK_PAIRS = _WGK[_PAIR_ORDER, None]
-_WG_PAIRS = _WG[:, None]
-_PAIR_OF_NODE = np.argsort(_PAIR_ORDER)
+# qk21 adds its node pairs Gauss nodes first, in this order.
+_PAIR_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
 _EPMACH = float(np.finfo(float).eps)
 _UFLOW = float(np.finfo(float).tiny)
 
@@ -161,25 +157,29 @@ def truncation_point(s: float) -> float:
     return (-math.log(TAIL_TOL) + 20.0) / s
 
 
-def _running_sum(rows: np.ndarray) -> np.ndarray:
-    """rows[j] += rows[j - 1] for j = 1, 2, ... in turn, in place: each
-    element of the last row is then the sum of its column in QUADPACK's
-    order (np.add.reduce would add a contiguous column pairwise)."""
-    for prev, row in zip(rows[:-1], rows[1:]):
-        row += prev
-    return rows
+def check_reach(sigma: float, s: float) -> None:
+    """Raise ValueError unless a dielectric sample at damping s and contrast
+    sigma keeps every kernel argument, at most max(1, sigma) * X(s), within
+    2^30, the range of specfun.log_bessel_ik."""
+    reach = max(1.0, sigma) * truncation_point(s)
+    if not reach <= specfun._BOX_MAX:
+        raise ValueError(f"sigma={sigma} and s={s} reach kernel arguments of {reach}, past "
+                         "2^30, the argument range of log_bessel_ik")
 
 
 def _qk21(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """QUADPACK qk21 on the panels [a_i, b_i] of the integrals owner_i, with
     one call f(x, owner) on the (panels, 21) node array: (result, abserr,
-    resasc) per panel, in QUADPACK's order of operations.  Raises _Failed
-    for the integral of the first non-finite value."""
+    resasc) per panel, in QUADPACK's order of operations.  Its sums are
+    QUADPACK's, added in place a node-major row at a time: np.add.reduce
+    would add a panel's column pairwise.  Raises _Failed for the integral
+    of the first non-finite value."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     # the nodes are laid out node-major, each node's panels one contiguous
-    # row, and f sees the (panels, 21) transpose
+    # row (row k < 10 the left node of pair k, row 10 + k its right node,
+    # row 20 the centre), and f sees the (panels, 21) transpose
     xt = np.empty((21, a.size))
     absc = np.multiply(_XGK[:10, None], hlgth, out=xt[10:20])
     np.subtract(centr, absc, out=xt[:10])
@@ -190,34 +190,25 @@ def _qk21(f: Callable, a: np.ndarray, b: np.ndarray, owner: np.ndarray
     if not np.isfinite(fx).all():
         i, j = divmod(int(np.flatnonzero(~np.isfinite(fx))[0]), x.shape[1])
         raise _Failed(int(owner[i]), f": non-finite integrand at x={x[i, j]}")
-    # node-major copy, node pairs in qk21's order (Gauss nodes first): row 0
-    # is the centre, rows 1-10 and 11-20 the two nodes of each pair
-    ft = fx.T[_NODES]
-    fc, fv1, fv2 = ft[0], ft[1:11], ft[11:]
-    # the Kronrod, |f| and Gauss terms side by side, each summed down the
-    # rows in qk21's order; resg starts from +0
-    sums = np.empty((11, 3, fc.size))
-    np.multiply(_WGK[10], fc, out=sums[0, 0])
-    np.abs(sums[0, 0], out=sums[0, 1])
-    sums[0, 2] = 0.0
-    fsum = np.add(fv1, fv2, out=sums[1:, 0])
-    np.multiply(_WG_PAIRS, fsum[:5], out=sums[1:6, 2])
-    sums[6:, 2] = 0.0
-    fsum *= _WGK_PAIRS
-    np.abs(fv1, out=sums[1:, 1])
-    sums[1:, 1] += np.abs(fv2)
-    sums[1:, 1] *= _WGK_PAIRS
-    _running_sum(sums)
-    resk, resabs, resg = sums[10, 0], sums[10, 1], sums[5, 2]
+    ft = fx.T
+    fv1, fv2, fc = ft[:10], ft[10:20], ft[20]
+    fsum = fv1 + fv2
+    kterm = _WGK[:10, None] * fsum
+    aterm = _WGK[:10, None] * (np.abs(fv1) + np.abs(fv2))
+    gterm = _WG[:, None] * fsum[1::2]
+    resk = _WGK[10] * fc
+    resabs = np.abs(resk)
+    resg = np.zeros(fc.size)
+    for j in _PAIR_ORDER:
+        resk += kterm[j]
+        resabs += aterm[j]
+    for term in gterm:
+        resg += term
     reskh = resk * 0.5
-    # resasc adds w * (|fv1 - reskh| + |fv2 - reskh|) in node order instead
-    dev = np.abs(np.subtract(fv1, reskh, out=fv1), out=fv1)
-    dev += np.abs(np.subtract(fv2, reskh, out=fv2), out=fv2)
-    dev *= _WGK_PAIRS
-    asc = np.empty((11, fc.size))
-    np.multiply(_WGK[10], np.abs(fc - reskh), out=asc[0])
-    np.take(dev, _PAIR_OF_NODE, axis=0, out=asc[1:])
-    resasc = _running_sum(asc)[10]
+    dev = _WGK[:10, None] * (np.abs(fv1 - reskh) + np.abs(fv2 - reskh))
+    resasc = _WGK[10] * np.abs(fc - reskh)
+    for term in dev:
+        resasc += term
     dhlgth = np.abs(hlgth)
     result = resk * hlgth
     resabs = resabs * dhlgth
@@ -463,29 +454,25 @@ if hasattr(os, "register_at_fork"):
 
 def _on_team(team: list, tasks: list, order: Sequence[int]) -> dict[int, tuple[bool, object]]:
     """Run tasks[i] = (function, args), i in order, on the helpers of team,
-    one task per idle helper, handed out in that order.  Once a task has
-    failed, no task after it in index order is handed out, and the tasks
-    running are waited for; every task before the first failure in index
-    order still runs, so that it is the first failing task whatever the
-    helper count.  Once every task is out, the replies are read in turn.
-    Returns {i: (True, result) or (False, exception)} for each task run.
-    A helper that ends before it replies raises RuntimeError; that or any
-    other exception, an interrupt say, closes the team, so that no pipe is
-    left out of step."""
+    one task per idle helper, handed out in that order.  Once any task has
+    failed no more are handed out, and the tasks running are waited for;
+    once every task is out, the replies are read in turn.  Returns
+    {i: (True, result) or (False, exception)} for each task run, so a task
+    with no reply is the caller's to run.  A helper that ends before it
+    replies raises RuntimeError; that or any other exception, an interrupt
+    say, closes the team, so that no pipe is left out of step."""
     from multiprocessing.connection import wait
 
     queue = list(order)
     idle = [conn for conn, _ in team]
     running: dict = {}
     replies: dict[int, tuple[bool, object]] = {}
-    first_failure = len(tasks)
     try:
         while queue or running:
             while queue and idle:
                 i = queue.pop(0)
-                if i < first_failure:
-                    idle[-1].send(tasks[i])
-                    running[idle.pop()] = i
+                idle[-1].send(tasks[i])
+                running[idle.pop()] = i
             # with tasks still queued every helper is busy: take the first to reply
             ready = wait(list(running)) if queue else list(running)
             for conn in ready:
@@ -497,7 +484,7 @@ def _on_team(team: list, tasks: list, order: Sequence[int]) -> dict[int, tuple[b
                                        ) from None
                 idle.append(conn)
                 if not replies[i][0]:
-                    first_failure = min(first_failure, i)
+                    queue.clear()
         return replies
     except BaseException:
         _close_team()
@@ -508,25 +495,23 @@ def _split_inner(team: list, kind: SpectrumKind, sigma: float, rel_tol: float,
                  nu: np.ndarray, g: np.ndarray, s: np.ndarray, r_max: np.ndarray) -> np.ndarray:
     """:func:`_inner` on the helpers of team: row j goes to part j mod W,
     W helpers in all, and each helper integrates one part as one batch, so
-    every value has the bits of the unsplit batch.  A failure of integral i
-    of part j is that of row j + W i.  Where several parts fail, the lowest
-    row wins (the unsplit batch names its first to fail, not always the
-    same), and an exception raised for a part as a whole is its first row's."""
+    every value has the bits of the unsplit batch.  Where a part fails with
+    an ArithmeticError, the unsplit batch runs in this process and raises
+    what a one-CPU run raises; any other exception of a part is raised as
+    it is."""
     width = len(team)
     parts = [(_inner, (kind, sigma, rel_tol, nu[j::width], g[j::width], s[j::width],
                        r_max[j::width])) for j in range(min(width, nu.size))]
-    out = np.empty(nu.size)
-    failures = {}
-    for j, (ok, result) in _on_team(team, parts, range(len(parts))).items():
-        if ok:
-            out[j::width] = result
-        elif isinstance(result, _Failed):
-            row = j + width * result.index
-            failures[row] = _Failed(row, result.text, result.name)
-        else:
-            failures[j] = result
+    replies = _on_team(team, parts, range(len(parts)))
+    failures = [result for ok, result in replies.values() if not ok]
+    for exc in failures:
+        if not isinstance(exc, ArithmeticError):
+            raise exc
     if failures:
-        raise failures[min(failures)]
+        return _inner(kind, sigma, rel_tol, nu, g, s, r_max)
+    out = np.empty(nu.size)
+    for j, (_, result) in replies.items():
+        out[j::width] = result
     return out
 
 
@@ -539,18 +524,19 @@ def sample_curve(
     """One IntegralSample per kind and grid point: the curve of each kind in
     the order given, each in grid order.
 
-    Every kind, sigma, s and rel_tol is checked before any sample or helper
-    starts.  A vacuum curve is one batch, sampled in this process.  A
-    dielectric curve is cut into contiguous chunks, one per CPU in this
-    process's affinity mask and at most MAX_CHUNK points long, and each
-    chunk is one batch.  On more than one CPU, and where the platform can
-    fork, the helper team takes the dielectric work: whole chunks where
-    there are several (:func:`_on_team`), the inner integrals of the
-    one chunk otherwise (:func:`_split_inner`).  On one CPU the chunks are
-    sampled one after another in this process.  Either way each sample is
-    the one-point curve at its s, bit for bit.  The error raised is that of
-    the first failing chunk in curve order, and names the first of its
-    samples to fail, which need not be its lowest failing index.
+    Every kind, sigma, s and rel_tol, and the reach of a dielectric curve
+    (:func:`check_reach`), is checked before any sample or helper starts.
+    A vacuum curve is one batch, sampled in this process.  A dielectric
+    curve is cut into contiguous chunks, one per CPU in this process's
+    affinity mask and at most MAX_CHUNK points long, and each chunk is one
+    batch.  On more than one CPU, and where the platform can fork, the
+    helper team takes the dielectric work: whole chunks where there are
+    several (:func:`_on_team`), the inner integrals of the one chunk
+    otherwise (:func:`_split_inner`).  On one CPU the chunks are sampled one
+    after another in this process.  Either way each sample is the one-point
+    curve at its s, bit for bit.  The error raised is that of the first
+    failing chunk in curve order, and names the first of its samples to
+    fail, which need not be its lowest failing index.
     """
     points = [float(s) for s in getattr(grid, "points", grid)]
     kinds = kinds if isinstance(kinds, tuple) else (kinds,)
@@ -562,6 +548,8 @@ def sample_curve(
     for s in points:
         if not 0.0 < s < math.inf:
             raise ValueError(f"sample_curve requires 0 < s < inf, got {s}")
+    if points and any(kind is not SpectrumKind.VACUUM for kind in kinds):
+        check_reach(sigma, min(points))
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else 1
     jobs = []

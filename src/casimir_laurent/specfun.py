@@ -219,10 +219,10 @@ def log_bessel_ik(nu: ArrayLike, x: ArrayLike, t: ArrayLike | None = None):
     takes over gives a math domain error, inf or NaN, with a numpy
     RuntimeWarning; from order 200 the Debye logarithms hold, but the ratios
     exp(l1 - l0) cancel logs of that size and keep about 7 digits.  Sampling
-    reaches such arguments only for s below about 5e-8.  Order 0, whose
-    exponent gap is 0, takes the scaled pair at every argument below that.
-    Orders in (0, 1e-290) are evaluated at 1e-290, whose values they have in
-    doubles.
+    refuses a curve that would reach them (quadrature.check_reach).  Order
+    0, whose exponent gap is 0, takes the scaled pair at every argument
+    below that.  Orders in (0, 1e-290) are evaluated at 1e-290, whose values
+    they have in doubles.
     """
     nu, x, t = (np.asarray(a, dtype=float) for a in (nu, x, x if t is None else t))
     if not nu.shape == x.shape == t.shape:

@@ -626,6 +626,27 @@ def test_exact_sigma_is_checked_as_the_float_sampled(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--sigma", "1.5e308"],
+    ["--sigma", "1e300"],
+    ["--sigma", "8/27", "--eps-s", "1e-9", "--s-max", "2e-9"],
+], ids=["sigma-1.5e308", "sigma-1e300", "eps-s-1e-9"])
+def test_kernel_arguments_past_two_to_the_thirty_rejected_before_sampling(tmp_path, monkeypatch,
+                                                                          capsys, argv):
+    # max(1, sigma) * X(eps_s) past 2^30, the range of log_bessel_ik: the two
+    # large contrasts used to end in a traceback (exit 1), the small damping
+    # in a quadrature failure after sampling (exit 3)
+    calls = []
+    monkeypatch.setattr(cli, "sample_curve", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    assert main(["dielectric", *argv, "--grid-points", "16", "--out-dir", str(out)]) == 2
+    assert re.fullmatch(r"configuration error: sigma=\S+ and s=\S+ reach kernel arguments of "
+                        r"\S+, past 2\^30, the argument range of log_bessel_ik\n",
+                        capsys.readouterr().err)
+    assert calls == []
+    assert not out.exists()
+
+
 def test_dielectric_requires_sigma(tmp_path, monkeypatch, capsys):
     # neither --sigma nor the config key: plan_run's rule, before any sample
     calls = []

@@ -7,6 +7,7 @@ geometric panels (dual route, no shared code with the adaptive path).
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from scipy.integrate import _quadpack_py, quad
 
 from casimir_laurent.quadrature import (_WG, _WGK, _XGK, ABS_TOL, DIELECTRIC_REL_TOL,
                                         MAX_PANELS, VACUUM_REL_TOL, QuadratureError, _Failed,
-                                        _adaptive_gk21, _qk21, eval_I_dielectric, eval_I_vacuum, resolve_rel_tol,
-                                        sample_curve, truncation_point)
+                                        _adaptive_gk21, _qk21, check_reach, eval_I_dielectric, eval_I_vacuum,
+                                        resolve_rel_tol, sample_curve, truncation_point)
 from vacuum_oracles import vacuum_closed_form
 
 SIGMA = 8.0 / 27.0
@@ -417,6 +418,37 @@ def test_split_inner_batch_names_a_later_row(monkeypatch):
     assert len(quadrature._team) == 2
 
 
+def test_split_inner_failure_is_the_unsplit_batch_failure(monkeypatch):
+    # NaN at every y for row 5 of the first outer step's inner batch, and for
+    # row 2 only at y in (0.2, 0.215) of its upper limit, which no node of
+    # its first panel reaches.  The unsplit batch fails at its first step, in
+    # row 5; on two helpers part 0 (rows 0, 2, 4, ...) runs on to row 2's
+    # failure at a later step.  Both CPU counts must name row 5's nu
+    import casimir_laurent.quadrature as quadrature
+
+    reach = truncation_point(0.5)
+    half = 0.5 * reach
+    row5, row2 = half - quadrature._XGK[5] * half, half - quadrature._XGK[2] * half
+    upper2 = math.sqrt(reach * reach - row2 * row2)
+
+    def poisoned(kind, nu, y, sigma):
+        shape = np.broadcast(nu, y).shape
+        nu, y = np.broadcast_to(nu, shape), np.broadcast_to(y, shape)
+        bad = (nu == row5) | ((nu == row2) & (y > 0.2 * upper2) & (y < 0.215 * upper2))
+        return np.where(bad, math.nan, 1.0)
+
+    monkeypatch.setattr(quadrature, "dlog_cross", poisoned)
+    errors = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        with pytest.raises(QuadratureError, match=r"^sample 0 \(s=0\.5\) failed: inner quadrature "
+                           r"at nu=16\.00823637090501: non-finite integrand at x=") as exc:
+            eval_I_dielectric(SpectrumKind.TE, 0.5, SIGMA)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert len(quadrature._team) == 2
+
+
 def test_dielectric_domain():
     with pytest.raises(ValueError):
         eval_I_dielectric(SpectrumKind.VACUUM, 1.0, SIGMA)
@@ -525,6 +557,47 @@ def test_dielectric_curve_names_first_failing_index(monkeypatch, tmp_path):
     assert not (tmp_path / "started-29").exists()
 
 
+def test_mixed_kind_curve_names_the_first_failing_chunk(monkeypatch, tmp_path):
+    # TE and TM curves of six points in chunks of two: TE chunks 0-2, then
+    # TM chunks 3-5 in curve order, TM handed out first.  The stand-in
+    # kernel is NaN for TM at sample 0 at once, and for TE at sample 3;
+    # sample 2 of each kind starts 0.25 s late, so TM sample 0 has failed
+    # while every TE chunk is still queued.  No chunk is handed out after
+    # that failure, the TE chunks run here in curve order, and both CPU
+    # counts name TE sample 3, the first failure in curve order.  TE samples
+    # 4 and 5 never start (a helper freed by TM sample 2 would take them)
+    import casimir_laurent.quadrature as quadrature
+
+    grid = [0.5, 0.55, 0.6, 0.65, 0.7, 0.75]
+    reach = truncation_point(np.array(grid))
+    top = 0.5 * reach + (0.5 * reach) * quadrature._XGK[0]   # each sample's largest first node
+
+    def poisoned(kind, nu, y, sigma):
+        new = [j for j in range(len(grid)) if np.any(nu == top[j])
+               and not (tmp_path / f"started-{kind.value}-{j}").exists()]
+        for j in new:
+            (tmp_path / f"started-{kind.value}-{j}").touch()
+        if 2 in new:
+            time.sleep(0.25)
+        bad = (nu == top[0]) if kind is SpectrumKind.TM else (nu == top[3])
+        return np.where(bad, math.nan, np.ones(np.broadcast(nu, y).shape))
+
+    monkeypatch.setattr(quadrature, "dlog_cross", poisoned)
+    monkeypatch.setattr(quadrature, "MAX_CHUNK", 2)
+    errors = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        for started in tmp_path.glob("started-*"):
+            started.unlink()
+        with pytest.raises(QuadratureError, match=r"^sample 3 \(s=0\.65\) failed: inner quadrature "
+                                                  r"at nu=\S+: non-finite integrand at x=") as exc:
+            sample_curve((SpectrumKind.TE, SpectrumKind.TM), SIGMA, grid)
+        errors.append(str(exc.value))
+        assert (tmp_path / "started-tm-0").exists() == (count == 2)
+        assert not (tmp_path / "started-te-4").exists()
+    assert errors[0] == errors[1]
+
+
 def test_dielectric_curve_names_the_chunk_of_a_kernel_error(monkeypatch):
     # the kernel raises for its whole array, so a batch cannot tell which
     # member failed: the error names the chunk, as a QuadratureError (exit 3)
@@ -619,8 +692,10 @@ def test_single_point_kernel_error_names_the_sample(monkeypatch):
     ("te", SIGMA, [0.5, 0.6]),
     ((SpectrumKind.TE, "tm"), SIGMA, [0.5, 0.6]),
     ((SpectrumKind.TM, SpectrumKind.TE), SIGMA, [0.5, -0.6]),
+    (SpectrumKind.TE, SIGMA, [0.5, 1e-9]),
+    ((SpectrumKind.VACUUM, SpectrumKind.TM), 1e300, [0.5, 0.6]),
 ], ids=["sigma-1", "sigma-0", "sigma-nan", "sigma-inf", "s-nan", "s-inf", "s-0", "kind",
-        "second-kind", "both-kinds-s"])
+        "second-kind", "both-kinds-s", "reach-small-s", "reach-large-sigma"])
 def test_dielectric_curve_checks_before_any_sample(kind, sigma, grid, monkeypatch):
     import casimir_laurent.quadrature as quadrature
 
@@ -630,8 +705,19 @@ def test_dielectric_curve_checks_before_any_sample(kind, sigma, grid, monkeypatc
     for name in ("eval_I_dielectric", "_sample_chunk", "_batch", "_helpers"):
         monkeypatch.setattr(quadrature, name, refuse)
     cpus(monkeypatch, 2)
-    with pytest.raises(ValueError, match=r"requires 0 < s < inf|sigma must lie in|no cross"):
+    with pytest.raises(ValueError, match=r"requires 0 < s < inf|sigma must lie in|no cross|"
+                                         r"past 2\^30"):
         sample_curve(kind, sigma, grid)
+
+
+def test_check_reach_holds_kernel_arguments_to_two_to_the_thirty():
+    # the largest argument is max(1, sigma) * X(s), X(5e-8) ~ 1.0e9
+    check_reach(SIGMA, 5e-8)
+    check_reach(SIGMA * 3.0, 5e-8)
+    for sigma, s in [(SIGMA, 4e-8), (27.0 / 8.0, 5e-8), (1.5e308, 29.0)]:
+        with pytest.raises(ValueError, match=r"reach kernel arguments of \S+, past 2\^30"):
+            check_reach(sigma, s)
+    assert sample_curve(SpectrumKind.VACUUM, 1.0, [1e-9])[0].value > 0.0
 
 
 @pytest.mark.parametrize("grid", [make_grid(0.05, 1.0, 200),
