@@ -1,7 +1,8 @@
 """Laurent-window regularization of sampled singular functions.
 
 Given samples of I(s) on a grid in (0, s_R], the pipeline fits truncated
-Laurent series over a matrix of exponent windows [n1, n2], prunes
+Laurent series over a matrix of exponent windows [n1, n2] (every window of
+a row n1 from one QR factorization of the row's widest window), prunes
 principal-part coefficients that are small relative to a window average,
 detects the pole order N as the most singular exponent shared by a stable
 sub-rectangle of windows, and reads the regularized constant term c0 off the
@@ -15,7 +16,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -97,10 +98,9 @@ class TruncatedLaurentFit:
 
 @dataclass(frozen=True)
 class _PowerTable:
-    """Basis columns s**n for n = n_lo, n_lo+1, ..., their norms, and the
+    """Norms of the basis columns s**n for n = n_lo, n_lo+1, ..., and the
     norm-equilibrated columns; every window fit slices these."""
     n_lo: int
-    table: np.ndarray
     norms: np.ndarray
     scaled: np.ndarray
 
@@ -115,58 +115,69 @@ class _PowerTable:
             raise FitError(f"basis column s^{n_lo + bad[0]} has norm {norms[bad[0]]:g} "
                            f"on the grid [{s.min():g}, {s.max():g}]: the monomials "
                            f"cannot represent it in doubles")
-        return cls(n_lo=int(n_lo), table=table, norms=norms, scaled=table / norms)
+        return cls(n_lo=int(n_lo), norms=norms, scaled=table / norms)
 
-    def fit_row(self, rhs: np.ndarray, n1: int, n2s: Iterable[int]
-                ) -> list[TruncatedLaurentFit]:
-        """Least-squares fits of sum_{n=n1}^{n2} c_n s^n to rhs, one solve per
-        n2 of n2s, in that order.
+    def fit(self, rhs: np.ndarray, windows: list[tuple[int, int]]
+            ) -> list[TruncatedLaurentFit]:
+        """Least-squares fits of sum_{n=n1}^{n2} c_n s^n to rhs, one per
+        window (n1, n2) of `windows`, in that order.  The first window that
+        has too few samples or is rank-deficient raises FitError; no window
+        after one with too few samples is factored."""
+        M = len(rhs)
+        sizes = [n2 - n1 + 1 for n1, n2 in windows]
+        end = next((j for j, k in enumerate(sizes) if k >= M), len(windows))
+        fits = self._solve(rhs, windows[:end], np.array(sizes[:end])) if end else []
+        if end < len(windows):
+            raise FitError(f"{M} samples cannot determine {sizes[end]} coefficients")
+        return fits
 
-        The rhs component along the unit first column s^n1 bypasses the
-        solves and their roundoff; the row shares it, so each window's fit
-        has the bits of that window fitted alone.  Beside the solves, the
-        row is worked as arrays of its windows: every operation is
-        elementwise or, for the residual sums, a reduction along each
-        window's own contiguous row, so each value has the bits of a lone
-        window's.
+    def _solve(self, rhs: np.ndarray, windows: list[tuple[int, int]], k: np.ndarray
+               ) -> list[TruncatedLaurentFit]:
+        """`fit` of windows that each have more samples than coefficients.
+
+        The windows sharing a first exponent n1 form a row, and each is a
+        column prefix of the row's widest one, so one stacked QR of the
+        widest windows serves every solve (Bjorck, Numerical Methods for
+        Least Squares Problems, 1996, sec. 2.9): window k of a row is
+        R[:k, :k] x = (Q^T b)[:k].  Each triangle, padded to K x K with the
+        identity, goes to one batched SVD and one batched solve.  The rhs
+        component along the row's unit first column s^n1 bypasses the
+        factorization and its roundoff.  The rms residual is that of the
+        least-squares solution, read off the transformed rhs.
         """
-        n1, M = int(n1), len(rhs)
-        lo = n1 - self.n_lo
-        # np.sum, not a BLAS dot, whose bits depend on strides
-        lead_col = self.scaled[:, lo]
-        lead = np.sum(lead_col * rhs)
-        reduced = rhs - lead * lead_col
-        n2s = [int(n2) for n2 in n2s]
-        sizes = [n2 - n1 + 1 for n2 in n2s]
-        # row j: window j's scaled coefficients, zero-padded; ends[j]: the
-        # largest and smallest singular values of its equilibrated basis
-        coef = np.zeros((len(n2s), max(sizes, default=0)))
-        ends = np.empty((len(n2s), 2))
-        for j, (n2, ncoef) in enumerate(zip(n2s, sizes)):
-            if M <= ncoef:
-                raise FitError(f"{M} samples cannot determine {ncoef} coefficients")
-            # checked at each solve, so that a rank-deficient window stops the
-            # row before a later window is solved, as it stops a lone fit
-            coef[j, :ncoef], _, rank, sv = np.linalg.lstsq(
-                self.scaled[:, lo:lo + ncoef], reduced, rcond=None)
-            if rank < ncoef:
-                raise FitError(f"rank-deficient window ({n1}, {n2}): rank {rank} < {ncoef}")
-            ends[j] = sv[0], sv[-1]
-        coef[:, 0] += lead
-        coef /= self.norms[lo:lo + coef.shape[1]]
-        # each window's fitted values by a matrix-vector product on a
-        # C-contiguous copy of its columns, as a lone fit forms them
-        resid = np.empty((len(n2s), M))
-        for j, ncoef in enumerate(sizes):
-            np.matmul(np.ascontiguousarray(self.table[:, lo:lo + ncoef]), coef[j, :ncoef],
-                      out=resid[j])
-        resid -= rhs
-        rms = np.sqrt(np.sum(np.square(resid, out=resid), axis=-1) / M)
-        cond = np.divide(ends[:, 0], ends[:, 1], out=np.full(len(n2s), math.inf),
-                         where=ends[:, 1] > 0.0)
+        M = len(rhs)
+        lo, row = np.unique([n1 - self.n_lo for n1, _ in windows], return_inverse=True)
+        K = int(k.max())
+        cols = lo[:, None] + np.arange(K)
+        # (rows, M, K + 1): each row's widest window, zero columns past the
+        # table, then the rhs less its component along the row's first column
+        aug = np.empty((len(lo), M, K + 1))
+        aug[..., :K] = np.hstack((self.scaled, np.zeros((M, K))))[:, cols].transpose(1, 0, 2)
+        lead = np.sum(aug[..., 0] * rhs, axis=-1)
+        aug[..., K] = rhs - lead[:, None] * aug[..., 0]
+        # R of [A b] holds R of A and, in its last column, Q^T b; its
+        # entries from row k down hold the residual of window k
+        r = np.linalg.qr(aug, mode="r")
+        inside = np.arange(K) < k[:, None]
+        tri = np.where(inside[:, :, None] & inside[:, None, :], r[row, :K, :K], np.eye(K))
+        # The padding adds singular values of exactly 1.  The equilibrated
+        # columns have unit norm, so sigma_max >= 1 >= sigma_min, and the
+        # condition number and the rank (lstsq's rcond=None rule) hold
+        sv = np.linalg.svd(tri, compute_uv=False)
+        rank = np.sum(sv > np.finfo(float).eps * np.maximum(M, k)[:, None] * sv[:, :1],
+                      axis=-1) - (K - k)
+        for (n1, n2), kj, rj in zip(windows, k.tolist(), rank.tolist()):
+            if rj < kj:
+                raise FitError(f"rank-deficient window ({n1}, {n2}): rank {rj} < {kj}")
+        x = np.linalg.solve(tri, np.where(inside, r[row, :K, K], 0.0)[..., None])[..., 0]
+        x[:, 0] += lead[row]
+        tail = np.cumsum(np.square(r[:, ::-1, K]), axis=-1)[:, ::-1]
+        rms = np.sqrt(tail[row, k] / M)
+        coef = x / np.concatenate((self.norms, np.ones(K)))[cols[row]]
+        cond = sv[:, 0] / sv[:, -1]
         return [TruncatedLaurentFit(n1=n1, n2=n2, coeffs=dict(zip(range(n1, n2 + 1), c)),
-                                    rms_residual=r, cond=k)
-                for n2, c, r, k in zip(n2s, coef.tolist(), rms.tolist(), cond.tolist())]
+                                    rms_residual=e, cond=q)
+                for (n1, n2), c, e, q in zip(windows, coef.tolist(), rms.tolist(), cond.tolist())]
 
 
 @dataclass(frozen=True)
@@ -239,13 +250,14 @@ def _extract(samples) -> tuple[np.ndarray, np.ndarray]:
 def fit_window(samples, n1: int, n2: int) -> TruncatedLaurentFit:
     """Least-squares fit of sum_{n=n1}^{n2} c_n s^n to the samples.
 
-    Basis columns are norm-equilibrated before solving; the condition
-    estimate of the equilibrated system is reported on the fit.
+    The window is a one-window row of the matrix's solver: its basis columns
+    are norm-equilibrated and factored by QR, and the condition number of
+    the equilibrated system is reported on the fit.
     """
     if n1 >= n2:
         raise FitError(f"window requires n1 < n2, got ({n1}, {n2})")
     s, I = _extract(samples)
-    [fit] = _PowerTable.of(s, n1, n2).fit_row(I, n1, [n2])
+    [fit] = _PowerTable.of(s, n1, n2).fit(I, [(int(n1), int(n2))])
     return fit
 
 
@@ -253,8 +265,8 @@ def build_matrix(samples, N1: int = LaurentParams.N1, N2: int = LaurentParams.N2
     """Complete rectangle of window fits: N1 < n1 <= -1, 1 <= n2 < N2."""
     s, I = _extract(samples)
     powers = _PowerTable.of(s, N1 + 1, N2 - 1)
-    entries = {(fit.n1, fit.n2): fit for n1 in range(N1 + 1, 0)
-               for fit in powers.fit_row(I, n1, range(1, N2))}
+    fits = powers.fit(I, [(n1, n2) for n1 in range(N1 + 1, 0) for n2 in range(1, N2)])
+    entries = {(fit.n1, fit.n2): fit for fit in fits}
     return FitMatrix(entries=entries, N1=int(N1), N2=int(N2), s=s, I=I)
 
 
@@ -339,7 +351,8 @@ def subtract_and_refit(matrix: FitMatrix, N: int, c_lead: float) -> list[tuple[i
     """
     reduced = matrix.I - c_lead * matrix.s**float(N)
     powers = _PowerTable.of(matrix.s, N, matrix.N2 - 1)
-    return [(fit.n2, fit.coeffs[0]) for fit in powers.fit_row(reduced, N, range(1, matrix.N2))]
+    fits = powers.fit(reduced, [(N, n2) for n2 in range(1, matrix.N2)])
+    return [(fit.n2, fit.coeffs[0]) for fit in fits]
 
 
 def _turning(ys: np.ndarray) -> tuple[int, bool]:

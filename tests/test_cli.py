@@ -795,6 +795,14 @@ def test_failed_run_writes_nothing(tmp_path, monkeypatch, argv, code, sampler):
     assert list(existing.iterdir()) == []
 
 
+def test_first_rank_deficient_window_is_named(tmp_path, capsys):
+    # at --n2 20 the default grid cannot separate window (-5, 16), the first
+    # failing window in row-major order
+    assert main(["vacuum", "--n2", "20", "--out-dir", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == ("regularization failure (fit): [fit] "
+                                       "rank-deficient window (-5, 16): rank 21 < 22\n")
+
+
 def run_extreme_grid(out, eps_s, s_max):
     """main() on a 16-point vacuum grid, with every warning it raises recorded."""
     with warnings.catch_warnings(record=True) as caught:

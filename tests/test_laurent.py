@@ -15,6 +15,8 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import casimir_laurent.laurent as laurent
 from casimir_laurent.integrands import SpectrumKind
@@ -25,8 +27,8 @@ from casimir_laurent.laurent import (AVERAGE_CANCEL_GUARD, DetectionError,
                                      detect_pole_order, fit_window, make_grid,
                                      prune, regularize, subtract_and_refit)
 from casimir_laurent.quadrature import IntegralSample, sample_curve
-from laurent_oracles import (per_n2_curves, per_n2_turning_values, prune_by_window,
-                             turning_point)
+from laurent_oracles import (SOLVER_BOUND, lstsq_window, per_n2_curves, per_n2_turning_values,
+                             prune_by_window, solver_error, turning_point)
 from vacuum_oracles import vacuum_closed_form
 
 C0_VACUUM_EXACT = math.pi**4 / 360.0
@@ -413,10 +415,6 @@ def test_detect_prefers_larger_area():
 # ---------------------------------------------------------------------------
 
 
-def _fit_tuple(fit):
-    return fit.n1, fit.n2, dict(fit.coeffs), fit.rms_residual, fit.cond
-
-
 @pytest.fixture(scope="module", params=["vacuum", "noisy"])
 def curve_J200(request):
     grid = make_grid(0.05, 1.0, 200)
@@ -429,22 +427,29 @@ def curve_J200(request):
 
 
 def test_matrix_windows_equal_single_window_fits(curve_J200):
-    # the matrix slices one power table; every window must still be the
-    # exact fit a lone fit_window call makes
+    # the matrix solves every window from one QR per row; each window must
+    # equal a lone lstsq fit within the roundoff bound of the two solves
     s, I = curve_J200
     matrix = build_matrix((s, I))
     assert len(matrix.entries) == 40
     for (n1, n2), fit in matrix.entries.items():
-        assert _fit_tuple(fit) == _fit_tuple(fit_window((s, I), n1, n2)), (n1, n2)
+        ref, _ = lstsq_window(s, I, n1, n2)
+        assert (fit.n1, fit.n2, list(fit.coeffs)) == (n1, n2, list(ref.coeffs))
+        assert fit.ill_conditioned == ref.ill_conditioned, (n1, n2)
+        assert solver_error(fit.coeffs, s, I, n1, n2) <= SOLVER_BOUND, (n1, n2)
+        # the residual of the least-squares solution, not of the rounded one
+        assert abs(fit.rms_residual - ref.rms_residual) <= (
+            SOLVER_BOUND * ref.cond * np.finfo(float).eps * np.abs(I).max()), (n1, n2)
 
 
 def test_curve_points_equal_single_window_fits(curve_J200):
     # the curve is read off the matrix row of the pole; every point must
-    # still be the constant term a lone fit_window call makes
+    # equal the constant term of a lone lstsq fit within that bound
     s, I = curve_J200
     res = regularize((s, I))
-    assert res.curve == [(nhat2, fit_window((s, I), res.pole_order, nhat2).coeffs[0])
-                         for nhat2 in range(1, 9)]
+    assert [p[0] for p in res.curve] == list(range(1, 9))
+    for nhat2, c0hat in res.curve:
+        assert solver_error({0: c0hat}, s, I, res.pole_order, nhat2, only=0) <= SOLVER_BOUND
 
 
 def test_curve_matches_the_subtract_and_refit_reference(curve_J200):
@@ -488,21 +493,70 @@ def test_one_refit_matches_every_per_n2_refit(curve_J200):
 
 
 def test_regularize_solves_each_window_once(curve_J200, monkeypatch):
-    # 40 window fits, one least-squares solve each, and no refit
+    # each of the 40 windows is solved once, from one stacked QR of the 5
+    # window rows, with no least-squares call and no refit
     calls = []
-    real = np.linalg.lstsq
+    real = np.linalg.qr
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("regularize refitted the curve")
+        raise AssertionError("regularize called lstsq or refitted the curve")
 
-    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
     monkeypatch.setattr(laurent, "subtract_and_refit", refuse)
-    regularize(curve_J200)
-    assert len(calls) == 40
+    res = regularize(curve_J200)
+    assert len(res.matrix.entries) == 40
+    assert calls == [(5, 200, 15)]
+
+
+@pytest.mark.parametrize("x,message", [
+    # rank 4 at window (-5, 1) comes before the 12 coefficients of (-5, 6)
+    (np.repeat([0.2, 0.5, 0.9, 1.3], 3), r"rank-deficient window \(-5, 1\): rank 4 < 7"),
+    (np.linspace(0.2, 1.0, 10), r"10 samples cannot determine 10 coefficients"),
+    (np.linspace(0.2, 1.0, 7), r"7 samples cannot determine 7 coefficients"),
+], ids=["rank-first", "count-after-solvable", "count-first"])
+def test_first_failing_window_in_row_major_order_is_named(x, message):
+    # a lone window fit raises at its first failing window, row by row; the
+    # windows solved together must raise the same error
+    with pytest.raises(FitError, match=rf"^{message}$"):
+        build_matrix((x, 1.0 / x))
+    with pytest.raises(RegularizationError, match=message) as exc:
+        regularize((x, 1.0 / x))
+    assert exc.value.stage == "fit"
+
+
+@settings(max_examples=40, deadline=None)
+@given(spacing=st.sampled_from(list(Spacing)),
+       eps_s=st.floats(0.02, 0.1), s_R=st.floats(0.5, 2.0), J=st.integers(16, 400),
+       pole=st.integers(-5, -1), seed=st.integers(0, 2**32 - 1))
+def test_every_window_matches_single_window_lstsq(spacing, eps_s, s_R, J, pole, seed):
+    # a Laurent polynomial with a pole of order -pole, plus 1e-9 relative
+    # noise: every window has lstsq's rank outcome and conditioning flag,
+    # and its coefficients within the solver bound
+    s = make_grid(eps_s, s_R, J, spacing).points
+    rng = np.random.default_rng(seed)
+    I = sum(c * s**float(n) for n, c in zip(range(pole, 5), rng.standard_normal(5 - pole)))
+    I = I * (1.0 + 1e-9 * rng.standard_normal(J))
+    windows = [(n1, n2) for n1 in range(-5, 0) for n2 in range(1, 9)]
+    try:
+        entries, failure = build_matrix((s, I)).entries, None
+    except FitError as exc:
+        entries, failure = {}, str(exc)
+    for n1, n2 in windows:
+        try:
+            ref, _ = lstsq_window(s, I, n1, n2)
+        except FitError as exc:
+            assert str(exc) == failure
+            return
+        if failure is None:
+            fit = entries[(n1, n2)]
+            assert fit.ill_conditioned == ref.ill_conditioned, (n1, n2)
+            assert solver_error(fit.coeffs, s, I, n1, n2) <= SOLVER_BOUND, (n1, n2)
+    assert failure is None
 
 
 def test_subtract_and_refit_shape_and_values():
@@ -717,9 +771,10 @@ def test_regularize_rejects_a_grid_the_monomials_cannot_represent(monkeypatch, e
     # s^-5 overflows on the first grid and its square underflows on the
     # second; one error names the column before any window reaches LAPACK
     def refuse(*args, **kwargs):
-        raise AssertionError("a window reached lstsq")
+        raise AssertionError("a window reached LAPACK")
 
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
     s = make_grid(eps_s, 2.0 * eps_s, 16).points
     with pytest.raises(RegularizationError) as exc:
         regularize((s, np.ones_like(s)))
