@@ -32,6 +32,7 @@ from laurent_oracles import (SOLVER_BOUND, lstsq_window, per_n2_curves, per_n2_t
 from vacuum_oracles import vacuum_closed_form
 
 C0_VACUUM_EXACT = math.pi**4 / 360.0
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -436,10 +437,11 @@ def test_matrix_windows_equal_single_window_fits(curve_J200):
         ref, _ = lstsq_window(s, I, n1, n2)
         assert (fit.n1, fit.n2, list(fit.coeffs)) == (n1, n2, list(ref.coeffs))
         assert fit.ill_conditioned == ref.ill_conditioned, (n1, n2)
+        assert abs(fit.cond / ref.cond - 1.0) <= SOLVER_BOUND * ref.cond * EPS, (n1, n2)
         assert solver_error(fit.coeffs, s, I, n1, n2) <= SOLVER_BOUND, (n1, n2)
         # the residual of the least-squares solution, not of the rounded one
         assert abs(fit.rms_residual - ref.rms_residual) <= (
-            SOLVER_BOUND * ref.cond * np.finfo(float).eps * np.abs(I).max()), (n1, n2)
+            SOLVER_BOUND * ref.cond * EPS * np.abs(I).max()), (n1, n2)
 
 
 def test_curve_points_equal_single_window_fits(curve_J200):
@@ -536,7 +538,7 @@ def test_first_failing_window_in_row_major_order_is_named(x, message):
 def test_every_window_matches_single_window_lstsq(spacing, eps_s, s_R, J, pole, seed):
     # a Laurent polynomial with a pole of order -pole, plus 1e-9 relative
     # noise: every window has lstsq's rank outcome and conditioning flag,
-    # and its coefficients within the solver bound
+    # and its condition number and coefficients within the solver bound
     s = make_grid(eps_s, s_R, J, spacing).points
     rng = np.random.default_rng(seed)
     I = sum(c * s**float(n) for n, c in zip(range(pole, 5), rng.standard_normal(5 - pole)))
@@ -555,6 +557,7 @@ def test_every_window_matches_single_window_lstsq(spacing, eps_s, s_R, J, pole, 
         if failure is None:
             fit = entries[(n1, n2)]
             assert fit.ill_conditioned == ref.ill_conditioned, (n1, n2)
+            assert abs(fit.cond / ref.cond - 1.0) <= SOLVER_BOUND * ref.cond * EPS, (n1, n2)
             assert solver_error(fit.coeffs, s, I, n1, n2) <= SOLVER_BOUND, (n1, n2)
     assert failure is None
 
