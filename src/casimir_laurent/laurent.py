@@ -162,10 +162,10 @@ class _PowerTable:
         tri = np.where(inside[:, :, None] & inside[:, None, :], r[row, :K, :K], np.eye(K))
         # The padding adds singular values of exactly 1.  The equilibrated
         # columns have unit norm, so sigma_max >= 1 >= sigma_min, and the
-        # condition number and the rank (lstsq's rcond=None rule) hold
+        # condition number and the rank (lstsq's rcond=None rule, sigma >
+        # eps max(M, k) sigma_max, where k < M) hold
         sv = np.linalg.svd(tri, compute_uv=False)
-        rank = np.sum(sv > np.finfo(float).eps * np.maximum(M, k)[:, None] * sv[:, :1],
-                      axis=-1) - (K - k)
+        rank = np.sum(sv > np.finfo(float).eps * M * sv[:, :1], axis=-1) - (K - k)
         for (n1, n2), kj, rj in zip(windows, k.tolist(), rank.tolist()):
             if rj < kj:
                 raise FitError(f"rank-deficient window ({n1}, {n2}): rank {rj} < {kj}")
