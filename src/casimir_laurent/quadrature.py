@@ -8,8 +8,11 @@ The relative budget `rel_tol` is the one sampling setting: `None` means the
 kind's default (1e-9 vacuum, 1e-7 dielectric, see :func:`resolve_rel_tol`).
 The absolute floor ABS_TOL and the tail cut TAIL_TOL are fixed.
 
-Both run on :func:`_adaptive_gk21`, a batched copy of QUADPACK's `qag`
-driver with the 21-point Gauss-Kronrod rule `qk21` (Piessens et al., 1983):
+Both use the 21-point Gauss-Kronrod rule `qk21` of QUADPACK (Piessens et
+al., 1983).  A vacuum batch (:func:`_vacuum_fixed`) puts it on fixed
+doubling panels that no grid moves, so every s shares one integrand call
+and each sample's sums are whole-array products.  The dielectric integrals
+run on :func:`_adaptive_gk21`, a batched copy of QUADPACK's `qag` driver:
 many integrals advance in lockstep, each bisecting its own largest-error
 panel, with one integrand call per step for all of them.  Every step works
 row by row, so an integral's bits do not depend on what else is in its
@@ -79,8 +82,8 @@ from .integrands import SpectrumKind, check_sigma, dlog_cross, vacuum_integrand
 VACUUM_REL_TOL = 1e-9
 DIELECTRIC_REL_TOL = 1e-7
 
-# Subinterval limit of every adaptive integral, the absolute error floor of
-# each, and the size of the e^{-s x} tail cut off at X(s).
+# Panel limit of every integral, the absolute error floor of each, and the
+# size of the e^{-s x} tail cut off at X(s).
 MAX_PANELS = 200
 ABS_TOL = 1e-14
 TAIL_TOL = 1e-13
@@ -115,6 +118,11 @@ _WG = np.array([
     0.295524224714752870173892994651338])
 # qk21 adds its node pairs Gauss nodes first, in this order.
 _PAIR_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+# The vacuum rule's first panel is [0, 2^_K0] (so s up to about 2e4 keeps
+# 1e-13 relative error), and it takes at most _OCTAVES doubling panels, which
+# below X(s) 2^-30 leave a share of the integral under 1e-30.
+_K0 = -10
+_OCTAVES = 30
 _EPMACH = float(np.finfo(float).eps)
 _UFLOW = float(np.finfo(float).tiny)
 
@@ -288,6 +296,99 @@ def _adaptive_gk21(f: Callable, upper: np.ndarray, rel_tol: float,
         raise exc if exc.name else _Failed(exc.index, exc.text, name) from None
 
 
+def _vacuum_fixed(s: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The vacuum integrals (1/3) Int r^3 coth(r) e^{-s_i r} dr on fixed qk21
+    panels, whose edges depend on no grid: sample i takes [0, 2^j], then
+    [2^k, 2^(k+1)] for k = j, j + 1, ... while 2^k < X(s_i), where j is _K0,
+    or 2^j is X(s_i) 2^-_OCTAVES rounded up to a power of 2 where that is
+    larger (s_i below about 5e-5).
+
+    vacuum_integrand is called once, at the nodes of every panel a sample
+    takes.  Each panel's Kronrod sum and |Kronrod - Gauss| error are added to
+    its sample's a panel at a time, in edge order, by whole-array products
+    with no BLAS call, so a sample has the same bits alone, in any batch and
+    on any thread count.  The error estimate is floored at qk21's round-off
+    term, 50 eps |value|.  Returns (values, est_errors).  Raises _Failed for
+    the first sample that would take more than MAX_PANELS panels, then for
+    the first whose panels reach a non-finite integrand value, then for the
+    first that overflows, then for the first whose estimate is over
+    max(ABS_TOL, rel_tol * |value|)."""
+    limit = MAX_PANELS
+    # ceil(log2 X), read exactly off X = m 2^e, 1/2 <= m < 1: e, less 1 at m = 1/2
+    mant, expo = np.frexp(truncation_point(s))
+    top = expo - (mant == 0.5)
+    first = np.maximum(_K0, top - _OCTAVES)
+    count = 1 + np.maximum(0, top - first)
+    if count.max() > limit:
+        raise _Failed(int(np.argmax(count > limit)), " did not converge: the maximum number of "
+                      f"subdivisions ({limit}) was reached")
+    # the columns: each first panel [0, 2^j] of the batch, then the doubling
+    # panels [2^k, 2^(k+1)] in edge order
+    heads = np.unique(first)
+    k = np.arange(first.min(), max(top.max(), first.min()))
+    lo = np.concatenate([np.zeros(heads.size), np.ldexp(1.0, k)])
+    hi = np.ldexp(1.0, np.concatenate([heads, k + 1]))
+    used = np.concatenate([heads[:, None] == first, (k[:, None] >= first) & (k[:, None] < top)])
+    centr, hlgth = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # node-major as in _qk21: rows 0-9 the left nodes, 10-19 the right, 20 the centre
+    x = np.empty((21, lo.size))
+    np.subtract(centr, _XGK[:10, None] * hlgth, out=x[:10])
+    np.add(centr, _XGK[:10, None] * hlgth, out=x[10:20])
+    x[20] = centr
+    fx = vacuum_integrand(x)
+    bad = ~np.isfinite(fx)
+    if bad.any():
+        reach = used & bad.any(axis=0)[:, None]
+        i = int(np.argmax(reach.any(axis=0)))
+        column = int(np.argmax(reach[:, i]))
+        raise _Failed(i, f": non-finite integrand at x={x[np.argmax(bad[:, column]), column]}")
+    values, errors = np.empty(s.size), np.empty(s.size)
+    # rows in blocks whose (panels, rows) arrays hold at most 12,000 values,
+    # 96 KB: under glibc's 128 KB mmap threshold, so the blocks reuse heap
+    # pages and a curve adds nothing to the peak RSS, which 1 MB blocks did.
+    # An integral past the double range (s below about 3e-77) overflows
+    # quietly here and fails below
+    size = max(1, 12000 // lo.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, s.size, size):
+            block = slice(start, start + size)
+            damping = -s[block]
+
+            def damped(i: int) -> np.ndarray:
+                """The integrand at node row i of every panel, e^{-s r}
+                times F(r), for each s of the block."""
+                f = np.multiply.outer(x[i], damping)
+                np.exp(f, out=f)
+                f *= fx[i, :, None]
+                return f
+
+            resk = _WGK[10] * damped(20)
+            resg = np.zeros(resk.shape)
+            for j in _PAIR_ORDER:
+                pair = damped(j)
+                pair += damped(10 + j)
+                resk += _WGK[j] * pair
+                if j % 2:
+                    resg += _WG[j // 2] * pair
+            value, error = np.zeros(resk.shape[1]), np.zeros(resk.shape[1])
+            for term in np.where(used[:, block], resk * hlgth[:, None], 0.0):
+                value += term
+            for term in np.where(used[:, block], np.abs(resk - resg) * hlgth[:, None], 0.0):
+                error += term
+            values[block] = value
+            errors[block] = np.maximum(error, (50.0 * _EPMACH) * np.abs(value))
+    huge = ~np.isfinite(errors)
+    if huge.any():
+        raise _Failed(int(np.argmax(huge)), ": the integral overflows a double")
+    over = errors > np.maximum(ABS_TOL, rel_tol * np.abs(values))
+    if over.any():
+        i = int(np.argmax(over))
+        raise _Failed(i, f" did not converge: the error estimate {errors[i]:.3g} on the fixed "
+                      f"panels is over the budget of {rel_tol:.3g} relative and {ABS_TOL:.3g} "
+                      "absolute")
+    return values, errors
+
+
 def _inner(kind: SpectrumKind, sigma: float, rel_tol: float, nu: np.ndarray, g: np.ndarray,
            s: np.ndarray, r_max: np.ndarray) -> np.ndarray:
     """The inner y integrals of `kind` at the orders nu, each with its mode
@@ -304,18 +405,21 @@ def _inner(kind: SpectrumKind, sigma: float, rel_tol: float, nu: np.ndarray, g: 
 
 def _batch(kind: SpectrumKind, sigma: float, points: Sequence[float], rel_tol: float,
            team: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The integrals of `kind` at every s of points, as one batch of
-    :func:`_adaptive_gk21`: (1/3) Int_0^X(s) r^3 coth(r) e^{-s r} dr for
-    vacuum; for TE and TM, outer nu integrals over [0, X(s)] of inner y
+    """The integrals of `kind` at every s of points, as one batch:
+    (1/3) Int r^3 coth(r) e^{-s r} dr over the fixed panels of
+    :func:`_vacuum_fixed` for vacuum; for TE and TM, one of
+    :func:`_adaptive_gk21`, outer nu integrals over [0, X(s)] of inner y
     integrals over [0, sqrt(X(s)^2 - g^2)], those of each outer step split
     across the helper team where one is given (:func:`_split_inner`).
     Returns (values, est_errors); a failure is that of its member, and
     names the member's failing integral."""
     s = np.asarray(points, dtype=float)
-    r_max = truncation_point(s)
     if kind is SpectrumKind.VACUUM:
-        return _adaptive_gk21(lambda x, owner: vacuum_integrand(x) * np.exp(-s[owner, None] * x),
-                              r_max, rel_tol, "quadrature")
+        try:
+            return _vacuum_fixed(s, rel_tol)
+        except _Failed as exc:
+            raise _Failed(exc.index, exc.text, "quadrature") from None
+    r_max = truncation_point(s)
 
     def inner(nu: np.ndarray, member: np.ndarray) -> np.ndarray:
         g = nu if kind is SpectrumKind.TE else np.hypot(nu, 1.0)
@@ -578,9 +682,9 @@ def sample_curve(
 
 
 def eval_I_vacuum(s: float, rel_tol: float | None = None) -> IntegralSample:
-    """(1/3) Int_0^inf r^3 coth(r) e^{-s r} dr by adaptive quadrature: the
-    one-point vacuum curve of :func:`sample_curve`, sampled in this
-    process."""
+    """(1/3) Int_0^inf r^3 coth(r) e^{-s r} dr on the fixed panels of
+    :func:`_vacuum_fixed`: the one-point vacuum curve of
+    :func:`sample_curve`, sampled in this process."""
     return sample_curve(SpectrumKind.VACUUM, 1.0, [s], rel_tol)[0]
 
 

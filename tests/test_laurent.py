@@ -682,16 +682,12 @@ def test_regularize_grid_refinement_stability():
     assert abs(c0s[240] - c0s[120]) < 2e-5
 
 
-@pytest.mark.parametrize("sampler", [
-    "closed_form",
-    pytest.param("quad", marks=pytest.mark.xfail(
-        strict=True, reason="quadrature noise moves the turning point on this grid")),
-])
+@pytest.mark.parametrize("sampler", ["closed_form", "quad"])
 def test_regularize_log_grid_small_eps_s(sampler):
-    # log spacing from eps_s = 0.04 crowds the samples toward the pole: with
-    # closed-form samples the read-off lands 0.06% from pi^4/360, with the
-    # quadrature's (rel_tol 1e-9) it lands 28% off, so the noise, not the
-    # grid, moves the turning point
+    # log spacing from eps_s = 0.04 crowds the samples toward the pole, where
+    # the read-off keeps its turn only below about 1e-12 relative sample
+    # error: closed-form and quadrature samples both land 0.064% from
+    # pi^4/360 (0.270407).  Samples good to only ~1e-12 read 0.19351 here
     grid = make_grid(0.04, 1.2, 200, "log")
     if sampler == "closed_form":
         I = np.array([vacuum_closed_form(s) for s in grid.points])

@@ -355,6 +355,35 @@ def test_vacuum_monotone_in_damping():
     assert values[0] > values[1] > values[2] > 0.0
 
 
+def test_vacuum_fixed_panels_converge():
+    # every sample within 1e-13 of 30-digit Psi(3, s/2)/24 - 2/s^4, with an
+    # error estimate no smaller than its actual error; at s = 1e-8 the first
+    # panel is widened
+    import mpmath
+
+    points = np.concatenate([make_grid(0.05, 1.0, 200).points,
+                             make_grid(0.04, 1.2, 400, Spacing.LOG).points,
+                             [1e-8, 1e-3, 0.05, 1.0, 10.0, 200.0]])
+    for sample in sample_curve(SpectrumKind.VACUUM, 1.0, points):
+        with mpmath.workdps(30):
+            s = mpmath.mpf(sample.s)
+            exact = mpmath.polygamma(3, s / 2) / 24 - 2 / s**4
+            error = abs(float((sample.value - exact) / exact))
+        assert error <= 1e-13
+        assert sample.est_error >= error * abs(sample.value)
+
+
+def test_vacuum_budgets_down_to_1e_13():
+    grid = make_grid(0.05, 1.0, 200)
+    for rel_tol in (1e-9, 1e-10, 1e-11, 1e-12, 1e-13):
+        for sample in sample_curve(SpectrumKind.VACUUM, 1.0, grid, rel_tol):
+            assert sample.est_error <= rel_tol * sample.value
+    # 1e-14 lies past what the fixed panels reach, and is refused
+    with pytest.raises(QuadratureError, match=r"^sample 0 \(s=0\.05\) failed: quadrature did "
+                                              r"not converge: the error estimate"):
+        sample_curve(SpectrumKind.VACUUM, 1.0, grid, 1e-14)
+
+
 # ---------------------------------------------------------------------------
 # dielectric double integral, dual route
 # ---------------------------------------------------------------------------
@@ -480,17 +509,25 @@ def test_sample_curve_accepts_grid_object():
 
 
 def test_sample_curve_tags_failing_index(monkeypatch):
-    # X(s) = 49.93/s is 62.4, 71.3 and 83.2 here: the first integral's nodes
-    # stay below 62.4 (its first panel's reach 62.28), while the first panels
-    # of the second and third both have nodes in (63, 71)
+    # a sample takes the fixed panels that start below X(s) = 49.93/s, which
+    # is 62.4, 71.3 and 83.2 here: the first sample's last panel is [32, 64],
+    # while the second and third also take [64, 128], the only panel with
+    # nodes past 64 (its lowest 64.14)
     import casimir_laurent.quadrature as quadrature
 
     def poisoned(x):
-        return np.where((x > 63.0) & (x < 71.0), math.nan, vacuum_integrand(x))
+        return np.where(x > 64.0, math.nan, vacuum_integrand(x))
 
     monkeypatch.setattr(quadrature, "vacuum_integrand", poisoned)
     with pytest.raises(QuadratureError, match=r"sample 1 \(s=0\.7\)"):
         sample_curve(SpectrumKind.VACUUM, 1.0, [0.8, 0.7, 0.6])
+
+
+def test_vacuum_overflow_names_the_sample():
+    # 2/s^4 passes the largest double below s ~ 3e-77, quietly, then fails
+    with pytest.raises(QuadratureError, match=r"^sample 1 \(s=1e-80\) failed: quadrature: "
+                                              r"the integral overflows a double$"):
+        sample_curve(SpectrumKind.VACUUM, 1.0, [1e-76, 1e-80])
 
 
 def cpus(monkeypatch, count):
