@@ -221,16 +221,18 @@ def _write_curve(out: Path, kind: SpectrumKind, samples: list[IntegralSample],
     # every window by one C-encoder call (indent would force the pure-Python
     # encoder), one window per line: a window's only inner object, coeffs,
     # is followed by ', "cond"', so "}, {" occurs only between windows.  The
-    # file parses to {"N1", "N2", "windows": [...]}; zip drops each window's
-    # zeros past n2
+    # file parses to {"N1", "N2", "windows": [...]}.  Each dict is built in
+    # the file's key order, which is sorted text order, the exponents of
+    # coeffs included ("-1" before "-2" before "0"), so the encoder sorts
+    # nothing; a window's exponents are those of `order` in [n1, n2]
     matrix = result.matrix
     coeffs, rms, cond = matrix.coeffs.tolist(), matrix.rms_residual.tolist(), matrix.cond.tolist()
-    windows = json.dumps([{"n1": n1, "n2": n2,
-                           "coeffs": dict(zip(map(str, range(n1, n2 + 1)), coeffs[i][j])),
-                           "rms_residual": rms[i][j], "cond": cond[i][j]}
+    order = [(e, str(e)) for e in sorted(range(matrix.N1 + 1, matrix.N2), key=str)]
+    windows = json.dumps([{"coeffs": {key: coeffs[i][j][e - n1] for e, key in order
+                                      if n1 <= e <= n2},
+                           "cond": cond[i][j], "n1": n1, "n2": n2, "rms_residual": rms[i][j]}
                           for i, n1 in enumerate(range(matrix.N1 + 1, 0))
-                          for j, n2 in enumerate(range(1, matrix.N2))],
-                         sort_keys=True)
+                          for j, n2 in enumerate(range(1, matrix.N2))])
     _write_text(out / f"matrix{suffix}.json",
                 f'{{"N1": {matrix.N1}, "N2": {matrix.N2}, "windows": [\n'
                 + windows[1:-1].replace("}, {", "},\n{") + "\n]}\n")

@@ -1,58 +1,61 @@
 """Controlled-accuracy evaluation of the damped semi-infinite mode integrals.
 
 Produces I(s) samples for the regularization pipeline: the single vacuum
-integral (which has the closed form Psi(3, s/2)/24 - 2/s^4) and the nested
-dielectric double integral over mode order nu and radial argument y.
+integral (which has the closed form Psi(3, s/2)/24 - 2/s^4) and the
+dielectric double integrals over mode order nu and radial argument y.
 
 The relative budget `rel_tol` is the one sampling setting: `None` means the
 kind's default (1e-9 vacuum, 1e-7 dielectric, see :func:`resolve_rel_tol`).
 The absolute floor ABS_TOL and the tail cut TAIL_TOL are fixed.
 
-Both use the 21-point Gauss-Kronrod rule `qk21` of QUADPACK (Piessens et
-al., 1983).  A vacuum batch (:func:`_vacuum_fixed`) puts it on fixed
-doubling panels that no grid moves, so every s shares one integrand call
-and each sample's sums are whole-array products.  The dielectric integrals
-run on :func:`_adaptive_gk21`, a batched copy of QUADPACK's `qag` driver:
-many integrals advance in lockstep, each bisecting its own largest-error
-panel, with one integrand call per step for all of them.  Every step works
-row by row, so an integral's bits do not depend on what else is in its
-batch.  The per-step cost beside the integrand is a few whole-array
-operations: qk21's terms are whole-array products over node-major rows, one
-element per panel, added to its four sums a row at a time in QUADPACK's
-order, and the panel tables are one array, read and written once per step,
-in place while every integral is active.
-A batch (:func:`_batch`) has a member per damping s: a vacuum member is
-one integral; the outer nu integrals of dielectric members advance
-together, and every nu node an outer step asks for, of every member,
-starts an inner y integral, and those advance together as well.
+All use the 21-point Gauss-Kronrod rule `qk21` of QUADPACK (Piessens et
+al., 1983).  A vacuum or TM batch is Int e^{-s r} F(r) dr over fixed panels
+in the mode radius r that no grid moves (:func:`_fixed_panels`), so every s
+shares one F and each sample's sums are whole-array products
+(:func:`_laplace`).  F is (1/3) r^3 coth(r) for vacuum; F_TM
+(:func:`_radial_tm`) is the TM double integral in polar coordinates of
+(g, y), g = sqrt(nu^2 + 1), with the angle on fixed qk21 nodes.  The TE
+integrals run on :func:`_adaptive_gk21`, a batched copy of QUADPACK's `qag`
+driver: many integrals advance in lockstep, each bisecting its own
+largest-error panel, with one integrand call per step for all of them.
+Every step works row by row, so an integral's bits do not depend on what
+else is in its batch.  The per-step cost beside the integrand is a few
+whole-array operations: qk21's terms are whole-array products over
+node-major rows, one element per panel, added to its four sums a row at a
+time in QUADPACK's order, and the panel tables are one array, read and
+written once per step, in place while every integral is active.  In a TE
+batch (:func:`_batch`), one member per damping s, the outer nu integrals
+advance together, and every nu node an outer step asks for, of every
+member, starts an inner y integral, and those advance together as well.
 
 :func:`sample_curve` is the one way in.  It checks every kind, sigma, s
 and rel_tol before the first sample.  :func:`eval_I_dielectric` is the
-batch of one, a one-point curve, as is :func:`eval_I_vacuum`.  sample_curve
-cuts a dielectric curve into contiguous chunks, one per CPU this process may
-run on (``os.sched_getaffinity``) and at most MAX_CHUNK points, and samples
-each chunk as one batch in :func:`_sample_chunk`, which builds every sample
-and names every failure.  An integral that fails, here or in a helper,
-raises only its index in its batch and what went wrong (:class:`_Failed`);
-its name and its member are added on the way out, where they are known.
+batch of one, a one-point curve, as is :func:`eval_I_vacuum`.  A vacuum or
+TM curve is one batch.  sample_curve cuts a TE curve into contiguous
+chunks, one per CPU this process may run on (``os.sched_getaffinity``) and
+at most MAX_CHUNK points, and samples each chunk as one batch.
+:func:`_sample_chunk` samples every batch, builds every sample and names
+every failure.  An integral that fails, here or in a helper, raises only
+its index in its batch and what went wrong (:class:`_Failed`); its name and
+its member are added on the way out, where they are known.
 
 On two or more CPUs, where the platform can fork, dielectric work goes to
 this process's team of forked helper processes, one per CPU.  The team
 starts at the first dielectric call that needs it, serves every later call
 and closes at interpreter exit (:func:`_close_team`); a helper also ends
-when this process dies, on the end of its pipe.  A call with several
-chunks, such as the TE and TM curves of a dielectric command, hands whole
-chunks to the helpers.  A call with one chunk, such as a lone point, runs
-its outer nu integrals here and sends each outer step's inner y integrals
-to the helpers in interleaved parts.  Vacuum batches stay in this process.
-A sample's value and error estimate are the same bits whatever the CPU
-count, and so is a failure: once a helper reports one, no more work is
-handed out, and what has no reply, a failed inner batch included, is run
-again in this process.  ``taskset -c 0`` gives a serial run in this
-process, which starts no other.  Helpers run the module state as it was
-when they were forked: a module attribute changed later (a kernel or
-MAX_PANELS, say) reaches them only once the team is closed and the next
-call forks a new one.
+when this process dies, on the end of its pipe.  A call with several TE
+chunks, such as the TE curve of a dielectric command, hands whole chunks to
+the helpers.  A TM curve, and a lone TE chunk such as a lone point, run
+here and send their rows of work to the helpers in interleaved parts: the
+radii of F_TM, or each outer step's inner y integrals (:func:`_split`).
+Vacuum batches stay in this process.  A sample's value and error estimate
+are the same bits whatever the CPU count, and so is a failure: once a
+helper reports one, no more work is handed out, and what has no reply, a
+failed part included, is run again in this process.  ``taskset -c 0``
+gives a serial run in this process, which starts no other.  Helpers run the
+module state as it was when they were forked: a module attribute changed
+later (a kernel or MAX_PANELS, say) reaches them only once the team is
+closed and the next call forks a new one.
 
 The dielectric integrand is y * dlog_cross weighted by the damping
 exp(-s * sqrt(g^2 + y^2)) with g = nu (TE) or g = sqrt(nu^2 + 1) (TM):
@@ -88,11 +91,12 @@ MAX_PANELS = 200
 ABS_TOL = 1e-14
 TAIL_TOL = 1e-13
 
-# The most points one dielectric batch holds.  Measured on a 2-CPU host,
-# the default 200-point TE + TM curves (three runs each) sampled in a median
-# 19.5 s with chunks of 25 points, 20.3 s with 10 and 22.4 s with 100 (one
-# chunk per process and kind, whose slower small-s half leaves a process
-# idle at the end), with a peak RSS per sampling process of 51, 44 and 77 MB.
+# The most points one TE batch holds.  Measured on a 2-CPU host, before TM
+# samples took the fixed panels, the default 200-point TE + TM curves (three
+# runs each) sampled in a median 19.5 s with chunks of 25 points, 20.3 s with
+# 10 and 22.4 s with 100 (one chunk per process and kind, whose slower small-s
+# half leaves a process idle at the end), with a peak RSS per sampling
+# process of 51, 44 and 77 MB.
 MAX_CHUNK = 25
 
 # QUADPACK qk21: the 21-point Kronrod abscissae on [0, 1] (descending, the
@@ -123,6 +127,11 @@ _PAIR_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
 # below X(s) 2^-30 leave a share of the integral under 1e-30.
 _K0 = -10
 _OCTAVES = 30
+# A TM sample's panels below r = 2 have edges 1 and 1 + 4^-j, j = _TM_GRADES,
+# ..., 0, each at least a third of its width from r = 1, where F_TM rises
+# like (r - 1)^(1/2).  At sigma = 8/27 and 27/8 and s from 0.05 to 60, 20
+# grades move no sample by more than 2e-16, 10 grades by up to 2.2e-12.
+_TM_GRADES = 15
 _EPMACH = float(np.finfo(float).eps)
 _UFLOW = float(np.finfo(float).tiny)
 
@@ -296,46 +305,94 @@ def _adaptive_gk21(f: Callable, upper: np.ndarray, rel_tol: float,
         raise exc if exc.name else _Failed(exc.index, exc.text, name) from None
 
 
-def _vacuum_fixed(s: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The vacuum integrals (1/3) Int r^3 coth(r) e^{-s_i r} dr on fixed qk21
-    panels, whose edges depend on no grid: sample i takes [0, 2^j], then
-    [2^k, 2^(k+1)] for k = j, j + 1, ... while 2^k < X(s_i), where j is _K0,
-    or 2^j is X(s_i) 2^-_OCTAVES rounded up to a power of 2 where that is
-    larger (s_i below about 5e-5).
+def _fixed_panels(kind: SpectrumKind, s: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed qk21 panels of a vacuum or TM batch, whose edges depend on
+    no grid: (x, hlgth, used), the node-major nodes (21, panels) laid out as
+    in _qk21, each panel's half-length, and used[p, i], whether sample i
+    takes panel p.
 
-    vacuum_integrand is called once, at the nodes of every panel a sample
-    takes.  Each panel's Kronrod sum and |Kronrod - Gauss| error are added to
-    its sample's a panel at a time, in edge order, by whole-array products
-    with no BLAS call, so a sample has the same bits alone, in any batch and
-    on any thread count.  The error estimate is floored at qk21's round-off
-    term, 50 eps |value|.  Returns (values, est_errors).  Raises _Failed for
-    the first sample that would take more than MAX_PANELS panels, then for
-    the first whose panels reach a non-finite integrand value, then for the
-    first that overflows, then for the first whose estimate is over
-    max(ABS_TOL, rel_tol * |value|)."""
+    Every sample takes the doubling panels [2^k, 2^(k+1)] for 2^k < X(s_i).
+    Below them, a vacuum sample takes [0, 2^j] from j = _K0, or from j with
+    2^j X(s_i) 2^-_OCTAVES rounded up to a power of 2 where that is larger
+    (s_i below about 5e-5), and its doubling panels start at 2^j.  F_TM
+    vanishes below r = 1 and rises like (r - 1)^(1/2), so a TM sample
+    takes panels graded geometrically toward 1, with edges 1 and
+    1 + 4^-j, j = _TM_GRADES, ..., 0, and its doubling panels start at 2.
+    Raises _Failed for the first sample that would take more than
+    MAX_PANELS panels."""
     limit = MAX_PANELS
     # ceil(log2 X), read exactly off X = m 2^e, 1/2 <= m < 1: e, less 1 at m = 1/2
     mant, expo = np.frexp(truncation_point(s))
     top = expo - (mant == 0.5)
-    first = np.maximum(_K0, top - _OCTAVES)
-    count = 1 + np.maximum(0, top - first)
+    if kind is SpectrumKind.VACUUM:
+        first = np.maximum(_K0, top - _OCTAVES)
+        heads = np.unique(first)
+        lo, hi = np.zeros(heads.size), np.ldexp(1.0, heads)
+        used = heads[:, None] == first
+    else:
+        first = np.ones_like(top)
+        hi = 1.0 + np.ldexp(1.0, -2 * np.arange(_TM_GRADES, -1, -1))
+        lo = np.concatenate([[1.0], hi[:-1]])
+        used = np.ones((hi.size, s.size), dtype=bool)
+    k = np.arange(first.min(), max(top.max(), first.min()))
+    lo = np.concatenate([lo, np.ldexp(1.0, k)])
+    hi = np.concatenate([hi, np.ldexp(1.0, k + 1)])
+    used = np.concatenate([used, (k[:, None] >= first) & (k[:, None] < top)])
+    count = used.sum(axis=0)
     if count.max() > limit:
         raise _Failed(int(np.argmax(count > limit)), " did not converge: the maximum number of "
                       f"subdivisions ({limit}) was reached")
-    # the columns: each first panel [0, 2^j] of the batch, then the doubling
-    # panels [2^k, 2^(k+1)] in edge order
-    heads = np.unique(first)
-    k = np.arange(first.min(), max(top.max(), first.min()))
-    lo = np.concatenate([np.zeros(heads.size), np.ldexp(1.0, k)])
-    hi = np.ldexp(1.0, np.concatenate([heads, k + 1]))
-    used = np.concatenate([heads[:, None] == first, (k[:, None] >= first) & (k[:, None] < top)])
     centr, hlgth = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    # node-major as in _qk21: rows 0-9 the left nodes, 10-19 the right, 20 the centre
     x = np.empty((21, lo.size))
     np.subtract(centr, _XGK[:10, None] * hlgth, out=x[:10])
     np.add(centr, _XGK[:10, None] * hlgth, out=x[10:20])
     x[20] = centr
-    fx = vacuum_integrand(x)
+    return x, hlgth, used
+
+
+def _radial_tm(sigma: float, r: np.ndarray) -> np.ndarray:
+    """F_TM at the radii r > 1: r^3 Int_0^arccos(1/r) cos t sin t
+    dlog_cross_tm(sqrt(r^2 cos^2 t - 1), r sin t) dt, the nu and y
+    integrals of the TM integrand in polar coordinates of (g, y).
+
+    The angles are the qk21 nodes of the two halves of [0, arccos(1/r)], 42
+    per radius, and the kernel is called once, for every angle of every
+    radius.  Each radius's Kronrod sums are added a node row at a time, so
+    its value has the same bits whatever other radii share the call.
+    Module-level, so that it can be sent to a helper."""
+    # arccos(1/r), accurate as r nears 1 (r - 1 is exact there)
+    half = 0.25 * np.arctan(np.sqrt((r - 1.0) * (r + 1.0)))
+    absc = _XGK[:10, None] * half
+    # node-major rows: the left nodes, right nodes and centre of the lower
+    # half, then those of the upper half
+    theta = np.concatenate([half - absc, half + absc, half[None],
+                            3.0 * half - absc, 3.0 * half + absc, 3.0 * half[None]])
+    g, y = r * np.cos(theta), r * np.sin(theta)
+    nu = np.sqrt(np.maximum((g - 1.0) * (g + 1.0), 0.0))
+    # g y = r^2 cos t sin t
+    f = g * y * dlog_cross(SpectrumKind.TM, nu, y, sigma)
+    total = np.zeros(r.size)
+    for rows in (f[:21], f[21:]):
+        resk = _WGK[10] * rows[20]
+        for j in _PAIR_ORDER:
+            resk += _WGK[j] * (rows[j] + rows[10 + j])
+        total += resk
+    return r * (total * half)
+
+
+def _laplace(s: np.ndarray, x: np.ndarray, fx: np.ndarray, hlgth: np.ndarray,
+             used: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The integrals Int e^{-s_i r} F(r) dr over the panels of
+    :func:`_fixed_panels` that sample i takes, from the values fx of F at
+    their nodes x.  Each panel's Kronrod sum and |Kronrod - Gauss| error are
+    added to its sample's a panel at a time, in edge order, by whole-array
+    products with no BLAS call, so a sample has the same bits alone, in any
+    batch and on any thread count.  The error estimate is floored at qk21's
+    round-off term, 50 eps |value|.  Returns (values, est_errors).  Raises
+    _Failed for the first sample whose panels reach a non-finite value of
+    F, then for the first that overflows, then for the first whose estimate
+    is over max(ABS_TOL, rel_tol * |value|)."""
     bad = ~np.isfinite(fx)
     if bad.any():
         reach = used & bad.any(axis=0)[:, None]
@@ -348,7 +405,7 @@ def _vacuum_fixed(s: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray
     # pages and a curve adds nothing to the peak RSS, which 1 MB blocks did.
     # An integral past the double range (s below about 3e-77) overflows
     # quietly here and fails below
-    size = max(1, 12000 // lo.size)
+    size = max(1, 12000 // hlgth.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, s.size, size):
             block = slice(start, start + size)
@@ -389,46 +446,53 @@ def _vacuum_fixed(s: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray
     return values, errors
 
 
-def _inner(kind: SpectrumKind, sigma: float, rel_tol: float, nu: np.ndarray, g: np.ndarray,
-           s: np.ndarray, r_max: np.ndarray) -> np.ndarray:
-    """The inner y integrals of `kind` at the orders nu, each with its mode
-    threshold g, damping s and radius r_max, as one batch of
-    :func:`_adaptive_gk21`: Int_0^sqrt(r_max^2 - g^2) y dlog_cross(nu, y)
-    e^{-s sqrt(g^2 + y^2)} dy.  Module-level, so that it can be sent to a
-    helper; its failures are unnamed."""
+def _inner(sigma: float, rel_tol: float, nu: np.ndarray, s: np.ndarray, r_max: np.ndarray
+           ) -> np.ndarray:
+    """The inner TE y integrals at the orders nu, each with its damping s and
+    radius r_max, as one batch of :func:`_adaptive_gk21`:
+    Int_0^sqrt(r_max^2 - nu^2) y dlog_cross_te(nu, y) e^{-s sqrt(nu^2 + y^2)} dy.
+    Module-level, so that it can be sent to a helper; its failures are unnamed."""
     def integrand(y, i):
-        damping = np.exp(-s[i, None] * np.hypot(g[i, None], y))
-        return y * dlog_cross(kind, nu[i, None], y, sigma) * damping
+        damping = np.exp(-s[i, None] * np.hypot(nu[i, None], y))
+        return y * dlog_cross(SpectrumKind.TE, nu[i, None], y, sigma) * damping
 
-    return _adaptive_gk21(integrand, np.sqrt(r_max * r_max - g * g), rel_tol)[0]
+    return _adaptive_gk21(integrand, np.sqrt(r_max * r_max - nu * nu), rel_tol)[0]
 
 
 def _batch(kind: SpectrumKind, sigma: float, points: Sequence[float], rel_tol: float,
            team: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The integrals of `kind` at every s of points, as one batch:
-    (1/3) Int r^3 coth(r) e^{-s r} dr over the fixed panels of
-    :func:`_vacuum_fixed` for vacuum; for TE and TM, one of
+    """The integrals of `kind` at every s of points, as one batch.  A vacuum
+    or TM batch is Int e^{-s r} F(r) dr on the fixed panels of
+    :func:`_fixed_panels` (:func:`_laplace`), with F(r) = (1/3) r^3 coth(r)
+    for vacuum and :func:`_radial_tm` for TM.  A TE batch is one of
     :func:`_adaptive_gk21`, outer nu integrals over [0, X(s)] of inner y
-    integrals over [0, sqrt(X(s)^2 - g^2)], those of each outer step split
-    across the helper team where one is given (:func:`_split_inner`).
-    Returns (values, est_errors); a failure is that of its member, and
-    names the member's failing integral."""
+    integrals over [0, sqrt(X(s)^2 - nu^2)].  Where a helper team is given,
+    F_TM, or the inner integrals of each outer step, are split across it
+    (:func:`_split`).  Returns (values, est_errors); a failure is that of
+    its member, and names the member's failing integral."""
     s = np.asarray(points, dtype=float)
-    if kind is SpectrumKind.VACUUM:
+    if kind is not SpectrumKind.TE:
         try:
-            return _vacuum_fixed(s, rel_tol)
+            x, hlgth, used = _fixed_panels(kind, s)
+            if kind is SpectrumKind.VACUUM:
+                fx = vacuum_integrand(x)
+            else:
+                r = x.ravel()
+                fx = (_split(team, _radial_tm, (sigma,), (r,)) if team
+                      else _radial_tm(sigma, r)).reshape(x.shape)
+            return _laplace(s, x, fx, hlgth, used, rel_tol)
         except _Failed as exc:
             raise _Failed(exc.index, exc.text, "quadrature") from None
     r_max = truncation_point(s)
 
     def inner(nu: np.ndarray, member: np.ndarray) -> np.ndarray:
-        g = nu if kind is SpectrumKind.TE else np.hypot(nu, 1.0)
         out = np.zeros(nu.shape)
-        live = g < r_max[member, None]
+        live = nu < r_max[member, None]
         nu_l, owner = nu[live], member[np.nonzero(live)[0]]
-        rows = (kind, sigma, rel_tol, nu_l, g[live], s[owner], r_max[owner])
+        rows = (nu_l, s[owner], r_max[owner])
         try:
-            out[live] = _split_inner(team, *rows) if team else _inner(*rows)
+            out[live] = (_split(team, _inner, (sigma, rel_tol), rows) if team
+                         else _inner(sigma, rel_tol, *rows))
         except _Failed as exc:   # of inner integral i, a row of member owner[i]
             i = exc.index
             raise _Failed(int(owner[i]), exc.text, f"inner quadrature at nu={nu_l[i]}") from None
@@ -444,7 +508,8 @@ def _sample_chunk(job: tuple[SpectrumKind, float, int, list[float], float],
     kind, sigma, the grid index of its first point, its points and rel_tol.
     Every sample is built here, and every failure named.  Module-level, so
     that it can be sent to a helper; a helper samples its chunk alone, this
-    process with the inner integrals split across `team`, if given."""
+    process with F_TM or the TE inner integrals split across `team`, if
+    given."""
     kind, sigma, first, points, rel_tol = job
 
     def label(i: int) -> str:
@@ -595,25 +660,25 @@ def _on_team(team: list, tasks: list, order: Sequence[int]) -> dict[int, tuple[b
         raise
 
 
-def _split_inner(team: list, kind: SpectrumKind, sigma: float, rel_tol: float,
-                 nu: np.ndarray, g: np.ndarray, s: np.ndarray, r_max: np.ndarray) -> np.ndarray:
-    """:func:`_inner` on the helpers of team: row j goes to part j mod W,
-    W helpers in all, and each helper integrates one part as one batch, so
-    every value has the bits of the unsplit batch.  Where a part fails with
-    an ArithmeticError, the unsplit batch runs in this process and raises
-    what a one-CPU run raises; any other exception of a part is raised as
-    it is."""
+def _split(team: list, task: Callable, fixed: tuple, rows: tuple[np.ndarray, ...]
+           ) -> np.ndarray:
+    """task(*fixed, *rows), one value per row, each row's value independent
+    of the others, on the helpers of team: row j goes to part j mod W, W
+    helpers in all, and each helper runs one part, so every value has the
+    bits of the unsplit call.  Where a part fails with an ArithmeticError,
+    the unsplit call runs in this process and raises what a one-CPU run
+    raises; any other exception of a part is raised as it is."""
     width = len(team)
-    parts = [(_inner, (kind, sigma, rel_tol, nu[j::width], g[j::width], s[j::width],
-                       r_max[j::width])) for j in range(min(width, nu.size))]
+    parts = [(task, (*fixed, *(row[j::width] for row in rows)))
+             for j in range(min(width, rows[0].size))]
     replies = _on_team(team, parts, range(len(parts)))
     failures = [result for ok, result in replies.values() if not ok]
     for exc in failures:
         if not isinstance(exc, ArithmeticError):
             raise exc
     if failures:
-        return _inner(kind, sigma, rel_tol, nu, g, s, r_max)
-    out = np.empty(nu.size)
+        return task(*fixed, *rows)
+    out = np.empty(rows[0].size)
     for j, (_, result) in replies.items():
         out[j::width] = result
     return out
@@ -630,17 +695,18 @@ def sample_curve(
 
     Every kind, sigma, s and rel_tol, and the reach of a dielectric curve
     (:func:`check_reach`), is checked before any sample or helper starts.
-    A vacuum curve is one batch, sampled in this process.  A dielectric
-    curve is cut into contiguous chunks, one per CPU in this process's
-    affinity mask and at most MAX_CHUNK points long, and each chunk is one
-    batch.  On more than one CPU, and where the platform can fork, the
-    helper team takes the dielectric work: whole chunks where there are
-    several (:func:`_on_team`), the inner integrals of the one chunk
-    otherwise (:func:`_split_inner`).  On one CPU the chunks are sampled one
-    after another in this process.  Either way each sample is the one-point
-    curve at its s, bit for bit.  The error raised is that of the first
-    failing chunk in curve order, and names the first of its samples to
-    fail, which need not be its lowest failing index.
+    A vacuum or TM curve is one batch on the fixed panels, sampled in this
+    process.  A TE curve is cut into contiguous chunks, one per CPU in this
+    process's affinity mask and at most MAX_CHUNK points long, and each
+    chunk is one batch.  On more than one CPU, and where the platform can
+    fork, the helper team takes the dielectric work: whole TE chunks where
+    there are several (:func:`_on_team`), and otherwise F_TM or the inner
+    integrals of the one TE chunk, split by rows (:func:`_split`).  On one
+    CPU every batch is sampled in this process, in curve order.  Either way
+    each sample is the one-point curve at its s, bit for bit.  The error
+    raised is that of the first failing batch in curve order, and names the
+    first of its samples to fail, which need not be its lowest failing
+    index.
     """
     points = [float(s) for s in getattr(grid, "points", grid)]
     kinds = kinds if isinstance(kinds, tuple) else (kinds,)
@@ -659,17 +725,15 @@ def sample_curve(
     jobs = []
     for kind in kinds:
         rel = resolve_rel_tol(kind, rel_tol)
-        if kind is SpectrumKind.VACUUM:
-            jobs.append((kind, 1.0, 0, points, rel))
-            continue
-        size = max(1, min(MAX_CHUNK, -(-len(points) // cpus)))
-        jobs += [(kind, sigma, j, points[j:j + size], rel)
+        # a vacuum or TM curve is one batch, whose samples share one F
+        size = (max(1, min(MAX_CHUNK, -(-len(points) // cpus))) if kind is SpectrumKind.TE
+                else max(1, len(points)))
+        jobs += [(kind, 1.0 if kind is SpectrumKind.VACUUM else sigma, j, points[j:j + size], rel)
                  for j in range(0, len(points), size)]
-    chunks = [i for i, job in enumerate(jobs) if job[0] is not SpectrumKind.VACUUM]
-    team = _helpers(cpus) if chunks and cpus > 1 else []
-    # whole chunks on the team, TM chunks first, because a TM sample costs more
-    done = _on_team(team, [(_sample_chunk, (job,)) for job in jobs],
-                    sorted(chunks, key=lambda i: jobs[i][0] is not SpectrumKind.TM)
+    dielectric = any(job[0] is not SpectrumKind.VACUUM for job in jobs)
+    team = _helpers(cpus) if dielectric and cpus > 1 else []
+    chunks = [i for i, job in enumerate(jobs) if job[0] is SpectrumKind.TE]
+    done = _on_team(team, [(_sample_chunk, (job,)) for job in jobs], chunks
                     ) if team and len(chunks) > 1 else {}
     samples = []
     for i, job in enumerate(jobs):
@@ -683,7 +747,7 @@ def sample_curve(
 
 def eval_I_vacuum(s: float, rel_tol: float | None = None) -> IntegralSample:
     """(1/3) Int_0^inf r^3 coth(r) e^{-s r} dr on the fixed panels of
-    :func:`_vacuum_fixed`: the one-point vacuum curve of
+    :func:`_fixed_panels`: the one-point vacuum curve of
     :func:`sample_curve`, sampled in this process."""
     return sample_curve(SpectrumKind.VACUUM, 1.0, [s], rel_tol)[0]
 
@@ -696,8 +760,9 @@ def eval_I_dielectric(
 ) -> IntegralSample:
     """The dielectric mode integral of `kind` at damping s (see
     :func:`_batch`): the one-point curve of :func:`sample_curve`.  On more
-    than one CPU its outer integral runs in this process and its inner
-    integrals on the helper team, with the bits of a serial run."""
+    than one CPU the helper team builds F_TM of a TM point, or the inner
+    integrals of a TE point, whose outer integral runs in this process,
+    with the bits of a serial run."""
     if kind is SpectrumKind.VACUUM:
         raise ValueError("use eval_I_vacuum for the vacuum integral")
     return sample_curve(kind, sigma, [s], rel_tol)[0]

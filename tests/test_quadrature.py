@@ -20,6 +20,7 @@ from casimir_laurent.quadrature import (_WG, _WGK, _XGK, ABS_TOL, DIELECTRIC_REL
                                         MAX_PANELS, VACUUM_REL_TOL, QuadratureError, _Failed,
                                         _adaptive_gk21, _qk21, check_reach, eval_I_dielectric, eval_I_vacuum,
                                         resolve_rel_tol, sample_curve, truncation_point)
+from nested_oracles import nested_tm
 from vacuum_oracles import vacuum_closed_form
 
 SIGMA = 8.0 / 27.0
@@ -404,20 +405,49 @@ def test_dielectric_sigma_above_one_against_brute():
     assert sample.value == pytest.approx(ref, rel=1e-8)
 
 
+@pytest.mark.parametrize("sigma", [8.0 / 27.0, 27.0 / 8.0])
+def test_radial_tm_samples_match_the_nested_route(sigma):
+    # the radial TM samples against the nested nu/y route they replaced, in
+    # tests/nested_oracles.py: within 1e-12 relative of it at rel_tol 1e-11
+    # and 1e-12, and within their own error estimate of it at 1e-12.  At
+    # 1e-11 the nested sample at s = 0.05, sigma = 8/27 is itself 3.3e-14
+    # off, more than the radial estimate (1.8e-14); at 1e-12 the two agree
+    # to 3e-16
+    points = [0.05, 0.3, 1.0]
+    radial = sample_curve(SpectrumKind.TM, sigma, points, 1e-11)
+    for rel_tol in (1e-11, 1e-12):
+        values, _ = nested_tm(points, sigma, rel_tol)
+        for sample, value in zip(radial, values):
+            difference = abs(sample.value - value)
+            assert difference <= 1e-12 * abs(value), (sample.s, rel_tol)
+            if rel_tol == 1e-12:
+                assert sample.est_error >= difference, sample.s
+
+
 @pytest.mark.parametrize("kind", [SpectrumKind.TE, SpectrumKind.TM])
 def test_dielectric_inner_nonconvergence_raises(kind, monkeypatch):
-    # one panel cannot meet the budget; the inner integral must say so, in
-    # the same words in this process (one CPU) and on the helper team (two
-    # CPUs), which is forked after the patch
+    # a sample that runs out of panels must say so, naming itself, in the
+    # same words in this process (one CPU) and on the helper team (two CPUs),
+    # which is forked after the patch.  TE: one panel cannot meet an inner
+    # integral's budget.  TM: a sample takes 16 panels below r = 2 and the
+    # doubling panels [2^k, 2^(k+1)], 2 <= 2^k < X(s), 6 of them for
+    # X(0.5) = 99.9 and 7 for X(0.2) = 250: at a limit of 22 the second
+    # sample is the first past it
     import casimir_laurent.quadrature as quadrature
 
-    monkeypatch.setattr(quadrature, "MAX_PANELS", 1)
+    if kind is SpectrumKind.TE:
+        limit, grid = 1, [0.5]
+        expect = r"^sample 0 \(s=0\.5\) failed: inner quadrature at nu=\S+ did not converge"
+    else:
+        limit, grid = 22, [0.5, 0.2]
+        expect = (r"^sample 1 \(s=0\.2\) failed: quadrature did not converge: the maximum "
+                  r"number of subdivisions \(22\) was reached$")
+    monkeypatch.setattr(quadrature, "MAX_PANELS", limit)
     errors = []
     for count in (1, 2):
         cpus(monkeypatch, count)
-        with pytest.raises(QuadratureError, match=r"^sample 0 \(s=0\.5\) failed: inner "
-                                                  r"quadrature at nu=\S+ did not converge") as exc:
-            eval_I_dielectric(kind, 0.5, SIGMA)
+        with pytest.raises(QuadratureError, match=expect) as exc:
+            sample_curve(kind, SIGMA, grid)
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
     assert len(quadrature._team) == 2
@@ -500,6 +530,13 @@ def test_sample_curve_preserves_order():
     assert [smp.s for smp in samples] == grid
     for smp in samples:
         assert smp.value == pytest.approx(vacuum_closed_form(smp.s), rel=1e-9)
+
+
+def test_an_empty_grid_gives_an_empty_curve():
+    # the fixed-panel layout has no sample to take its panels from, so an
+    # empty curve makes no batch
+    for kinds in (SpectrumKind.VACUUM, SpectrumKind.TM, (SpectrumKind.TE, SpectrumKind.TM)):
+        assert sample_curve(kinds, SIGMA, []) == []
 
 
 def test_sample_curve_accepts_grid_object():
@@ -595,29 +632,31 @@ def test_dielectric_curve_names_first_failing_index(monkeypatch, tmp_path):
 
 
 def test_mixed_kind_curve_names_the_first_failing_chunk(monkeypatch, tmp_path):
-    # TE and TM curves of six points in chunks of two: TE chunks 0-2, then
-    # TM chunks 3-5 in curve order, TM handed out first.  The stand-in
-    # kernel is NaN for TM at sample 0 at once, and for TE at sample 3;
-    # sample 2 of each kind starts 0.25 s late, so TM sample 0 has failed
-    # while every TE chunk is still queued.  No chunk is handed out after
-    # that failure, the TE chunks run here in curve order, and both CPU
-    # counts name TE sample 3, the first failure in curve order.  TE samples
-    # 4 and 5 never start (a helper freed by TM sample 2 would take them)
+    # TM and TE curves of six points, TE in chunks of two.  On two CPUs the
+    # TE chunks go to the helpers first and the TM curve, first in curve
+    # order, is sampled after them.  The stand-in kernel is NaN for TE at
+    # sample 1 at once, and TE sample 2 starts 0.25 s late, so TE chunk 0
+    # has failed while chunk 2 is still queued, and is never handed out.
+    # For TM it is NaN past r = 64, which only the panel [64, 128] reaches:
+    # X(0.8) = 62.4 and X(0.7) = 71.3, so TM sample 1 is the first to take
+    # it.  Both CPU counts name TM sample 1, the first failure in curve
+    # order, although on two CPUs TE failed first
     import casimir_laurent.quadrature as quadrature
 
-    grid = [0.5, 0.55, 0.6, 0.65, 0.7, 0.75]
+    grid = [0.8, 0.7, 0.6, 0.55, 0.5, 0.45]
     reach = truncation_point(np.array(grid))
     top = 0.5 * reach + (0.5 * reach) * quadrature._XGK[0]   # each sample's largest first node
 
     def poisoned(kind, nu, y, sigma):
+        if kind is SpectrumKind.TM:   # g = hypot(nu, 1) and y are the radius's legs
+            return np.where(np.hypot(np.hypot(nu, 1.0), y) > 64.0, math.nan, 1.0)
         new = [j for j in range(len(grid)) if np.any(nu == top[j])
-               and not (tmp_path / f"started-{kind.value}-{j}").exists()]
+               and not (tmp_path / f"started-te-{j}").exists()]
         for j in new:
-            (tmp_path / f"started-{kind.value}-{j}").touch()
+            (tmp_path / f"started-te-{j}").touch()
         if 2 in new:
             time.sleep(0.25)
-        bad = (nu == top[0]) if kind is SpectrumKind.TM else (nu == top[3])
-        return np.where(bad, math.nan, np.ones(np.broadcast(nu, y).shape))
+        return np.where(nu == top[1], math.nan, np.ones(np.broadcast(nu, y).shape))
 
     monkeypatch.setattr(quadrature, "dlog_cross", poisoned)
     monkeypatch.setattr(quadrature, "MAX_CHUNK", 2)
@@ -626,11 +665,11 @@ def test_mixed_kind_curve_names_the_first_failing_chunk(monkeypatch, tmp_path):
         cpus(monkeypatch, count)
         for started in tmp_path.glob("started-*"):
             started.unlink()
-        with pytest.raises(QuadratureError, match=r"^sample 3 \(s=0\.65\) failed: inner quadrature "
-                                                  r"at nu=\S+: non-finite integrand at x=") as exc:
-            sample_curve((SpectrumKind.TE, SpectrumKind.TM), SIGMA, grid)
+        with pytest.raises(QuadratureError, match=r"^sample 1 \(s=0\.7\) failed: quadrature: "
+                                                  r"non-finite integrand at x=") as exc:
+            sample_curve((SpectrumKind.TM, SpectrumKind.TE), SIGMA, grid)
         errors.append(str(exc.value))
-        assert (tmp_path / "started-tm-0").exists() == (count == 2)
+        assert (tmp_path / "started-te-0").exists() == (count == 2)
         assert not (tmp_path / "started-te-4").exists()
     assert errors[0] == errors[1]
 
