@@ -31,31 +31,30 @@ member, starts an inner y integral, and those advance together as well.
 :func:`sample_curve` is the one way in.  It checks every kind, sigma, s
 and rel_tol before the first sample.  :func:`eval_I_dielectric` is the
 batch of one, a one-point curve, as is :func:`eval_I_vacuum`.  A vacuum or
-TM curve is one batch.  sample_curve cuts a TE curve into contiguous
-chunks, one per CPU this process may run on (``os.sched_getaffinity``) and
-at most MAX_CHUNK points, and samples each chunk as one batch.
-:func:`_sample_chunk` samples every batch, builds every sample and names
-every failure.  An integral that fails, here or in a helper, raises only
-its index in its batch and what went wrong (:class:`_Failed`); its name and
-its member are added on the way out, where they are known.
+TM curve is one batch, and a TE curve is sampled in contiguous blocks of at
+most MAX_CHUNK points, one batch each, in order (:func:`_curve`).
+:func:`_sample` samples each curve, builds every sample and names every
+failure.  An integral that fails, here or in a helper, raises only its
+index in its batch and what went wrong (:class:`_Failed`); its name and its
+member are added on the way out, where they are known.
 
-On two or more CPUs, where the platform can fork, dielectric work goes to
-this process's team of forked helper processes, one per CPU.  The team
-starts at the first dielectric call that needs it, serves every later call
-and closes at interpreter exit (:func:`_close_team`); a helper also ends
-when this process dies, on the end of its pipe.  A call with several TE
-chunks, such as the TE curve of a dielectric command, hands whole chunks to
-the helpers.  A TM curve, and a lone TE chunk such as a lone point, run
-here and send their rows of work to the helpers in interleaved parts: the
-radii of F_TM, or each outer step's inner y integrals (:func:`_split`).
-Vacuum batches stay in this process.  A sample's value and error estimate
-are the same bits whatever the CPU count, and so is a failure: once a
-helper reports one, no more work is handed out, and what has no reply, a
-failed part included, is run again in this process.  ``taskset -c 0``
-gives a serial run in this process, which starts no other.  Helpers run the
-module state as it was when they were forked: a module attribute changed
-later (a kernel or MAX_PANELS, say) reaches them only once the team is
-closed and the next call forks a new one.
+On two or more CPUs (``os.sched_getaffinity``), where the platform can
+fork, dielectric work goes to this process's team of forked helper
+processes, one per CPU.  The team starts at the first dielectric call that
+needs it, serves every later call and closes at interpreter exit
+(:func:`_close_team`); a helper also ends when this process dies, on the
+end of its pipe.  Every use of the team sends rows of work to the helpers
+in interleaved parts, one part per helper (:func:`_split`): the points of a
+TE curve of two or more points, the radii of F_TM, or each outer step's
+inner y integrals of a lone TE point.  Vacuum batches stay in this
+process.  A sample's value and error estimate are the same bits whatever
+the CPU count, and so is a failure: where a part fails, the unsplit call
+runs again in this process and raises what a one-CPU run raises.  A
+failing TE curve is thus sampled again here up to its first failing
+block.  ``taskset -c 0`` gives a serial run in this process, which starts
+no other.  Helpers run the module state as it was when they were forked: a
+module attribute changed later (a kernel or MAX_PANELS, say) reaches them
+only once the team is closed and the next call forks a new one.
 
 The dielectric integrand is y * dlog_cross weighted by the damping
 exp(-s * sqrt(g^2 + y^2)) with g = nu (TE) or g = sqrt(nu^2 + 1) (TM):
@@ -91,12 +90,12 @@ MAX_PANELS = 200
 ABS_TOL = 1e-14
 TAIL_TOL = 1e-13
 
-# The most points one TE batch holds.  Measured on a 2-CPU host, before TM
-# samples took the fixed panels, the default 200-point TE + TM curves (three
-# runs each) sampled in a median 19.5 s with chunks of 25 points, 20.3 s with
-# 10 and 22.4 s with 100 (one chunk per process and kind, whose slower small-s
-# half leaves a process idle at the end), with a peak RSS per sampling
-# process of 51, 44 and 77 MB.
+# The most points one TE batch holds, which bounds its memory.  Measured on a
+# 2-CPU host, before TM samples took the fixed panels, the default 200-point
+# TE + TM curves (three runs each) sampled in a median 19.5 s with chunks of
+# 25 points, 20.3 s with 10 and 22.4 s with 100 (one chunk per process and
+# kind, whose slower small-s half leaves a process idle at the end), with a
+# peak RSS per sampling process of 51, 44 and 77 MB.
 MAX_CHUNK = 25
 
 # QUADPACK qk21: the 21-point Kronrod abscissae on [0, 1] (descending, the
@@ -141,12 +140,14 @@ class QuadratureError(ArithmeticError):
 
 
 class _Failed(QuadratureError):
-    """Integral `index` of a batch failed: `text`, after the integral's
-    `name` once a caller gives it.  Picklable, to cross a helper's pipe."""
+    """Integral `index` of a batch failed, or, where `count` > 1, one of the
+    `count` from it on, for a kernel error raised for them as a whole:
+    `text`, after the integral's `name` once a caller gives it.  Picklable,
+    to cross a helper's pipe."""
 
-    def __init__(self, index: int, text: str, name: str = "") -> None:
-        super().__init__(index, text, name)
-        self.index, self.text, self.name = index, text, name
+    def __init__(self, index: int, text: str, name: str = "", count: int = 1) -> None:
+        super().__init__(index, text, name, count)
+        self.index, self.text, self.name, self.count = index, text, name, count
 
 
 class IntegralSample(NamedTuple):
@@ -502,28 +503,46 @@ def _batch(kind: SpectrumKind, sigma: float, points: Sequence[float], rel_tol: f
                           "outer quadrature")
 
 
-def _sample_chunk(job: tuple[SpectrumKind, float, int, list[float], float],
-                  team: list | None = None) -> list[IntegralSample]:
-    """The samples of one chunk of a curve, as one batch: the chunk is the
-    kind, sigma, the grid index of its first point, its points and rel_tol.
-    Every sample is built here, and every failure named.  Module-level, so
-    that it can be sent to a helper; a helper samples its chunk alone, this
-    process with F_TM or the TE inner integrals split across `team`, if
-    given."""
-    kind, sigma, first, points, rel_tol = job
+def _curve(kind: SpectrumKind, sigma: float, rel_tol: float, s: np.ndarray,
+           team: list | None = None) -> np.ndarray:
+    """The integrals of `kind` at every s, as a (2, s.size) array of values
+    and est_errors: a vacuum or TM curve as one batch, a TE curve in
+    contiguous blocks of at most MAX_CHUNK points, one batch each, in
+    order (:func:`_batch`, which splits F_TM, or the inner integrals of a
+    TE batch, across `team` if given).  A failure is the first failing
+    block's, with its index in s; a kernel error, raised for a block as a
+    whole, names the block.  Module-level, so that it can be sent to a
+    helper."""
+    size = MAX_CHUNK if kind is SpectrumKind.TE else max(1, s.size)
+    out = np.empty((2, s.size))
+    for start in range(0, s.size, size):
+        block = s[start:start + size]
+        try:
+            out[:, start:start + size] = _batch(kind, sigma, block, rel_tol, team)
+        except _Failed as exc:
+            raise _Failed(start + exc.index, exc.text, exc.name) from None
+        except ArithmeticError as exc:   # the kernel's, raised for the block as a whole
+            raise _Failed(start, f"{exc}", count=block.size) from exc
+    return out
 
-    def label(i: int) -> str:
-        return f"sample {first + i} (s={points[i]}) failed: "
 
+def _sample(kind: SpectrumKind, sigma: float, points: list[float], rel_tol: float,
+            team: list) -> list[IntegralSample]:
+    """The samples of the curve of `kind` at points (:func:`_curve`).  With
+    helpers in `team`, a TE curve of two or more points goes to them in
+    interleaved parts (:func:`_split`); F_TM, or the inner integrals of a
+    lone TE point, are split inside its batch.  Every sample is built here,
+    and every failure named."""
+    s = np.array(points)
     try:
-        values, errors = _batch(kind, sigma, points, rel_tol, team)
+        values, errors = (_split(team, _curve, (kind, sigma, rel_tol), (s,))
+                          if team and kind is SpectrumKind.TE and s.size > 1
+                          else _curve(kind, sigma, rel_tol, s, team))
     except _Failed as exc:
-        raise QuadratureError(f"{label(exc.index)}{exc.name}{exc.text}") from exc
-    except ArithmeticError as exc:   # the kernel's, raised for the batch as a whole
-        where = label(0) if len(points) == 1 else (
-            f"one of samples {first} to {first + len(points) - 1} "
-            f"(s={points[0]} to {points[-1]}) failed: ")
-        raise QuadratureError(f"{where}{exc}") from exc
+        i, last = exc.index, exc.index + exc.count - 1
+        where = (f"sample {i} (s={points[i]})" if i == last
+                 else f"one of samples {i} to {last} (s={points[i]} to {points[last]})")
+        raise QuadratureError(f"{where} failed: {exc.name}{exc.text}") from exc
     return list(map(IntegralSample, points, values.tolist(), errors.tolist(),
                     repeat(kind), repeat(sigma)))
 
@@ -621,66 +640,41 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_team)
 
 
-def _on_team(team: list, tasks: list, order: Sequence[int]) -> dict[int, tuple[bool, object]]:
-    """Run tasks[i] = (function, args), i in order, on the helpers of team,
-    one task per idle helper, handed out in that order.  Once any task has
-    failed no more are handed out, and the tasks running are waited for;
-    once every task is out, the replies are read in turn.  Returns
-    {i: (True, result) or (False, exception)} for each task run, so a task
-    with no reply is the caller's to run.  A helper that ends before it
-    replies raises RuntimeError; that or any other exception, an interrupt
-    say, closes the team, so that no pipe is left out of step."""
-    from multiprocessing.connection import wait
-
-    queue = list(order)
-    idle = [conn for conn, _ in team]
-    running: dict = {}
-    replies: dict[int, tuple[bool, object]] = {}
-    try:
-        while queue or running:
-            while queue and idle:
-                i = queue.pop(0)
-                idle[-1].send(tasks[i])
-                running[idle.pop()] = i
-            # with tasks still queued every helper is busy: take the first to reply
-            ready = wait(list(running)) if queue else list(running)
-            for conn in ready:
-                i = running.pop(conn)
-                try:
-                    replies[i] = conn.recv()
-                except EOFError:
-                    raise RuntimeError("a sampling helper process ended before it replied"
-                                       ) from None
-                idle.append(conn)
-                if not replies[i][0]:
-                    queue.clear()
-        return replies
-    except BaseException:
-        _close_team()
-        raise
-
-
 def _split(team: list, task: Callable, fixed: tuple, rows: tuple[np.ndarray, ...]
            ) -> np.ndarray:
-    """task(*fixed, *rows), one value per row, each row's value independent
-    of the others, on the helpers of team: row j goes to part j mod W, W
-    helpers in all, and each helper runs one part, so every value has the
-    bits of the unsplit call.  Where a part fails with an ArithmeticError,
-    the unsplit call runs in this process and raises what a one-CPU run
-    raises; any other exception of a part is raised as it is."""
+    """task(*fixed, *rows), whose last axis holds one entry per row, each
+    row's entries independent of the others, on the helpers of team: row j
+    goes to part j mod W, W helpers in all, one part is sent to each helper
+    and the replies are read in turn, so every entry has the bits of the
+    unsplit call.  Where a part fails with an ArithmeticError, the unsplit
+    call runs in this process and raises what a one-CPU run raises; any
+    other exception of a part is raised as it is.  A helper that ends before
+    it replies raises RuntimeError; that or any other exception here, an
+    interrupt say, closes the team, so that no pipe is left out of step."""
     width = len(team)
     parts = [(task, (*fixed, *(row[j::width] for row in rows)))
              for j in range(min(width, rows[0].size))]
-    replies = _on_team(team, parts, range(len(parts)))
-    failures = [result for ok, result in replies.values() if not ok]
+    try:
+        for (conn, _), part in zip(team, parts):
+            conn.send(part)
+        replies = []
+        for conn, _ in team[:len(parts)]:
+            try:
+                replies.append(conn.recv())
+            except EOFError:
+                raise RuntimeError("a sampling helper process ended before it replied") from None
+    except BaseException:
+        _close_team()
+        raise
+    failures = [result for ok, result in replies if not ok]
     for exc in failures:
         if not isinstance(exc, ArithmeticError):
             raise exc
     if failures:
         return task(*fixed, *rows)
-    out = np.empty(rows[0].size)
-    for j, (_, result) in replies.items():
-        out[j::width] = result
+    out = np.empty(replies[0][1].shape[:-1] + (rows[0].size,))
+    for j, (_, result) in enumerate(replies):
+        out[..., j::width] = result
     return out
 
 
@@ -695,18 +689,19 @@ def sample_curve(
 
     Every kind, sigma, s and rel_tol, and the reach of a dielectric curve
     (:func:`check_reach`), is checked before any sample or helper starts.
-    A vacuum or TM curve is one batch on the fixed panels, sampled in this
-    process.  A TE curve is cut into contiguous chunks, one per CPU in this
-    process's affinity mask and at most MAX_CHUNK points long, and each
-    chunk is one batch.  On more than one CPU, and where the platform can
-    fork, the helper team takes the dielectric work: whole TE chunks where
-    there are several (:func:`_on_team`), and otherwise F_TM or the inner
-    integrals of the one TE chunk, split by rows (:func:`_split`).  On one
-    CPU every batch is sampled in this process, in curve order.  Either way
-    each sample is the one-point curve at its s, bit for bit.  The error
-    raised is that of the first failing batch in curve order, and names the
-    first of its samples to fail, which need not be its lowest failing
-    index.
+    A vacuum or TM curve is one batch on the fixed panels, and a TE curve
+    is sampled in contiguous blocks of at most MAX_CHUNK points, one batch
+    each.  On more than one CPU in this process's affinity mask, and where
+    the platform can fork, the helper team takes the dielectric work, split
+    by rows (:func:`_split`): the points of a TE curve, in interleaved
+    parts that each helper samples in blocks; F_TM of a TM curve; the inner
+    integrals of a lone TE point.  Either way each sample is the one-point
+    curve at its s, bit for bit.  The curves are sampled in curve order, and
+    the error raised is that of the first failing curve as a one-CPU run
+    raises it: the first failing block's, naming the first of its samples
+    to fail, which need not be its lowest failing index.  Where a helper's
+    part of a TE curve fails, the whole curve is sampled again in this
+    process, up to its first failing block.
     """
     points = [float(s) for s in getattr(grid, "points", grid)]
     kinds = kinds if isinstance(kinds, tuple) else (kinds,)
@@ -718,30 +713,19 @@ def sample_curve(
     for s in points:
         if not 0.0 < s < math.inf:
             raise ValueError(f"sample_curve requires 0 < s < inf, got {s}")
-    if points and any(kind is not SpectrumKind.VACUUM for kind in kinds):
+    dielectric = any(kind is not SpectrumKind.VACUUM for kind in kinds)
+    if points and dielectric:
         check_reach(sigma, min(points))
+    budgets = [resolve_rel_tol(kind, rel_tol) for kind in kinds]
+    if not points:   # no sample to take the fixed panels from
+        return []
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else 1
-    jobs = []
-    for kind in kinds:
-        rel = resolve_rel_tol(kind, rel_tol)
-        # a vacuum or TM curve is one batch, whose samples share one F
-        size = (max(1, min(MAX_CHUNK, -(-len(points) // cpus))) if kind is SpectrumKind.TE
-                else max(1, len(points)))
-        jobs += [(kind, 1.0 if kind is SpectrumKind.VACUUM else sigma, j, points[j:j + size], rel)
-                 for j in range(0, len(points), size)]
-    dielectric = any(job[0] is not SpectrumKind.VACUUM for job in jobs)
     team = _helpers(cpus) if dielectric and cpus > 1 else []
-    chunks = [i for i, job in enumerate(jobs) if job[0] is SpectrumKind.TE]
-    done = _on_team(team, [(_sample_chunk, (job,)) for job in jobs], chunks
-                    ) if team and len(chunks) > 1 else {}
     samples = []
-    for i, job in enumerate(jobs):
-        # in curve order, so that the first failure raised is the first in it
-        ok, result = done[i] if i in done else (True, _sample_chunk(job, team))
-        if not ok:
-            raise result
-        samples += result
+    for kind, budget in zip(kinds, budgets):
+        samples += _sample(kind, 1.0 if kind is SpectrumKind.VACUUM else sigma, points, budget,
+                           team)
     return samples
 
 

@@ -590,8 +590,9 @@ def test_dielectric_stdout(tmp_path, monkeypatch, capsys):
 
 
 def test_dielectric_run_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys):
-    # one CPU samples each curve as one chunk in this process, two CPUs as
-    # chunks of 8 points on the forked helper team: the same bytes either way
+    # one CPU samples each curve as one batch in this process, two CPUs on
+    # the forked helper team, the TE points in interleaved parts of 8 and
+    # F_TM by radius rows: the same bytes either way
     import casimir_laurent.quadrature as quadrature
 
     runs = []

@@ -7,7 +7,6 @@ geometric panels (dual route, no shared code with the adaptive path).
 
 import math
 import re
-import time
 
 import numpy as np
 import pytest
@@ -508,6 +507,41 @@ def test_split_inner_failure_is_the_unsplit_batch_failure(monkeypatch):
     assert len(quadrature._team) == 2
 
 
+def test_split_curve_failure_is_the_one_cpu_failure(monkeypatch):
+    # The 16-point sigma = 8/27 TE curve.  NaN at every y for sample 10's
+    # row-5 node of its first outer step, and for sample 3's row-2 node
+    # only at y in (0.2, 0.215) of its upper limit, which no node of its
+    # first panel reaches.  One CPU samples the curve as one batch, which
+    # fails at its first inner step, in sample 10; on two helpers sample 3's
+    # part runs on to its failure at a later step.  Both CPU counts must
+    # name sample 10 in the same words
+    import casimir_laurent.quadrature as quadrature
+
+    grid = make_grid(0.05, 1.0, 16).points
+    reach = truncation_point(np.array(grid))
+    half = 0.5 * reach
+    row5, row2 = half[10] - quadrature._XGK[5] * half[10], half[3] - quadrature._XGK[2] * half[3]
+    upper2 = math.sqrt(reach[3] * reach[3] - row2 * row2)
+
+    def poisoned(kind, nu, y, sigma):
+        shape = np.broadcast(nu, y).shape
+        nu, y = np.broadcast_to(nu, shape), np.broadcast_to(y, shape)
+        bad = (nu == row5) | ((nu == row2) & (y > 0.2 * upper2) & (y < 0.215 * upper2))
+        return np.where(bad, math.nan, 1.0)
+
+    monkeypatch.setattr(quadrature, "dlog_cross", poisoned)
+    errors = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        with pytest.raises(QuadratureError, match=rf"^sample 10 \(s={re.escape(str(grid[10]))}\) "
+                           rf"failed: inner quadrature at nu={re.escape(str(row5))}: "
+                           r"non-finite integrand at x=") as exc:
+            sample_curve(SpectrumKind.TE, SIGMA, grid)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert len(quadrature._team) == 2
+
+
 def test_dielectric_domain():
     with pytest.raises(ValueError):
         eval_I_dielectric(SpectrumKind.VACUUM, 1.0, SIGMA)
@@ -578,9 +612,11 @@ def cpus(monkeypatch, count):
 @pytest.mark.parametrize("sigma", [8.0 / 27.0, 27.0 / 8.0])
 @pytest.mark.parametrize("kind", [SpectrumKind.TE, SpectrumKind.TM])
 def test_dielectric_curve_equals_single_points(kind, sigma, monkeypatch):
-    # both kinds in one call, `kind` first: five points make chunks of 3 and
-    # 2 on two CPUs and of 5 on one, and the helper team (two helpers) and
-    # the serial route return each sample bit for bit, in the order asked for
+    # both kinds in one call, `kind` first: on two CPUs the helper team (two
+    # helpers) samples the TE points in parts of 3 and 2 (samples 0, 2, 4
+    # and 1, 3) and builds F_TM in parts, on one CPU each curve is one batch
+    # in this process, and both return each sample bit for bit, in the
+    # order asked for
     other = SpectrumKind.TM if kind is SpectrumKind.TE else SpectrumKind.TE
     grid = [0.7, 0.775, 0.85, 0.925, 1.0]
     alone = [eval_I_dielectric(k, s, sigma) for k in (kind, other) for s in grid]
@@ -591,56 +627,69 @@ def test_dielectric_curve_equals_single_points(kind, sigma, monkeypatch):
 
 
 def test_dielectric_curve_names_first_failing_index(monkeypatch, tmp_path):
-    # two helpers and chunks of two points: 15 chunks for 30 points.  The
-    # kernel is a cheap stand-in that sees a chunk start on its first call,
-    # which holds every member's first outer nodes, and is NaN at sample 5
-    # after 0.5 s and at sample 7 at once; every other chunk starts 0.25 s
-    # late.  The error names sample 5, the second member of the third chunk,
-    # although its chunk failed after sample 7's; it was raised in a helper,
-    # and once the fourth chunk has failed no later chunk is handed out
+    # 30 points in blocks of two.  The stand-in kernel is NaN at the first
+    # outer nodes of samples 5 and 7, and every batch is marked with its
+    # process and samples.  One CPU samples the blocks (0, 1), (2, 3) and
+    # (4, 5) and fails in the third, at sample 5.  On two helpers the first
+    # takes the even samples and runs to its end, the second the odd ones,
+    # and fails in its second block, (5, 7); this process then samples the
+    # curve again, up to its first failing block.  Both CPU counts name
+    # sample 5 in the same words
     import os
-    import time
 
     import casimir_laurent.quadrature as quadrature
 
     grid = [round(0.5 + 0.05 * j, 2) for j in range(30)]
     reach = truncation_point(np.array(grid))
     top = 0.5 * reach + (0.5 * reach) * quadrature._XGK[0]   # each sample's largest first node
+    batch = quadrature._batch
 
     def poisoned(kind, nu, y, sigma):
-        new = [j for j in range(len(grid)) if np.any(nu == top[j])
-               and not (tmp_path / f"started-{j}").exists()]
-        for j in new:
-            (tmp_path / f"started-{j}").touch()
-        if new:
-            time.sleep(0.5 if 5 in new else 0.0 if 7 in new else 0.25)
-        if np.any(nu == top[5]):
-            (tmp_path / f"poisoned-{os.getpid()}").touch()
         bad = (nu == top[5]) | (nu == top[7])
         return np.where(bad, math.nan, np.ones(np.broadcast(nu, y).shape))
 
+    def marked(kind, sigma, points, rel_tol, team=None):
+        (tmp_path / "-".join(map(str, [os.getpid(), *map(grid.index, points)]))).touch()
+        return batch(kind, sigma, points, rel_tol, team)
+
+    def batches() -> dict[int, list[tuple[int, ...]]]:
+        """The blocks of samples batched in each process since the last
+        call, by pid."""
+        marks = sorted([*map(int, mark.name.split("-"))] for mark in tmp_path.iterdir())
+        for mark in tmp_path.iterdir():
+            mark.unlink()
+        out: dict[int, list[tuple[int, ...]]] = {}
+        for pid, *block in marks:
+            out.setdefault(pid, []).append(tuple(block))
+        return out
+
     monkeypatch.setattr(quadrature, "dlog_cross", poisoned)
+    monkeypatch.setattr(quadrature, "_batch", marked)
     monkeypatch.setattr(quadrature, "MAX_CHUNK", 2)
-    cpus(monkeypatch, 2)
-    with pytest.raises(QuadratureError, match=r"^sample 5 \(s=0\.75\) failed: inner quadrature "
-                                              r"at nu=\S+: non-finite integrand at x="):
-        sample_curve(SpectrumKind.TE, SIGMA, grid)
-    assert (tmp_path / "started-7").exists()
-    poisoned_in = [p.name for p in tmp_path.glob("poisoned-*")]
-    assert len(poisoned_in) == 1 and poisoned_in != [f"poisoned-{os.getpid()}"]
-    assert not (tmp_path / "started-29").exists()
+    errors = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        with pytest.raises(QuadratureError, match=r"^sample 5 \(s=0\.75\) failed: inner "
+                                                  r"quadrature at nu=\S+: non-finite integrand "
+                                                  r"at x=") as exc:
+            sample_curve(SpectrumKind.TE, SIGMA, grid)
+        errors.append(str(exc.value))
+        expect = {os.getpid(): [(0, 1), (2, 3), (4, 5)]}
+        if count == 2:
+            (_, even), (_, odd) = quadrature._team
+            expect[even] = [(j, j + 2) for j in range(0, 28, 4)] + [(28,)]
+            expect[odd] = [(1, 3), (5, 7)]
+        assert batches() == expect
+    assert errors[0] == errors[1]
 
 
-def test_mixed_kind_curve_names_the_first_failing_chunk(monkeypatch, tmp_path):
-    # TM and TE curves of six points, TE in chunks of two.  On two CPUs the
-    # TE chunks go to the helpers first and the TM curve, first in curve
-    # order, is sampled after them.  The stand-in kernel is NaN for TE at
-    # sample 1 at once, and TE sample 2 starts 0.25 s late, so TE chunk 0
-    # has failed while chunk 2 is still queued, and is never handed out.
-    # For TM it is NaN past r = 64, which only the panel [64, 128] reaches:
-    # X(0.8) = 62.4 and X(0.7) = 71.3, so TM sample 1 is the first to take
-    # it.  Both CPU counts name TM sample 1, the first failure in curve
-    # order, although on two CPUs TE failed first
+def test_mixed_kind_curve_never_starts_the_curve_after_a_failing_one(monkeypatch, tmp_path):
+    # TM and TE curves of six points, TM first.  The stand-in kernel is NaN
+    # for TM past r = 64, which only the panel [64, 128] reaches: X(0.8) =
+    # 62.4 and X(0.7) = 71.3, so TM sample 1 is the first to take it.  For TE
+    # it is NaN at sample 1, and it marks every TE call.  The curves are
+    # sampled in curve order, so both CPU counts name TM sample 1 word for
+    # word, and neither starts the TE curve
     import casimir_laurent.quadrature as quadrature
 
     grid = [0.8, 0.7, 0.6, 0.55, 0.5, 0.45]
@@ -650,33 +699,25 @@ def test_mixed_kind_curve_names_the_first_failing_chunk(monkeypatch, tmp_path):
     def poisoned(kind, nu, y, sigma):
         if kind is SpectrumKind.TM:   # g = hypot(nu, 1) and y are the radius's legs
             return np.where(np.hypot(np.hypot(nu, 1.0), y) > 64.0, math.nan, 1.0)
-        new = [j for j in range(len(grid)) if np.any(nu == top[j])
-               and not (tmp_path / f"started-te-{j}").exists()]
-        for j in new:
-            (tmp_path / f"started-te-{j}").touch()
-        if 2 in new:
-            time.sleep(0.25)
+        (tmp_path / "started-te").touch()
         return np.where(nu == top[1], math.nan, np.ones(np.broadcast(nu, y).shape))
 
     monkeypatch.setattr(quadrature, "dlog_cross", poisoned)
-    monkeypatch.setattr(quadrature, "MAX_CHUNK", 2)
     errors = []
     for count in (1, 2):
         cpus(monkeypatch, count)
-        for started in tmp_path.glob("started-*"):
-            started.unlink()
         with pytest.raises(QuadratureError, match=r"^sample 1 \(s=0\.7\) failed: quadrature: "
                                                   r"non-finite integrand at x=") as exc:
             sample_curve((SpectrumKind.TM, SpectrumKind.TE), SIGMA, grid)
         errors.append(str(exc.value))
-        assert (tmp_path / "started-te-0").exists() == (count == 2)
-        assert not (tmp_path / "started-te-4").exists()
+        assert not (tmp_path / "started-te").exists()
     assert errors[0] == errors[1]
+    assert len(quadrature._team) == 2
 
 
 def test_dielectric_curve_names_the_chunk_of_a_kernel_error(monkeypatch):
     # the kernel raises for its whole array, so a batch cannot tell which
-    # member failed: the error names the chunk, as a QuadratureError (exit 3)
+    # member failed: the error names the batch, as a QuadratureError (exit 3)
     import casimir_laurent.quadrature as quadrature
     from casimir_laurent.integrands import CrossProductError
 
@@ -688,6 +729,35 @@ def test_dielectric_curve_names_the_chunk_of_a_kernel_error(monkeypatch):
     with pytest.raises(QuadratureError, match=r"^one of samples 0 to 2 \(s=0\.5 to 0\.7\) "
                                               r"failed: TE cross product lost its fixed sign"):
         sample_curve(SpectrumKind.TE, SIGMA, [0.5, 0.6, 0.7])
+
+
+def test_a_kernel_error_names_its_block(monkeypatch):
+    # blocks of two points: the kernel raises once it sees sample 3's first
+    # outer nodes, so one CPU fails in the block (2, 3), and two CPUs in the
+    # second helper's block of samples 1 and 3; both name the block (2, 3)
+    import casimir_laurent.quadrature as quadrature
+    from casimir_laurent.integrands import CrossProductError
+
+    grid = [0.5, 0.6, 0.7, 0.8, 0.9]
+    reach = truncation_point(np.array(grid))
+    top = 0.5 * reach + (0.5 * reach) * quadrature._XGK[0]   # each sample's largest first node
+
+    def broken(kind, nu, y, sigma):
+        if np.any(nu == top[3]):
+            raise CrossProductError("TE cross product lost its fixed sign at nu=1.0, y=2.0")
+        return np.ones(np.broadcast(nu, y).shape)
+
+    monkeypatch.setattr(quadrature, "dlog_cross", broken)
+    monkeypatch.setattr(quadrature, "MAX_CHUNK", 2)
+    errors = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        with pytest.raises(QuadratureError, match=r"^one of samples 2 to 3 \(s=0\.7 to 0\.8\) "
+                                                  r"failed: TE cross product lost") as exc:
+            sample_curve(SpectrumKind.TE, SIGMA, grid)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert len(quadrature._team) == 2
 
 
 def test_single_point_on_two_cpus_equals_one_cpu(monkeypatch):
@@ -778,7 +848,7 @@ def test_dielectric_curve_checks_before_any_sample(kind, sigma, grid, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("a sample or the helper team was started")
 
-    for name in ("eval_I_dielectric", "_sample_chunk", "_batch", "_helpers"):
+    for name in ("eval_I_dielectric", "_sample", "_batch", "_helpers"):
         monkeypatch.setattr(quadrature, name, refuse)
     cpus(monkeypatch, 2)
     with pytest.raises(ValueError, match=r"requires 0 < s < inf|sigma must lie in|no cross|"
