@@ -10,9 +10,9 @@ Commands:
 Common flags mirror the config-file keys of the same name and share their
 parsers, as sweep values do; flags override file values.  Config files are
 flat `key = value` lines with `#` comments.  Every value is checked before
-the first sample, and out_dir is created only once every curve of the command
-has been sampled and regularized, so a failed run leaves no directory and no
-partial artifacts.
+the first sample, out_dir included: a file at it or above it is refused.
+out_dir is created only once every curve of the command has been sampled and
+regularized, so a failed run leaves no directory and no partial artifacts.
 Exit codes: 0 success, 2 configuration error, 3 quadrature failure,
 4 regularization failure.
 """
@@ -147,6 +147,13 @@ def plan_run(cfg: RunConfig, kind: SpectrumKind) -> RunPlan:
     if cfg.grid_points <= cfg.n2 - cfg.n1 - 1:    # coefficients of window (n1 + 1, n2 - 1)
         raise ConfigError(f"grid_points must exceed the {cfg.n2 - cfg.n1 - 1} coefficients of "
                           f"the widest window, got {cfg.grid_points}")
+    # the nearest path of out_dir that exists, out_dir itself included, must
+    # be a directory, or the run could not write what it sampled; a dangling
+    # link exists, and is none
+    out = Path(cfg.out_dir)
+    block = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if not block.is_dir():
+        raise ConfigError(f"out_dir {cfg.out_dir} cannot be a directory: {block} is not one")
     return plan
 
 
@@ -265,24 +272,16 @@ def _result_block(result: RegularizationResult) -> dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def _curves(kinds: tuple[SpectrumKind, ...], plan: RunPlan, taken: dict
-            ) -> list[tuple[list[IntegralSample], RegularizationResult]]:
-    """Sample the curves of kinds in one sample_curve call, then regularize
-    each; one (samples, result) per kind.
-
-    `taken` holds the command's samples by (kinds, sigma, grid, rel_tol);
-    curves whose key is already there are not sampled again.
-    """
-    key = (kinds, plan.sigma, plan.grid, plan.rel_tol)
-    if key not in taken:
-        taken[key] = sample_curve(kinds, plan.sigma, plan.grid, plan.rel_tol)
-    curves = [[p for p in taken[key] if p.kind is kind] for kind in kinds]
-    return [(samples, regularize(samples, plan.params)) for samples in curves]
+def _run_curve(kind: SpectrumKind, plan: RunPlan
+               ) -> tuple[list[IntegralSample], RegularizationResult]:
+    """Sample the curve of `kind` on plan's grid, then regularize it."""
+    samples = sample_curve(kind, plan.sigma, plan.grid, plan.rel_tol)
+    return samples, regularize(samples, plan.params)
 
 
 def run_vacuum(cfg: RunConfig) -> int:
     plan = plan_run(cfg, SpectrumKind.VACUUM)
-    [(samples, result)] = _curves((SpectrumKind.VACUUM,), plan, {})
+    samples, result = _run_curve(SpectrumKind.VACUUM, plan)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_curve(out, SpectrumKind.VACUUM, samples, result)
@@ -301,8 +300,7 @@ def run_vacuum(cfg: RunConfig) -> int:
 
 def run_dielectric(cfg: RunConfig) -> int:
     plan = plan_run(cfg, SpectrumKind.TE)
-    kinds = (SpectrumKind.TE, SpectrumKind.TM)
-    curves = dict(zip(kinds, _curves(kinds, plan, {})))
+    curves = {kind: _run_curve(kind, plan) for kind in (SpectrumKind.TE, SpectrumKind.TM)}
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for kind, (samples, result) in curves.items():
@@ -328,8 +326,7 @@ def dump_sensitivity(cfg: RunConfig, vary: str, values: list[str]) -> int:
     """Sweep one parameter over the vacuum pipeline and tabulate c0.
 
     Each value is parsed by its setting's parser, named by the sweep key, and
-    checked before the first sample; rows carry float(text).  Values that
-    resolve to the same grid and rel_tol share one sampling pass.
+    checked before the first sample; rows carry float(text).
     """
     if vary not in _SWEEPS:
         raise ConfigError(f"unknown sweep parameter {vary!r}; "
@@ -339,9 +336,8 @@ def dump_sensitivity(cfg: RunConfig, vary: str, values: list[str]) -> int:
     plans = [plan_run(replace(cfg, **{name: _parse_setting(name, text, vary)}),
                       SpectrumKind.VACUUM) for text in values]
     rows, table = [], []
-    taken: dict = {}
     for value, plan in zip(map(float, values), plans):
-        [(_, result)] = _curves((SpectrumKind.VACUUM,), plan, taken)
+        _, result = _run_curve(SpectrumKind.VACUUM, plan)
         rows.append((value, result))
         print(f"{vary}={value:g}: {_summary(result)}")
         diag = result.diagnostics

@@ -28,15 +28,15 @@ batch (:func:`_batch`), one member per damping s, the outer nu integrals
 advance together, and every nu node an outer step asks for, of every
 member, starts an inner y integral, and those advance together as well.
 
-:func:`sample_curve` is the one way in.  It checks every kind, sigma, s
-and rel_tol before the first sample.  :func:`eval_I_dielectric` is the
-batch of one, a one-point curve, as is :func:`eval_I_vacuum`.  A vacuum or
-TM curve is one batch, and a TE curve is sampled in contiguous blocks of at
-most MAX_CHUNK points, one batch each, in order (:func:`_curve`).
-:func:`_sample` samples each curve, builds every sample and names every
-failure.  An integral that fails, here or in a helper, raises only its
-index in its batch and what went wrong (:class:`_Failed`); its name and its
-member are added on the way out, where they are known.
+:func:`sample_curve` is the one way in, one curve of one kind per call.
+It checks the kind, sigma, every s and rel_tol before the first sample,
+builds every sample and names every failure.  :func:`eval_I_dielectric` is
+the batch of one, a one-point curve, as is :func:`eval_I_vacuum`.  A vacuum
+or TM curve is one batch, and a TE curve is sampled in contiguous blocks of
+at most MAX_CHUNK points, one batch each, in order (:func:`_curve`).  An
+integral that fails, here or in a helper, raises only its index in its
+batch and what went wrong (:class:`_Failed`); its name and its member are
+added on the way out, where they are known.
 
 On two or more CPUs (``os.sched_getaffinity``), where the platform can
 fork, dielectric work goes to this process's team of forked helper
@@ -526,27 +526,6 @@ def _curve(kind: SpectrumKind, sigma: float, rel_tol: float, s: np.ndarray,
     return out
 
 
-def _sample(kind: SpectrumKind, sigma: float, points: list[float], rel_tol: float,
-            team: list) -> list[IntegralSample]:
-    """The samples of the curve of `kind` at points (:func:`_curve`).  With
-    helpers in `team`, a TE curve of two or more points goes to them in
-    interleaved parts (:func:`_split`); F_TM, or the inner integrals of a
-    lone TE point, are split inside its batch.  Every sample is built here,
-    and every failure named."""
-    s = np.array(points)
-    try:
-        values, errors = (_split(team, _curve, (kind, sigma, rel_tol), (s,))
-                          if team and kind is SpectrumKind.TE and s.size > 1
-                          else _curve(kind, sigma, rel_tol, s, team))
-    except _Failed as exc:
-        i, last = exc.index, exc.index + exc.count - 1
-        where = (f"sample {i} (s={points[i]})" if i == last
-                 else f"one of samples {i} to {last} (s={points[i]} to {points[last]})")
-        raise QuadratureError(f"{where} failed: {exc.name}{exc.text}") from exc
-    return list(map(IntegralSample, points, values.tolist(), errors.tolist(),
-                    repeat(kind), repeat(sigma)))
-
-
 # ---------------------------------------------------------------------------
 # The helper team: one forked process per CPU, kept for the life of this
 # process.  Each helper owns one end of a pipe, over which it receives
@@ -679,54 +658,60 @@ def _split(team: list, task: Callable, fixed: tuple, rows: tuple[np.ndarray, ...
 
 
 def sample_curve(
-    kinds: SpectrumKind | tuple[SpectrumKind, ...],
+    kind: SpectrumKind,
     sigma: float,
     grid: Sequence[float],
     rel_tol: float | None = None,
 ) -> list[IntegralSample]:
-    """One IntegralSample per kind and grid point: the curve of each kind in
-    the order given, each in grid order.
+    """The curve of `kind` on grid: one IntegralSample per grid point, in
+    grid order.
 
-    Every kind, sigma, s and rel_tol, and the reach of a dielectric curve
-    (:func:`check_reach`), is checked before any sample or helper starts.
-    A vacuum or TM curve is one batch on the fixed panels, and a TE curve
-    is sampled in contiguous blocks of at most MAX_CHUNK points, one batch
-    each.  On more than one CPU in this process's affinity mask, and where
-    the platform can fork, the helper team takes the dielectric work, split
-    by rows (:func:`_split`): the points of a TE curve, in interleaved
-    parts that each helper samples in blocks; F_TM of a TM curve; the inner
-    integrals of a lone TE point.  Either way each sample is the one-point
-    curve at its s, bit for bit.  The curves are sampled in curve order, and
-    the error raised is that of the first failing curve as a one-CPU run
-    raises it: the first failing block's, naming the first of its samples
-    to fail, which need not be its lowest failing index.  Where a helper's
-    part of a TE curve fails, the whole curve is sampled again in this
-    process, up to its first failing block.
+    The kind, sigma, every s and rel_tol, and the reach of a dielectric
+    curve (:func:`check_reach`), are checked before any sample or helper
+    starts.  A vacuum or TM curve is one batch on the fixed panels, and a
+    TE curve is sampled in contiguous blocks of at most MAX_CHUNK points,
+    one batch each (:func:`_curve`).  On more than one CPU in this
+    process's affinity mask, and where the platform can fork, the helper
+    team takes the dielectric work, split by rows (:func:`_split`): the
+    points of a TE curve, in interleaved parts that each helper samples in
+    blocks; F_TM of a TM curve; the inner integrals of a lone TE point.
+    Either way each sample is the one-point curve at its s, bit for bit.
+    Every sample is built here, and every failure named: the error raised
+    is the one a one-CPU run raises, the first failing block's, naming the
+    first of its samples to fail, which need not be its lowest failing
+    index.  Where a helper's part of a TE curve fails, the whole curve is
+    sampled again in this process, up to its first failing block.
     """
     points = [float(s) for s in getattr(grid, "points", grid)]
-    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
-    for kind in kinds:
-        if not isinstance(kind, SpectrumKind):
-            raise ValueError(f"no cross product for kind {kind}")
-        if kind is not SpectrumKind.VACUUM:
-            check_sigma(sigma)
+    if not isinstance(kind, SpectrumKind):
+        raise ValueError(f"no cross product for kind {kind}")
+    dielectric = kind is not SpectrumKind.VACUUM
+    if dielectric:
+        check_sigma(sigma)
     for s in points:
         if not 0.0 < s < math.inf:
             raise ValueError(f"sample_curve requires 0 < s < inf, got {s}")
-    dielectric = any(kind is not SpectrumKind.VACUUM for kind in kinds)
     if points and dielectric:
         check_reach(sigma, min(points))
-    budgets = [resolve_rel_tol(kind, rel_tol) for kind in kinds]
+    rel_tol = resolve_rel_tol(kind, rel_tol)
     if not points:   # no sample to take the fixed panels from
         return []
+    sigma = sigma if dielectric else 1.0
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else 1
     team = _helpers(cpus) if dielectric and cpus > 1 else []
-    samples = []
-    for kind, budget in zip(kinds, budgets):
-        samples += _sample(kind, 1.0 if kind is SpectrumKind.VACUUM else sigma, points, budget,
-                           team)
-    return samples
+    s = np.array(points)
+    try:
+        values, errors = (_split(team, _curve, (kind, sigma, rel_tol), (s,))
+                          if team and kind is SpectrumKind.TE and s.size > 1
+                          else _curve(kind, sigma, rel_tol, s, team))
+    except _Failed as exc:
+        i, last = exc.index, exc.index + exc.count - 1
+        where = (f"sample {i} (s={points[i]})" if i == last
+                 else f"one of samples {i} to {last} (s={points[i]} to {points[last]})")
+        raise QuadratureError(f"{where} failed: {exc.name}{exc.text}") from exc
+    return list(map(IntegralSample, points, values.tolist(), errors.tolist(),
+                    repeat(kind), repeat(sigma)))
 
 
 def eval_I_vacuum(s: float, rel_tol: float | None = None) -> IntegralSample:

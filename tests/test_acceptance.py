@@ -58,10 +58,9 @@ def vacuum_runs():
 def dielectric_runs():
     """Full TE and TM pipelines at sigma = 8/27 on the default grid."""
     grid = make_grid(0.05, 1.0, 200)
-    kinds = (SpectrumKind.TE, SpectrumKind.TM)
     t0 = time.perf_counter()
-    samples = sample_curve(kinds, SIGMA, grid)   # in one call, as the CLI samples them
-    out = {kind: regularize([p for p in samples if p.kind is kind]) for kind in kinds}
+    out = {kind: regularize(sample_curve(kind, SIGMA, grid))
+           for kind in (SpectrumKind.TE, SpectrumKind.TM)}
     return out, time.perf_counter() - t0
 
 

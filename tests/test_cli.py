@@ -514,16 +514,11 @@ def test_sensitivity_integer_keys_reject_non_integers(tmp_path, monkeypatch, cap
 # ---------------------------------------------------------------------------
 
 
-def synthetic_sampler(kinds, sigma, grid, rel_tol=None):
-    out = []
-    for kind in kinds:
-        c_lead = 0.5 if kind is SpectrumKind.TE else 0.8
-        c0 = 0.1973 if kind is SpectrumKind.TE else 0.1961
-        for s in grid.points:
-            value = c_lead / s**4 + c0 + 0.05 * s
-            out.append(IntegralSample(s=float(s), value=value, est_error=1e-12,
-                                      kind=kind, sigma=sigma))
-    return out
+def synthetic_sampler(kind, sigma, grid, rel_tol=None):
+    c_lead = 0.5 if kind is SpectrumKind.TE else 0.8
+    c0 = 0.1973 if kind is SpectrumKind.TE else 0.1961
+    return [IntegralSample(s=float(s), value=c_lead / s**4 + c0 + 0.05 * s, est_error=1e-12,
+                           kind=kind, sigma=sigma) for s in grid.points]
 
 
 @pytest.fixture()
@@ -569,14 +564,14 @@ def test_dielectric_report(dielectric_run):
 def test_dielectric_report_echoes_the_rel_tol_that_ran(tmp_path, monkeypatch):
     ran = []
 
-    def recording_sampler(kinds, sigma, grid, rel_tol=None):
-        ran.append((kinds, rel_tol))
-        return synthetic_sampler(kinds, sigma, grid)
+    def recording_sampler(kind, sigma, grid, rel_tol=None):
+        ran.append((kind, rel_tol))
+        return synthetic_sampler(kind, sigma, grid)
 
     monkeypatch.setattr(cli, "sample_curve", recording_sampler)
     assert main(["dielectric", "--sigma", "8/27", "--grid-points", "64",
                  "--rel-tol", "3e-8", "--out-dir", str(tmp_path)]) == 0
-    assert ran == [((SpectrumKind.TE, SpectrumKind.TM), 3e-8)]
+    assert ran == [(SpectrumKind.TE, 3e-8), (SpectrumKind.TM, 3e-8)]
     assert read_json(tmp_path / "report.json")["quadrature"] == {"rel_tol": 3e-8}
 
 
@@ -708,9 +703,9 @@ def test_dielectric_default_grid_scales_with_log_sigma(sigma, scale):
 def test_dielectric_report_echoes_the_grid_that_ran(tmp_path, monkeypatch):
     ran = []
 
-    def recording_sampler(kinds, sigma, grid, rel_tol=None):
+    def recording_sampler(kind, sigma, grid, rel_tol=None):
         ran.append(grid)
-        return synthetic_sampler(kinds, sigma, grid)
+        return synthetic_sampler(kind, sigma, grid)
 
     monkeypatch.setattr(cli, "sample_curve", recording_sampler)
     assert main(["dielectric", "--sigma", "0.9", "--grid-points", "64",
@@ -742,7 +737,7 @@ def test_dielectric_near_unit_contrast_reads_c0_on_the_scaled_grid():
 
 
 def test_quadrature_failure_exits_3(tmp_path, monkeypatch, capsys):
-    def failing_sampler(kinds, sigma, grid, rel_tol=None):
+    def failing_sampler(kind, sigma, grid, rel_tol=None):
         raise QuadratureError("sample 0 (s=0.05) failed: did not converge")
 
     monkeypatch.setattr(cli, "sample_curve", failing_sampler)
@@ -779,10 +774,10 @@ def test_regularization_failure_exits_4(tmp_path, monkeypatch, capsys):
         "regularization failure (detect): [detect] no stable pole order\n")
 
 
-def _tm_fails(kinds, sigma, grid, rel_tol=None):
-    if SpectrumKind.TM in kinds:
+def _tm_fails(kind, sigma, grid, rel_tol=None):
+    if kind is SpectrumKind.TM:
         raise QuadratureError("sample 0 (s=0.05) failed: did not converge")
-    return synthetic_sampler(kinds, sigma, grid, rel_tol)
+    return synthetic_sampler(kind, sigma, grid, rel_tol)
 
 
 @pytest.mark.parametrize("argv,code,sampler", [
@@ -802,6 +797,66 @@ def test_failed_run_writes_nothing(tmp_path, monkeypatch, argv, code, sampler):
     assert main(argv + ["--out-dir", str(existing)]) == code
     assert not fresh.exists()
     assert list(existing.iterdir()) == []
+
+
+def test_dielectric_run_never_samples_tm_after_te_fails(tmp_path, monkeypatch, capsys):
+    # the TE curve is sampled first.  The stand-in kernel is NaN for TE
+    # everywhere and marks every TM call, in this process or in a helper
+    # forked after the patch: one and two CPUs exit 3 with the same line,
+    # neither samples TM, and neither writes anything
+    import casimir_laurent.quadrature as quadrature
+
+    marks = tmp_path / "marks"
+    marks.mkdir()
+
+    def poisoned(kind, nu, y, sigma):
+        if kind is SpectrumKind.TM:
+            (marks / "tm").touch()
+        return np.full(np.broadcast(nu, y).shape, math.nan)
+
+    monkeypatch.setattr(quadrature, "dlog_cross", poisoned)
+    errors = []
+    for count in (1, 2):
+        monkeypatch.setattr(quadrature.os, "sched_getaffinity",
+                            lambda pid: set(range(count)), raising=False)
+        out = tmp_path / f"cpus-{count}"
+        assert main(["dielectric", "--sigma", "8/27", "--grid-points", "16",
+                     "--out-dir", str(out)]) == 3
+        errors.append(capsys.readouterr().err)
+        assert list(marks.iterdir()) == []
+        assert not out.exists()
+    assert errors[0] == errors[1]
+    assert re.match(r"quadrature failure: sample 0 \(s=0\.05\) failed: inner quadrature "
+                    r"at nu=\S+: non-finite integrand", errors[0])
+
+
+@pytest.mark.parametrize("shape", ["file", "below-a-file", "dangling-link"])
+@pytest.mark.parametrize("argv", [
+    ["vacuum"],
+    ["dielectric", "--sigma", "8/27"],
+    ["sensitivity", "--vary", "J", "--values", "16,20"],
+], ids=["vacuum", "dielectric", "sensitivity"])
+def test_out_dir_blocked_by_a_file_is_refused_before_sampling(tmp_path, monkeypatch, capsys,
+                                                              argv, shape):
+    # a file at out_dir or above it, or a link to nowhere at it, used to be
+    # found by out.mkdir only once every curve was sampled, and ended in a
+    # FileExistsError or NotADirectoryError traceback with exit 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("a curve was sampled")
+
+    monkeypatch.setattr(cli, "sample_curve", refuse)
+    blocker = tmp_path / "taken"
+    if shape == "dangling-link":
+        blocker.symlink_to(tmp_path / "nowhere")
+    else:
+        blocker.write_text("kept\n")
+    out = blocker / "out" if shape == "below-a-file" else blocker
+    assert main(argv + ["--grid-points", "16", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (f"configuration error: out_dir {out} cannot be a "
+                                       f"directory: {blocker} is not one\n")
+    assert list(tmp_path.iterdir()) == [blocker]
+    if shape != "dangling-link":
+        assert blocker.read_text() == "kept\n"
 
 
 def test_first_rank_deficient_window_is_named(tmp_path, capsys):
@@ -909,20 +964,21 @@ def test_infinite_s_max_is_a_configuration_error(tmp_path, monkeypatch, capsys, 
 
 
 # ---------------------------------------------------------------------------
-# one sampling pass per distinct curve
+# one sampling call per curve
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("argv,counts", [
     (["vacuum", "--grid-points", "64"], (1, 1)),
-    (["dielectric", "--sigma", "8/27", "--grid-points", "64"], (1, 2)),
+    (["dielectric", "--sigma", "8/27", "--grid-points", "64"], (2, 2)),
     (["sensitivity", "--vary", "eps_c", "--values", "0.0005,0.001,0.002",
-      "--grid-points", "64"], (1, 3)),
-    (["sensitivity", "--vary", "N2", "--values", "7,8,9", "--grid-points", "64"], (1, 3)),
+      "--grid-points", "64"], (3, 3)),
+    (["sensitivity", "--vary", "N2", "--values", "7,8,9", "--grid-points", "64"], (3, 3)),
     (["sensitivity", "--vary", "J", "--values", "64,96"], (2, 2)),
 ])
 def test_curve_runner_call_counts(tmp_path, monkeypatch, argv, counts):
-    # sweep values that leave the grid and quadrature config alone share samples
+    # every curve of a command, every sweep value's included, is sampled by
+    # its own sample_curve call and regularized once
     calls = {"sample_curve": 0, "regularize": 0}
 
     def counting(name, real):

@@ -569,8 +569,8 @@ def test_sample_curve_preserves_order():
 def test_an_empty_grid_gives_an_empty_curve():
     # the fixed-panel layout has no sample to take its panels from, so an
     # empty curve makes no batch
-    for kinds in (SpectrumKind.VACUUM, SpectrumKind.TM, (SpectrumKind.TE, SpectrumKind.TM)):
-        assert sample_curve(kinds, SIGMA, []) == []
+    for kind in (SpectrumKind.VACUUM, SpectrumKind.TM, SpectrumKind.TE):
+        assert sample_curve(kind, SIGMA, []) == []
 
 
 def test_sample_curve_accepts_grid_object():
@@ -612,18 +612,38 @@ def cpus(monkeypatch, count):
 @pytest.mark.parametrize("sigma", [8.0 / 27.0, 27.0 / 8.0])
 @pytest.mark.parametrize("kind", [SpectrumKind.TE, SpectrumKind.TM])
 def test_dielectric_curve_equals_single_points(kind, sigma, monkeypatch):
-    # both kinds in one call, `kind` first: on two CPUs the helper team (two
+    # one call per kind, `kind` first: on two CPUs the helper team (two
     # helpers) samples the TE points in parts of 3 and 2 (samples 0, 2, 4
     # and 1, 3) and builds F_TM in parts, on one CPU each curve is one batch
-    # in this process, and both return each sample bit for bit, in the
-    # order asked for
+    # in this process, and both return each sample bit for bit, in grid order
     other = SpectrumKind.TM if kind is SpectrumKind.TE else SpectrumKind.TE
     grid = [0.7, 0.775, 0.85, 0.925, 1.0]
-    alone = [eval_I_dielectric(k, s, sigma) for k in (kind, other) for s in grid]
+    alone = [[eval_I_dielectric(k, s, sigma) for s in grid] for k in (kind, other)]
     for count in (2, 1):
         cpus(monkeypatch, count)
         # dataclass equality: s, value, est_error, kind and sigma, each exactly
-        assert sample_curve((kind, other), sigma, grid) == alone, count
+        assert [sample_curve(k, sigma, grid) for k in (kind, other)] == alone, count
+
+
+def test_consecutive_curves_share_one_team(monkeypatch):
+    # the team forked by the first dielectric call serves every later one: a
+    # TM curve, then a TE curve, each in its own call on two CPUs, leave the
+    # same two helpers, and each curve keeps its one-CPU bits
+    import casimir_laurent.quadrature as quadrature
+
+    grid = [0.7, 0.85, 1.0]
+    kinds = (SpectrumKind.TM, SpectrumKind.TE)
+    cpus(monkeypatch, 1)
+    alone = [sample_curve(kind, SIGMA, grid) for kind in kinds]
+    assert quadrature._team == []
+    cpus(monkeypatch, 2)
+    curves, helpers = [], []
+    for kind in kinds:
+        curves.append(sample_curve(kind, SIGMA, grid))
+        helpers.append([pid for _, pid in quadrature._team])
+    assert len(helpers[0]) == 2
+    assert helpers[1] == helpers[0]
+    assert curves == alone
 
 
 def test_dielectric_curve_names_first_failing_index(monkeypatch, tmp_path):
@@ -681,38 +701,6 @@ def test_dielectric_curve_names_first_failing_index(monkeypatch, tmp_path):
             expect[odd] = [(1, 3), (5, 7)]
         assert batches() == expect
     assert errors[0] == errors[1]
-
-
-def test_mixed_kind_curve_never_starts_the_curve_after_a_failing_one(monkeypatch, tmp_path):
-    # TM and TE curves of six points, TM first.  The stand-in kernel is NaN
-    # for TM past r = 64, which only the panel [64, 128] reaches: X(0.8) =
-    # 62.4 and X(0.7) = 71.3, so TM sample 1 is the first to take it.  For TE
-    # it is NaN at sample 1, and it marks every TE call.  The curves are
-    # sampled in curve order, so both CPU counts name TM sample 1 word for
-    # word, and neither starts the TE curve
-    import casimir_laurent.quadrature as quadrature
-
-    grid = [0.8, 0.7, 0.6, 0.55, 0.5, 0.45]
-    reach = truncation_point(np.array(grid))
-    top = 0.5 * reach + (0.5 * reach) * quadrature._XGK[0]   # each sample's largest first node
-
-    def poisoned(kind, nu, y, sigma):
-        if kind is SpectrumKind.TM:   # g = hypot(nu, 1) and y are the radius's legs
-            return np.where(np.hypot(np.hypot(nu, 1.0), y) > 64.0, math.nan, 1.0)
-        (tmp_path / "started-te").touch()
-        return np.where(nu == top[1], math.nan, np.ones(np.broadcast(nu, y).shape))
-
-    monkeypatch.setattr(quadrature, "dlog_cross", poisoned)
-    errors = []
-    for count in (1, 2):
-        cpus(monkeypatch, count)
-        with pytest.raises(QuadratureError, match=r"^sample 1 \(s=0\.7\) failed: quadrature: "
-                                                  r"non-finite integrand at x=") as exc:
-            sample_curve((SpectrumKind.TM, SpectrumKind.TE), SIGMA, grid)
-        errors.append(str(exc.value))
-        assert not (tmp_path / "started-te").exists()
-    assert errors[0] == errors[1]
-    assert len(quadrature._team) == 2
 
 
 def test_dielectric_curve_names_the_chunk_of_a_kernel_error(monkeypatch):
@@ -836,19 +824,19 @@ def test_single_point_kernel_error_names_the_sample(monkeypatch):
     (SpectrumKind.TM, SIGMA, [0.5, 0.6, math.inf]),
     (SpectrumKind.TE, SIGMA, [0.5, 0.0]),
     ("te", SIGMA, [0.5, 0.6]),
-    ((SpectrumKind.TE, "tm"), SIGMA, [0.5, 0.6]),
-    ((SpectrumKind.TM, SpectrumKind.TE), SIGMA, [0.5, -0.6]),
+    ((SpectrumKind.TE, SpectrumKind.TM), SIGMA, [0.5, 0.6]),
     (SpectrumKind.TE, SIGMA, [0.5, 1e-9]),
-    ((SpectrumKind.VACUUM, SpectrumKind.TM), 1e300, [0.5, 0.6]),
+    (SpectrumKind.TM, 1e300, [0.5, 0.6]),
 ], ids=["sigma-1", "sigma-0", "sigma-nan", "sigma-inf", "s-nan", "s-inf", "s-0", "kind",
-        "second-kind", "both-kinds-s", "reach-small-s", "reach-large-sigma"])
+        "tuple", "reach-small-s", "reach-large-sigma"])
 def test_dielectric_curve_checks_before_any_sample(kind, sigma, grid, monkeypatch):
+    # a tuple of kinds is refused as any other non-kind is
     import casimir_laurent.quadrature as quadrature
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sample or the helper team was started")
 
-    for name in ("eval_I_dielectric", "_sample", "_batch", "_helpers"):
+    for name in ("eval_I_dielectric", "_curve", "_split", "_batch", "_helpers"):
         monkeypatch.setattr(quadrature, name, refuse)
     cpus(monkeypatch, 2)
     with pytest.raises(ValueError, match=r"requires 0 < s < inf|sigma must lie in|no cross|"
